@@ -334,6 +334,15 @@ void PbftEngine::HandlePrePrepare(NodeId from, const PrePrepareMsg& m) {
     ctx_.env->metrics.Inc("pbft.bad_sig");
     return;  // a bad signature must not create slot state
   }
+  if (m.value.Digest() != m.value_digest) {
+    // The primary signed a digest that does not describe the value it
+    // sent. Preparing it would let a quorum commit a digest whose
+    // certificate can never verify against the delivered block (state
+    // transfer then rejects it forever), so treat it as equivocation.
+    ctx_.env->metrics.Inc("pbft.bad_preprepare_digest");
+    StartViewChange(view_ + 1, /*lone_suspicion=*/true);
+    return;
+  }
   bool created = it == slots_.end();
   if (created) it = slots_.try_emplace(m.slot).first;
   SlotState& st = it->second;

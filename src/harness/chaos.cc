@@ -396,6 +396,8 @@ ChaosReport RunQanaatChaos(const ChaosOptions& opts) {
   rep.net_reordered = sys.net().reordered();
   rep.net_dropped = sys.env().metrics.Get("net.dropped");
   rep.net_silenced = sys.net().silenced();
+  rep.intake_parked = sys.env().metrics.Get("order.intake_gated");
+  rep.client_retransmits = sys.env().metrics.Get("client.retransmit");
   return rep;
 }
 

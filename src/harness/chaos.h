@@ -86,6 +86,11 @@ struct ChaosReport {
   uint64_t net_reordered = 0;
   uint64_t net_dropped = 0;
   uint64_t net_silenced = 0;
+  /// Client requests a gated primary parked instead of admitting
+  /// (order.intake_gated), and client retransmissions (client.retransmit):
+  /// the intake-side cost of catching up, summed over the run.
+  uint64_t intake_parked = 0;
+  uint64_t client_retransmits = 0;
   std::string plan_summary;
 };
 

@@ -2,6 +2,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
 
 #include "common/rng.h"
 
@@ -228,6 +229,37 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
+std::string TsvEscape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (char c : s) {
+    if (c == '\\') {
+      out += "\\\\";
+    } else if (c == '\t') {
+      out += "\\t";
+    } else if (c == '\n') {
+      out += "\\n";
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
+std::string TsvUnescape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (size_t i = 0; i < s.size(); ++i) {
+    if (s[i] == '\\' && i + 1 < s.size()) {
+      char n = s[++i];
+      out += n == 't' ? '\t' : n == 'n' ? '\n' : n;
+    } else {
+      out += s[i];
+    }
+  }
+  return out;
+}
+
 }  // namespace
 
 std::string SummaryJson(int shard_index, int shard_count,
@@ -260,6 +292,9 @@ std::string SummaryJson(int shard_index, int shard_count,
     j += ", \"silenced\": " + std::to_string(r.report.net_silenced);
     j += ", \"liveness_resume_us\": " +
          std::to_string(r.report.liveness_resume_us);
+    j += ", \"intake_parked\": " + std::to_string(r.report.intake_parked);
+    j += ", \"client_retransmits\": " +
+         std::to_string(r.report.client_retransmits);
     if (!r.passed) {
       j += ", \"violation\": \"" + JsonEscape(r.failure) + "\"";
       j += ", \"repro\": \"" + JsonEscape(ReproCommand(r.entry)) + "\"";
@@ -269,6 +304,46 @@ std::string SummaryJson(int shard_index, int shard_count,
   }
   j += "  ]\n}\n";
   return j;
+}
+
+std::string EncodeResultTsv(size_t index, const CorpusRunResult& r) {
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                "%zu\t%d\t%" PRIu64 "\t%" PRIu64 "\t%" PRIu64 "\t%" PRIu64
+                "\t%" PRId64 "\t%" PRIu64 "\t%" PRIu64 "\t",
+                index, r.passed ? 1 : 0, r.report.trace_hash,
+                r.report.commits_total, r.report.faults_applied,
+                r.report.net_silenced,
+                static_cast<int64_t>(r.report.liveness_resume_us),
+                r.report.intake_parked, r.report.client_retransmits);
+  return buf + TsvEscape(r.failure);
+}
+
+bool DecodeResultTsv(const std::string& line, size_t* index,
+                     CorpusRunResult* r) {
+  std::vector<std::string> fields;
+  size_t start = 0;
+  for (size_t i = 0; i <= line.size(); ++i) {
+    if (i == line.size() || line[i] == '\t') {
+      fields.push_back(line.substr(start, i - start));
+      start = i + 1;
+    }
+  }
+  if (fields.size() != 10) return false;
+  auto u64 = [&fields](size_t i) {
+    return std::strtoull(fields[i].c_str(), nullptr, 10);
+  };
+  *index = u64(0);
+  r->passed = fields[1] == "1";
+  r->report.trace_hash = u64(2);
+  r->report.commits_total = u64(3);
+  r->report.faults_applied = u64(4);
+  r->report.net_silenced = u64(5);
+  r->report.liveness_resume_us = std::strtoll(fields[6].c_str(), nullptr, 10);
+  r->report.intake_parked = u64(7);
+  r->report.client_retransmits = u64(8);
+  r->failure = TsvUnescape(fields[9]);
+  return true;
 }
 
 }  // namespace qanaat

@@ -88,6 +88,15 @@ bool ParseAdversary(const std::string& s, AdversaryKind* out);
 std::string SummaryJson(int shard_index, int shard_count,
                         const std::vector<CorpusRunResult>& results);
 
+/// One run's record as a single TSV line (no trailing newline): how a
+/// forked corpus worker hands its results to the parent. Carries the
+/// manifest index and every report field SummaryJson prints.
+std::string EncodeResultTsv(size_t index, const CorpusRunResult& r);
+/// Inverse of EncodeResultTsv; the entry itself is not carried (the
+/// parent owns the manifest). False on a malformed line.
+bool DecodeResultTsv(const std::string& line, size_t* index,
+                     CorpusRunResult* r);
+
 }  // namespace qanaat
 
 #endif  // QANAAT_HARNESS_CORPUS_H_

@@ -209,8 +209,7 @@ LoadPoint RunFabricPoint(const FabricRunConfig& cfg, double offered_tps) {
     clients.push_back(c);
   }
   if (cfg.drop_rate > 0) {
-    // Loss on client links only: the Fabric model has no block catch-up,
-    // so a dropped ordered-block delivery would stall a peer forever.
+    // Loss on client links only (see FabricRunConfig::drop_rate).
     Network::LinkFault lf;
     lf.drop = cfg.drop_rate;
     for (FabricClient* c : clients) {

@@ -64,8 +64,9 @@ struct FabricRunConfig {
   SimTime warmup = 300 * kMillisecond;
   /// Crash one Raft follower at t=0 (Table 3).
   bool fail_follower = false;
-  /// Message-loss probability on client links (peers have no catch-up
-  /// protocol, so loss on block-delivery links would wedge them).
+  /// Message-loss probability on client links only. Peers do survive
+  /// loss on block-delivery links (they fetch missed blocks from the
+  /// orderer), but this knob models lossy client access alone.
   double drop_rate = 0;
 };
 

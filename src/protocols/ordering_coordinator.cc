@@ -47,10 +47,7 @@ void OrderingNode::StartCoordinated(const BlockPtr& block) {
   xs.is_cross_enterprise = probe.collection.members.size() > 1;
   xs.is_cross_shard = probe.shards.size() > 1;
   xs.i_coordinate = true;
-  if (!xs.pinned) {
-    xs.pinned = true;
-    PinCross(block);
-  }
+  PinInstance(xs);
   xs.assignments[block->id.alpha.shard] =
       ShardAssignment{cfg_.cluster_id, block->id.alpha, block->id.gamma};
   own_pending_.insert({ShardRef{block->id.alpha.collection,
@@ -154,6 +151,7 @@ void OrderingNode::HandleXPrepare(NodeId from, const XPrepareMsg& m) {
   XState& xs = StateFor(m.block_digest);
   if (xs.done) return;
   xs.block = m.block;
+  PinInstance(xs);
   const Transaction& probe = m.block->txs.front();
   xs.involved = InvolvedClusters(probe.collection, probe.shards);
   xs.is_cross_enterprise = probe.collection.members.size() > 1;

@@ -93,6 +93,9 @@ void OrderingNode::OnCrash() {
   // recovered by client retransmission, and the batcher's armed-timer
   // flags must not outlive the timers (which the crash epoch discards).
   batcher_.Reset();
+  parked_.clear();
+  parked_ids_.clear();
+  release_armed_ = false;  // its timer died with the old epoch
   progress_checks_.clear();
   pending_exec_push_.clear();
   state_sync_pending_ = false;  // its timer died with the old epoch
@@ -237,6 +240,11 @@ void OrderingNode::OnTimer(uint64_t tag, uint64_t payload) {
   if (tag == kTagStateSync) {
     state_sync_pending_ = false;
     SendStateRequest();
+    MaybeReleaseParked();
+    return;
+  }
+  if (tag == kTagIntakeRelease) {
+    ReleaseParked();
     return;
   }
   if (tag == kTagExecPush) {
@@ -265,23 +273,25 @@ void OrderingNode::OnTimer(uint64_t tag, uint64_t payload) {
     exec_wedge_armed_ = false;
     if (exec_.pending_blocks() == 0) {
       exec_wedged_ = false;
-      return;
-    }
-    if (exec_.ledger().size() == exec_ledger_at_arm_) {
+    } else if (exec_.ledger().size() == exec_ledger_at_arm_) {
       exec_wedged_ = true;
       env()->metrics.Inc("order.exec_wedge_detected");
       ScheduleStateSync(0);
     } else {
       exec_wedged_ = false;  // progressing again
     }
-    MaybeWatchExecWedge();
+    MaybeWatchExecWedge();  // re-arms only while blocks sit deferred
+    MaybeReleaseParked();
     return;
   }
   if (tag == kTagProgress) {
     auto it = progress_checks_.find(payload);
     if (it == progress_checks_.end()) return;
-    if (IsDuplicateRequest(it->second.id)) {
+    if (ObservedRecently(it->second.id) ||
+        RecentlyIn(seen_requests_, it->second.id)) {
       // A proposal carrying the request was observed — primary is live.
+      // A pin in pending_cross_ proves nothing here: the stalled instance
+      // of a dead primary stays pinned until it finishes.
       progress_checks_.erase(it);
       return;
     }
@@ -389,8 +399,10 @@ void OrderingNode::HandleRequest(NodeId /*from*/, const RequestMsg& m) {
     // A catching-up primary must not admit fresh batches: its permanent
     // at-most-once record is still incomplete, so a retransmission of a
     // transaction whose commit it has not yet learned would be ordered a
-    // second time. The client retransmits once the gate clears.
+    // second time. The request waits here and is replayed through this
+    // function as soon as the gate clears.
     env()->metrics.Inc("order.intake_gated");
+    ParkRequest(m);
     return;
   }
   // Write rule (§3.2): the transaction must target a collection its
@@ -433,12 +445,35 @@ bool OrderingNode::IntakeGated() const {
   // the wedge watchdog confirms one: the gap between "a commit we have
   // not applied exists" and "the watchdog noticed" is exactly where a
   // catching-up leader re-orders a retransmission into a duplicate
-  // block (the chaos corpus reproduces this deterministically). The
-  // cost on a healthy primary is negligible — transient γ-deferrals
-  // rarely coincide with intake, and gated clients simply retransmit.
+  // block (the chaos corpus reproduces this deterministically). Under
+  // cross-shard load the gate is closed often — out-of-order commits of
+  // one chain are routine there — so gated requests are parked and
+  // replayed when it clears instead of waiting for the client's
+  // retransmission timeout.
   return dir_->params.state_transfer &&
          (state_sync_pending_ || exec_wedged_ ||
           exec_.pending_blocks() > 0);
+}
+
+void OrderingNode::ParkRequest(const RequestMsg& m) {
+  if (!parked_ids_.insert({m.tx.client, m.tx.client_ts}).second) return;
+  parked_.push_back(m);
+}
+
+void OrderingNode::MaybeReleaseParked() {
+  if (parked_.empty() || release_armed_ || IntakeGated()) return;
+  release_armed_ = true;
+  StartTimer(0, kTagIntakeRelease, 0);
+}
+
+void OrderingNode::ReleaseParked() {
+  release_armed_ = false;
+  if (IntakeGated()) return;  // closed again; the next clearing re-arms
+  std::deque<RequestMsg> batch;
+  batch.swap(parked_);
+  parked_ids_.clear();
+  env()->metrics.Inc("order.intake_released", batch.size());
+  for (const RequestMsg& m : batch) HandleRequest(kInvalidNode, m);
 }
 
 SimTime OrderingNode::DedupWindowUs() const {
@@ -466,7 +501,7 @@ bool OrderingNode::IsDuplicateRequest(const RequestId& id) const {
   // in an abandoned proposal would stay blacklisted here until another
   // node became primary.
   // pending_cross_ deliberately has no expiry: those requests sit in a
-  // cross instance this node keeps re-driving, so they are never
+  // live cross instance that keeps being re-driven, so they are never
   // abandoned while pinned (see FinishCross for the release).
   return committed_requests_.Contains(id) ||
          pending_cross_.find(id) != pending_cross_.end() ||
@@ -478,6 +513,12 @@ void OrderingNode::PinCross(const BlockPtr& block) {
   for (const auto& tx : block->txs) {
     ++pending_cross_[{tx.client, tx.client_ts}];
   }
+}
+
+void OrderingNode::PinInstance(XState& xs) {
+  if (xs.pinned) return;
+  xs.pinned = true;
+  PinCross(xs.block);
 }
 
 void OrderingNode::UnpinCross(const BlockPtr& block) {
@@ -691,6 +732,7 @@ void OrderingNode::CommitBlock(const BlockPtr& block, CommitCertificate cert,
     env()->metrics.Inc("order.commit_submit_error");
   }
   MaybeWatchExecWedge();
+  MaybeReleaseParked();  // the commit may have drained deferred blocks
 }
 
 void OrderingNode::OnExecutedReply(const ExecutorCore::ExecResult& res,
@@ -1222,6 +1264,7 @@ void OrderingNode::HandleStateReply(NodeId /*from*/, const StateReplyMsg& m) {
     // no-ops (and goes unanswered) once everyone agrees.
     ScheduleStateSync(dir_->params.consensus_timeout_us);
   }
+  MaybeReleaseParked();
 }
 
 void OrderingNode::ReplayExecPushes() {

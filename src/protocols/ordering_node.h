@@ -55,6 +55,8 @@ class OrderingNode : public Actor {
   uint64_t committed_blocks() const { return committed_blocks_; }
   uint64_t committed_txs() const { return committed_txs_; }
   uint64_t aborted_blocks() const { return aborted_blocks_; }
+  /// Client requests held while intake is gated (see IntakeGated).
+  size_t parked_requests() const { return parked_.size(); }
 
   /// Auditor surface: request ids (client, client timestamp) of the
   /// transactions that lost a §4.3.5 digest-priority arbitration here and
@@ -137,6 +139,7 @@ class OrderingNode : public Actor {
   static constexpr uint64_t kTagStateSync = 5;
   static constexpr uint64_t kTagExecWedge = 6;
   static constexpr uint64_t kTagExecPush = 7;
+  static constexpr uint64_t kTagIntakeRelease = 8;
 
   // ---- request intake / batching
   void HandleRequest(NodeId from, const RequestMsg& m);
@@ -154,8 +157,21 @@ class OrderingNode : public Actor {
   /// a state sync is pending or committed blocks sit deferred, this
   /// node's permanent at-most-once record (committed_requests_) is
   /// incomplete, and admitting a retransmission whose commit we have not
-  /// learned yet re-orders it into a duplicate block.
+  /// learned yet re-orders it into a duplicate block. Gated requests are
+  /// parked, not dropped (see ParkRequest).
   bool IntakeGated() const;
+  /// Holds a gated request for replay once the gate clears. A request
+  /// already parked is not parked twice, so client retransmissions
+  /// cannot grow the queue past the clients' outstanding requests.
+  void ParkRequest(const RequestMsg& m);
+  /// Called wherever the gate may have just cleared: schedules the replay
+  /// of the parked requests (a zero-delay timer, so the replay never
+  /// re-enters the commit path that cleared the gate).
+  void MaybeReleaseParked();
+  /// Replays every parked request through HandleRequest, which re-runs
+  /// all intake checks — exactly as safe as a client retransmission
+  /// arriving now.
+  void ReleaseParked();
   /// Arms a progress watchdog for a request relayed to the primary: if no
   /// proposal containing it is observed in time, suspect the primary —
   /// otherwise a primary that crashed with nothing in flight is never
@@ -370,19 +386,30 @@ class OrderingNode : public Actor {
   /// Amortized sweep of expired intake/observation entries (at most once
   /// per window), so both maps stay bounded under sustained load.
   void MaybePurgeDedup();
-  // Requests inside a cross block this node is actively driving — held in
-  // a deferred queue, a live locally-initiated instance, or a scheduled
-  // retry. These do NOT expire with the dedup window: the cross timer
-  // re-drives an instance indefinitely, so "presumed abandoned" is never
-  // true while the instance is live, and admitting a retransmission past
-  // the window would commit the same request twice (once in the stalled
-  // block once it finally lands, once in the fresh one). Reference
-  // counted because a transaction can sit in two overlapping holders
-  // during a hand-off (e.g. an aborted instance and its retry block).
+  // Requests inside a live cross block this node knows of — held in a
+  // deferred queue, a scheduled retry, or an unfinished instance, whether
+  // this node drives it or only observed its FPropose/XPrepare. These do
+  // NOT expire with the dedup window: the cross timer re-drives an
+  // instance indefinitely, so "presumed abandoned" is never true while
+  // the instance is live, and admitting a retransmission past the window
+  // would commit the same request twice (once in the stalled block once
+  // it finally lands, once in the fresh one). Observers pin too: a backup
+  // that takes over leadership while a slow old primary's instance is
+  // still live must not admit its transactions again. Reference counted
+  // because a transaction can sit in two overlapping holders during a
+  // hand-off (e.g. an aborted instance and its retry block).
   std::map<RequestId, int> pending_cross_;
   void PinCross(const BlockPtr& block);
   void UnpinCross(const BlockPtr& block);
+  /// Pins xs.block once per instance; FinishCross releases it.
+  void PinInstance(XState& xs);
   SimTime last_dedup_purge_ = 0;
+  // Requests that reached a gated primary, in arrival order, with their
+  // ids for dedup. Volatile: a crash loses them, and the clients'
+  // retransmissions recover them.
+  std::deque<RequestMsg> parked_;
+  std::set<RequestId> parked_ids_;
+  bool release_armed_ = false;
   // Progress watchdog for a relayed request: if neither the request is
   // observed in a proposal nor any slot delivers before the timer fires,
   // the primary is suspected. The delivery baseline distinguishes a dead

@@ -19,7 +19,7 @@ class Network;
 /// CPU / transport cost model: the knobs that calibrate simulated
 /// performance against the paper's c4.2xlarge testbed. All times in
 /// microseconds of simulated time.
-/// Constants are calibrated (see EXPERIMENTS.md) so that one cluster of
+/// Constants are calibrated so that one cluster of
 /// c4.2xlarge-class nodes saturates near the paper's per-cluster
 /// throughput; what the experiments compare is protocols, not absolute
 /// hardware speed.

@@ -199,6 +199,28 @@ TEST(PbftTest, EquivocatingPrimaryIsReplaced) {
   EXPECT_NE(new_primary, f.hosts[0]->id());
 }
 
+TEST(PbftTest, EquivocatedDigestNeverCommits) {
+  // The equivocating primary sends the real value to every backup but
+  // signs a garbage digest for half of them. Those backups used to prepare
+  // the garbage digest; the next view re-proposed it and the cluster
+  // delivered the real block under a digest its commit certificate can
+  // never verify against (state transfer then rejects the block forever).
+  // Backups now refuse a pre-prepare whose digest does not match its
+  // value, so nothing prepares and the slot is filled with a no-op.
+  EngineFixture f(true, 4, 1);
+  static_cast<PbftEngine*>(f.hosts[0]->engine.get())->SetEquivocate(true);
+  ConsensusValue evil = f.MakeValue("evil");
+  f.hosts[0]->engine->Propose(evil);
+  f.env.sim.Run(3000000);
+  EXPECT_GE(f.env.metrics.Get("pbft.bad_preprepare_digest"), 1u);
+  EXPECT_GE(f.env.metrics.Get("pbft.view_installed"), 1u);
+  for (const auto& h : f.hosts) {
+    for (const auto& [slot, digest] : h->delivered) {
+      EXPECT_NE(digest, evil.block_digest) << "replica " << h->id();
+    }
+  }
+}
+
 TEST(PbftTest, CommitProofFormsValidCertificate) {
   EngineFixture f(true, 4, 1);
   ConsensusValue v = f.MakeValue("cert");

@@ -336,6 +336,43 @@ TEST(PlanSerde, RejectsCorruptBuffers) {
   EXPECT_FALSE(DecodePlan({}, &out).ok());
 }
 
+TEST(ResultSerde, TsvRoundTripsEveryReportField) {
+  // The record a forked corpus worker hands its parent: every field the
+  // JSON summary prints must survive the trip.
+  CorpusRunResult r;
+  r.passed = false;
+  r.report.trace_hash = 0xfedcba9876543210ULL;
+  r.report.commits_total = 1234;
+  r.report.faults_applied = 17;
+  r.report.net_silenced = 5;
+  r.report.liveness_resume_us = -1;
+  r.report.intake_parked = 88;
+  r.report.client_retransmits = 364;
+  r.failure = "safety:\tline one\nline two \\ done";
+  std::string line = EncodeResultTsv(42, r);
+  EXPECT_EQ(line.find('\n'), std::string::npos);
+
+  size_t index = 0;
+  CorpusRunResult out;
+  ASSERT_TRUE(DecodeResultTsv(line, &index, &out));
+  EXPECT_EQ(index, 42u);
+  EXPECT_EQ(out.passed, r.passed);
+  EXPECT_EQ(out.report.trace_hash, r.report.trace_hash);
+  EXPECT_EQ(out.report.commits_total, r.report.commits_total);
+  EXPECT_EQ(out.report.faults_applied, r.report.faults_applied);
+  EXPECT_EQ(out.report.net_silenced, r.report.net_silenced);
+  EXPECT_EQ(out.report.liveness_resume_us, r.report.liveness_resume_us);
+  EXPECT_EQ(out.report.intake_parked, r.report.intake_parked);
+  EXPECT_EQ(out.report.client_retransmits, r.report.client_retransmits);
+  EXPECT_EQ(out.failure, r.failure);
+
+  std::string json = SummaryJson(0, 1, {out});
+  EXPECT_NE(json.find("\"intake_parked\": 88"), std::string::npos);
+  EXPECT_NE(json.find("\"client_retransmits\": 364"), std::string::npos);
+
+  EXPECT_FALSE(DecodeResultTsv("1\t1\t7", &index, &out));
+}
+
 // ----------------------------------------- corpus runs: the adversaries
 
 struct AdversaryGolden {
@@ -349,22 +386,25 @@ struct AdversaryGolden {
 // run must pass the full corpus criteria AND replay to the exact pinned
 // hash — any scheduling drift in the adversary machinery shows up here
 // the way benign drift shows up in chaos_test's ChaosGolden.
+// Six pins re-pinned for intake parking: a gated primary now replays
+// parked requests as soon as it catches up, which moves every schedule
+// where a primary gates intake (see the ChaosGolden pin-table comment).
+// pbft/6 equivocation moved for a second reason too: backups now refuse
+// a pre-prepare whose digest does not match its value, so the
+// equivocating primary's garbage digests no longer commit and the
+// cluster changes view instead. pbft/5 gray and Fabric did not move.
 TEST(CorpusGolden, AdversaryTraceHashesMatchPinned) {
   const AdversaryGolden kGolden[] = {
       {ChaosStack::kQanaatPbft, 5, AdversaryKind::kGrayFailure,
        0xb9cd34fd5bea5f6eULL},
       {ChaosStack::kQanaatPbft, 6, AdversaryKind::kEquivocation,
-       0x0cc60606710ff962ULL},
-      // Seed-7 silence pins re-pinned for the §4.3.5 PR: selective
-      // silence swallows FPropose/FCommit traffic, so these schedules
-      // now exercise the orphan-commit-vote query timer and moved
-      // intentionally (see the chaos_test pin-table comment).
+       0x4b497e3c61ed5605ULL},
       {ChaosStack::kQanaatPbft, 7, AdversaryKind::kSelectiveSilence,
-       0x6b6634f4df300933ULL},
+       0xb0ea913341d07a8fULL},
       {ChaosStack::kQanaatPaxos, 5, AdversaryKind::kGrayFailure,
-       0x9ce825a0f5baf256ULL},
+       0x421cef501a043e31ULL},
       {ChaosStack::kQanaatPaxos, 7, AdversaryKind::kSelectiveSilence,
-       0x0f0248c5429e6dd1ULL},
+       0xf0f167ba64167fe4ULL},
       {ChaosStack::kFabric, 6, AdversaryKind::kGrayFailure,
        0xebdbb98e6409da29ULL},
       // Cross-conflict profile pins (§4.3.5). pbft/1002 is the seed whose
@@ -372,9 +412,9 @@ TEST(CorpusGolden, AdversaryTraceHashesMatchPinned) {
       // tail hole in state transfer — its pin guards both the arbitration
       // machinery and that fix.
       {ChaosStack::kQanaatPbft, kConflictSeedBase + 2,
-       AdversaryKind::kCrossConflict, 0x2f86155a7650b304ULL},
+       AdversaryKind::kCrossConflict, 0x2a0239241fdb6381ULL},
       {ChaosStack::kQanaatPaxos, kConflictSeedBase + 1,
-       AdversaryKind::kCrossConflict, 0xefe1c990e2c0b7b8ULL},
+       AdversaryKind::kCrossConflict, 0xfe72386d57e3fb82ULL},
   };
   for (const auto& g : kGolden) {
     CorpusEntry e{g.stack, g.seed, g.adversary};

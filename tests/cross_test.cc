@@ -1,7 +1,9 @@
 // Cross-shard conflict resolution (§4.3.5) and pull-based executor state
 // transfer: digest-priority arbitration of symmetric rival claims, loser
 // re-proposal, and the firewall-routed StateRequest/StateReply path a
-// gapped execution node uses to converge.
+// gapped execution node uses to converge. Also intake parking: a primary
+// whose committed blocks sit deferred (the routine out-of-order commits of
+// cross-shard ordering) holds fresh requests until it catches up.
 
 #include <gtest/gtest.h>
 
@@ -17,10 +19,11 @@ class ClientStub : public Actor {
   explicit ClientStub(Env* env) : Actor(env, "client-stub") {}
   void OnMessage(NodeId, const MessageRef& msg) override {
     if (msg->type == MsgType::kReply || msg->type == MsgType::kReplyCert) {
-      ++replies;
+      if (replies++ == 0) first_reply_at = now();
     }
   }
   int replies = 0;
+  SimTime first_reply_at = 0;
 };
 
 // --------------------------------------- §4.3.5 arbitration symmetry
@@ -219,6 +222,260 @@ TEST(ExecutorPullTest, FiltersDropPullsNotFromAnExecutionNode) {
 
   EXPECT_GE(sys.env().metrics.Get("firewall.filtered_bad_pull"), 1u);
   EXPECT_EQ(sys.env().metrics.Get("order.state_served"), 0u);
+}
+
+// ------------------------------------------- intake parking (gated primary)
+
+/// Cluster 0 of a two-enterprise crash-model deployment; the tests use
+/// only its local chain. At 10ms every replica receives, by state
+/// transfer, a certified block at height 2 of the local chain but not its
+/// predecessor: the block is deferred, so the primary's intake is gated
+/// until height 1 lands at 100ms.
+class GatedPrimary {
+ public:
+  static constexpr SimTime kPredecessorAt = 100 * kMillisecond;
+
+  explicit GatedPrimary(uint64_t seed)
+      : sys_(Options(seed)), stub_(&sys_.env()) {
+    InstallAt(10 * kMillisecond, 2);
+    InstallAt(kPredecessorAt, 1);
+  }
+
+  QanaatSystem& sys() { return sys_; }
+  const ClientStub& stub() const { return stub_; }
+  const ClusterConfig& cluster() const { return sys_.directory().Cluster(0); }
+  OrderingNode* primary() { return sys_.ordering_node(0, 0); }
+  uint64_t Metric(const char* name) { return sys_.env().metrics.Get(name); }
+
+  /// Sends client request `ts` at `at`: a first send goes to the primary,
+  /// a retransmission to every ordering node (as ClientMachine does).
+  void RequestAt(SimTime at, uint64_t ts, bool retransmission = false) {
+    sys_.env().sim.ScheduleAt(at, [this, ts, retransmission]() {
+      auto req = std::make_shared<RequestMsg>();
+      req->tx = Tx(ts);
+      req->is_retransmission = retransmission;
+      if (!retransmission) {
+        sys_.net().Send(stub_.id(), cluster().InitialPrimary(), req);
+        return;
+      }
+      for (NodeId n : cluster().ordering) sys_.net().Send(stub_.id(), n, req);
+    });
+  }
+
+  /// How many times request `ts` appears in each replica's ledger.
+  std::vector<uint64_t> CommitsOf(uint64_t ts) {
+    std::vector<uint64_t> out;
+    for (size_t i = 0; i < cluster().ordering.size(); ++i) {
+      const DagLedger& led =
+          sys_.ordering_node(0, static_cast<int>(i))->exec_core().ledger();
+      uint64_t n = 0;
+      for (size_t e = 0; e < led.size(); ++e) {
+        for (const auto& tx : led.entry(e).block->txs) {
+          if (tx.client == stub_.id() && tx.client_ts == ts) ++n;
+        }
+      }
+      out.push_back(n);
+    }
+    return out;
+  }
+  /// CommitsOf when every replica holds the request `n` times.
+  std::vector<uint64_t> Each(uint64_t n) const {
+    return std::vector<uint64_t>(cluster().ordering.size(), n);
+  }
+
+ private:
+  static QanaatSystem::Options Options(uint64_t seed) {
+    QanaatSystem::Options so;
+    so.params.num_enterprises = 2;
+    so.params.shards_per_enterprise = 1;
+    so.params.failure_model = FailureModel::kCrash;
+    so.seed = seed;
+    return so;
+  }
+
+  Transaction Tx(uint64_t ts) {
+    Transaction tx;
+    tx.client = stub_.id();
+    tx.client_ts = ts;
+    tx.collection = CollectionId(EnterpriseSet{0});
+    tx.shards = {0};
+    tx.initiator = 0;
+    tx.ops.push_back(TxOp{TxOp::Kind::kAdd, 1, 5, {}});
+    tx.client_sig = sys_.env().keystore.Sign(stub_.id(), tx.Digest());
+    return tx;
+  }
+
+  /// Schedules a StateReply carrying a certified block at height `n` to
+  /// every replica.
+  void InstallAt(SimTime at, SeqNo n) {
+    sys_.env().sim.ScheduleAt(at, [this, n]() {
+      auto block = std::make_shared<Block>();
+      block->id.alpha = {CollectionId(EnterpriseSet{0}), 0, n};
+      block->txs.push_back(Tx(1000 + n));
+      block->Seal();
+      StateReplyMsg::Entry e;
+      e.block = block;
+      e.cert.block_digest = block->Digest();
+      e.cert.direct = true;
+      e.cert.sigs.push_back(
+          sys_.env().keystore.Sign(cluster().ordering[1], block->Digest()));
+      e.alpha = block->id.alpha;
+      auto rep = std::make_shared<StateReplyMsg>();
+      rep->entries.push_back(e);
+      for (NodeId node : cluster().ordering) {
+        sys_.net().Send(stub_.id(), node, rep);
+      }
+    });
+  }
+
+  QanaatSystem sys_;
+  ClientStub stub_;
+};
+
+// ------------------------------- observers pin live cross instances
+
+TEST(CrossPinTest, ObserverTurnedPrimaryRefusesALiveInstancesRequest) {
+  // A backup of the initiator cluster observes an FPropose whose instance
+  // then stalls: the other involved cluster is partitioned away and the
+  // initiator primary crashes, so nobody re-drives it and the backup's
+  // observation expires (DedupWindowUs). The backup becomes primary and
+  // the client retransmits. Admitting the retransmission would mint a
+  // second live block carrying the same request; only slot arbitration
+  // would then stand between the two and a double commit, and nothing
+  // does when the second block claims a different chain slot. Observers
+  // therefore pin the instance's requests until it finishes, like its
+  // driver does, and the new primary re-drives the original instead.
+  QanaatSystem::Options so;
+  so.params.num_enterprises = 2;
+  so.params.shards_per_enterprise = 2;
+  so.params.failure_model = FailureModel::kCrash;
+  so.params.family = ProtocolFamily::kFlattened;
+  so.seed = 5;
+  QanaatSystem sys(std::move(so));
+  ClientStub stub(&sys.env());
+  const Directory& dir = sys.directory();
+  const ClusterConfig& c0 = dir.Cluster(dir.ClusterIdOf(0, 0));
+  const ClusterConfig& c1 = dir.Cluster(dir.ClusterIdOf(0, 1));
+
+  auto req = std::make_shared<RequestMsg>();
+  req->tx.client = stub.id();
+  req->tx.client_ts = 1;
+  req->tx.collection = CollectionId(EnterpriseSet{0});
+  req->tx.shards = {0, 1};
+  req->tx.initiator = 0;
+  req->tx.ops.push_back(TxOp{TxOp::Kind::kAdd, 1, 5, {}});
+  req->tx.client_sig =
+      sys.env().keystore.Sign(stub.id(), req->tx.Digest());
+  auto retransmission = std::make_shared<RequestMsg>(*req);
+  retransmission->is_retransmission = true;
+
+  auto& sim = sys.env().sim;
+  sim.ScheduleAt(10 * kMillisecond, [&]() {
+    for (NodeId a : c0.ordering) {
+      for (NodeId b : c1.ordering) sys.net().Partition(a, b);
+    }
+  });
+  sim.ScheduleAt(20 * kMillisecond, [&]() {
+    sys.net().Send(stub.id(), c0.InitialPrimary(), req);
+  });
+  sim.ScheduleAt(100 * kMillisecond,
+                 [&]() { sys.ordering_node(c0.cluster_id, 0)->Crash(); });
+  for (SimTime at : {900 * kMillisecond, 1500 * kMillisecond}) {
+    sim.ScheduleAt(at, [&]() {
+      for (NodeId n : c0.ordering) {
+        sys.net().Send(stub.id(), n, retransmission);
+      }
+    });
+  }
+  sim.ScheduleAt(1600 * kMillisecond,
+                 [&]() { sys.net().HealAllPartitions(); });
+  sim.Run(4 * kSecond);
+
+  // One block ever carried the request: the new primary refused to batch
+  // the retransmission again.
+  EXPECT_GT(sys.env().metrics.Get("order.duplicate_request"), 0u);
+  EXPECT_EQ(sys.env().metrics.Get("batch.closed_timeout"), 1u);
+  Status st = SafetyAuditor::AuditQanaat(sys, true, nullptr);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  for (int i = 1; i < static_cast<int>(c0.ordering.size()); ++i) {
+    const DagLedger& led =
+        sys.ordering_node(c0.cluster_id, i)->exec_core().ledger();
+    uint64_t commits = 0;
+    for (size_t e = 0; e < led.size(); ++e) {
+      for (const auto& tx : led.entry(e).block->txs) {
+        if (tx.client == stub.id()) ++commits;
+      }
+    }
+    EXPECT_EQ(commits, 1u) << "replica " << i;
+  }
+}
+
+TEST(IntakeParkingTest, GatedRequestSettlesOnceAfterPredecessorLands) {
+  // No retransmission exists in this test: before parking, a request
+  // reaching a gated primary was dropped and only a client retransmission
+  // could recover it.
+  GatedPrimary g(21);
+  g.RequestAt(20 * kMillisecond, 1);
+  g.sys().env().sim.Run(GatedPrimary::kPredecessorAt);
+  EXPECT_EQ(g.Metric("order.intake_gated"), 1u);
+  EXPECT_EQ(g.primary()->parked_requests(), 1u);
+  EXPECT_EQ(g.CommitsOf(1), g.Each(0));
+
+  g.sys().env().sim.Run(2 * kSecond);
+  EXPECT_EQ(g.Metric("order.intake_released"), 1u);
+  EXPECT_EQ(g.primary()->parked_requests(), 0u);
+  EXPECT_EQ(g.CommitsOf(1), g.Each(1));
+  EXPECT_GT(g.stub().replies, 0);
+  EXPECT_GT(g.stub().first_reply_at, GatedPrimary::kPredecessorAt);
+  static const std::set<NodeId> kNone;
+  Status st = SafetyAuditor::AuditQanaat(g.sys(), true, &kNone);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+}
+
+TEST(IntakeParkingTest, CrashLosesParkedRequestsAndRetransmissionSettles) {
+  // The parked queue is volatile, like the batcher: a crash drops it and
+  // nothing replays it. The clients' retransmissions then settle each
+  // request exactly once.
+  GatedPrimary g(22);
+  g.RequestAt(20 * kMillisecond, 1);
+  g.RequestAt(20 * kMillisecond, 2);
+  g.sys().env().sim.ScheduleAt(30 * kMillisecond,
+                               [&g]() { g.primary()->Crash(); });
+  g.sys().env().sim.ScheduleAt(40 * kMillisecond,
+                               [&g]() { g.primary()->Recover(); });
+  g.sys().env().sim.Run(500 * kMillisecond);
+  EXPECT_EQ(g.Metric("order.intake_gated"), 2u);
+  EXPECT_EQ(g.Metric("order.intake_released"), 0u);
+  EXPECT_EQ(g.primary()->parked_requests(), 0u);
+  EXPECT_EQ(g.CommitsOf(1), g.Each(0));
+  EXPECT_EQ(g.CommitsOf(2), g.Each(0));
+
+  g.RequestAt(510 * kMillisecond, 1, /*retransmission=*/true);
+  g.RequestAt(510 * kMillisecond, 2, /*retransmission=*/true);
+  g.sys().env().sim.Run(2 * kSecond);
+  for (uint64_t ts : {1, 2}) {
+    EXPECT_EQ(g.CommitsOf(ts), g.Each(1)) << "ts " << ts;
+  }
+  EXPECT_EQ(g.Metric("order.intake_released"), 0u);
+  static const std::set<NodeId> kNone;
+  Status st = SafetyAuditor::AuditQanaat(g.sys(), true, &kNone);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+}
+
+TEST(IntakeParkingTest, RetransmissionsOfAParkedRequestParkItOnce) {
+  GatedPrimary g(23);
+  g.RequestAt(20 * kMillisecond, 1);
+  g.RequestAt(40 * kMillisecond, 1, /*retransmission=*/true);
+  g.RequestAt(60 * kMillisecond, 1, /*retransmission=*/true);
+  g.sys().env().sim.Run(GatedPrimary::kPredecessorAt);
+  // The original, two direct retransmissions and the backups' relays of
+  // them all reached the gated primary; one entry holds them all.
+  EXPECT_GE(g.Metric("order.intake_gated"), 3u);
+  EXPECT_EQ(g.primary()->parked_requests(), 1u);
+
+  g.sys().env().sim.Run(2 * kSecond);
+  EXPECT_EQ(g.Metric("order.intake_released"), 1u);
+  EXPECT_EQ(g.CommitsOf(1), g.Each(1));
 }
 
 }  // namespace

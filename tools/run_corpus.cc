@@ -102,71 +102,12 @@ bool ParseArgs(int argc, char** argv, Args* a) {
   return true;
 }
 
-// Worker -> parent result lines: one TSV record per finished run, written
-// to a per-worker temp file (a crashed worker simply leaves later records
+// Worker -> parent: one EncodeResultTsv line per finished run, written to
+// a per-worker temp file (a crashed worker simply leaves later records
 // missing, which the parent turns into failures with repro lines).
-std::string TsvEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '\\') {
-      out += "\\\\";
-    } else if (c == '\t') {
-      out += "\\t";
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-
-std::string TsvUnescape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (size_t i = 0; i < s.size(); ++i) {
-    if (s[i] == '\\' && i + 1 < s.size()) {
-      char n = s[++i];
-      out += n == 't' ? '\t' : n == 'n' ? '\n' : n;
-    } else {
-      out += s[i];
-    }
-  }
-  return out;
-}
-
 void WriteResult(FILE* f, size_t index, const CorpusRunResult& r) {
-  std::fprintf(f, "%zu\t%d\t%" PRIu64 "\t%" PRIu64 "\t%" PRIu64 "\t%" PRIu64
-                  "\t%" PRId64 "\t%s\n",
-               index, r.passed ? 1 : 0, r.report.trace_hash,
-               r.report.commits_total, r.report.faults_applied,
-               r.report.net_silenced,
-               static_cast<int64_t>(r.report.liveness_resume_us),
-               TsvEscape(r.failure).c_str());
+  std::fprintf(f, "%s\n", EncodeResultTsv(index, r).c_str());
   std::fflush(f);
-}
-
-bool ParseResult(const std::string& line, size_t* index, CorpusRunResult* r) {
-  std::vector<std::string> fields;
-  size_t start = 0;
-  for (size_t i = 0; i <= line.size(); ++i) {
-    if (i == line.size() || line[i] == '\t') {
-      fields.push_back(line.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  if (fields.size() != 8) return false;
-  *index = std::strtoull(fields[0].c_str(), nullptr, 10);
-  r->passed = fields[1] == "1";
-  r->report.trace_hash = std::strtoull(fields[2].c_str(), nullptr, 10);
-  r->report.commits_total = std::strtoull(fields[3].c_str(), nullptr, 10);
-  r->report.faults_applied = std::strtoull(fields[4].c_str(), nullptr, 10);
-  r->report.net_silenced = std::strtoull(fields[5].c_str(), nullptr, 10);
-  r->report.liveness_resume_us =
-      std::strtoll(fields[6].c_str(), nullptr, 10);
-  r->failure = TsvUnescape(fields[7]);
-  return true;
 }
 
 int RunSingle(const Args& a) {
@@ -268,7 +209,7 @@ int RunShard(const Args& a) {
       }
       size_t index = 0;
       CorpusRunResult r;
-      if (ParseResult(line, &index, &r) && index < mine.size()) {
+      if (DecodeResultTsv(line, &index, &r) && index < mine.size()) {
         r.entry = mine[index];
         results[index] = r;
         seen[index] = true;
