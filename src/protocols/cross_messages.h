@@ -94,7 +94,15 @@ struct FAcceptMsg : Message {
   Sha256Digest block_digest;
   bool has_assignment = false;
   ShardAssignment assignment;     // IDj (+γj) announced by a primary
-  Signature sig;
+  Signature sig;                  // over Signable(block_digest)
+
+  /// The digest an accept signs: a derived tag over (0xFA ‖ block
+  /// digest), so an accept can never pass for a commit vote, which signs
+  /// the block digest itself. See DeriveDigest in ledger/block.h for why
+  /// this needs no inner SHA-256.
+  static Sha256Digest Signable(const Sha256Digest& d) {
+    return DeriveDigest(0x46414343u /* "FACC" */, 0xFA, 0, d);
+  }
 
   void EncodeTo(Encoder* enc) const;
   static bool DecodeFrom(Decoder* dec, FAcceptMsg* out);

@@ -148,8 +148,8 @@ void OrderingNode::HandleXPrepare(NodeId from, const XPrepareMsg& m) {
     return;
   }
   (void)from;
+  if (IsRetired(m.block_digest)) return;  // a re-drive of a finished one
   XState& xs = StateFor(m.block_digest);
-  if (xs.done) return;
   xs.block = m.block;
   PinInstance(xs);
   const Transaction& probe = m.block->txs.front();
@@ -248,19 +248,26 @@ void OrderingNode::HandleXPrepare(NodeId from, const XPrepareMsg& m) {
 }
 
 void OrderingNode::HandleXPrepared(NodeId from, const XPreparedMsg& m) {
-  XState& xs = StateFor(m.block_digest);
-  if (xs.done) return;
+  if (IsRetired(m.block_digest)) return;  // a late vote
   const ClusterConfig& sender = dir_->Cluster(m.from_cluster);
-
+  // A cluster-level PREPARED (from a primary that ran internal consensus)
+  // carries its cluster's certificate; an individual validation or abort
+  // vote carries the voter's signature.
   if (m.is_cluster_cert) {
-    // A cluster-level PREPARED from a primary that ran internal
-    // consensus.
     if (!m.cluster_cert.ValidFrom(env()->keystore,
                                   dir_->params.CertQuorum(),
                                   sender.ordering)) {
       env()->metrics.Inc("cross.bad_prepared_cert");
       return;
     }
+  } else if (m.sig.signer != from ||
+             !env()->keystore.Verify(m.sig, m.block_digest)) {
+    env()->metrics.Inc("cross.bad_prepared_sig");
+    return;
+  }
+  XState& xs = StateFor(m.block_digest);
+
+  if (m.is_cluster_cert) {
     if (m.has_assignment) {
       xs.assignments[m.assignment.alpha.shard] = m.assignment;
     }
@@ -284,12 +291,6 @@ void OrderingNode::HandleXPrepared(NodeId from, const XPreparedMsg& m) {
       Send(dir_->Cluster(coord).InitialPrimary(), pd);
     }
   } else {
-    // An individual validation (or abort) vote.
-    if (m.sig.signer != from ||
-        !env()->keystore.Verify(m.sig, m.block_digest)) {
-      env()->metrics.Inc("cross.bad_prepared_sig");
-      return;
-    }
     if (m.abort) {
       auto& nacks = xs.abort_votes[m.from_cluster];
       nacks.insert(from);
@@ -343,8 +344,9 @@ void OrderingNode::MaybeStartCommitPhase(XState& xs) {
 
 void OrderingNode::OnXCommitDecided(uint64_t slot, const ConsensusValue& v,
                                     bool is_abort) {
+  if (IsRetired(v.block_digest)) return;
   XState& xs = StateFor(v.block_digest);
-  if (xs.done) return;
+  if (xs.done) return;  // a second decision in the event that finished it
   xs.block = v.block;
   for (const auto& a : v.assignments) {
     xs.assignments[a.alpha.shard] = a;
@@ -397,8 +399,7 @@ void OrderingNode::OnXCommitDecided(uint64_t slot, const ConsensusValue& v,
 }
 
 void OrderingNode::HandleXCommit(NodeId /*from*/, const XCommitMsg& m) {
-  XState& xs = StateFor(m.block_digest);
-  if (xs.done) return;
+  if (IsRetired(m.block_digest)) return;  // a late outcome
   const ClusterConfig& coord = dir_->Cluster(m.coord_cluster);
   if (m.coord_cert.block_digest != m.block_digest ||
       !m.coord_cert.ValidFrom(env()->keystore, dir_->params.CertQuorum(),
@@ -406,6 +407,7 @@ void OrderingNode::HandleXCommit(NodeId /*from*/, const XCommitMsg& m) {
     env()->metrics.Inc("cross.bad_commit");
     return;
   }
+  XState& xs = StateFor(m.block_digest);
   xs.block = m.block;
   if (m.is_abort) {
     // Release the slot claims so a replacement block can reuse the

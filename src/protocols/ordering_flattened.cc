@@ -12,14 +12,6 @@
 
 namespace qanaat {
 
-namespace {
-Sha256Digest AcceptSignable(const Sha256Digest& d) {
-  // Derived tag over (0xFA ‖ block digest); see DeriveDigest in
-  // ledger/block.h for why this does not need an inner SHA-256.
-  return DeriveDigest(0x46414343u /* "FACC" */, 0xFA, 0, d);
-}
-}  // namespace
-
 bool OrderingNode::FlattenedCftFastPath(const XState& xs) const {
   return cfg_.failure_model == FailureModel::kCrash &&
          !xs.is_cross_enterprise && xs.is_cross_shard;
@@ -90,8 +82,8 @@ void OrderingNode::HandleFPropose(NodeId from, const FProposeMsg& m) {
     env()->metrics.Inc("cross.bad_propose");
     return;
   }
+  if (IsRetired(m.block_digest)) return;  // a re-drive of a finished one
   XState& xs = StateFor(m.block_digest);
-  if (xs.done) return;
   xs.block = m.block;
   PinInstance(xs);
   const Transaction& probe = m.block->txs.front();
@@ -156,7 +148,8 @@ void OrderingNode::HandleFPropose(NodeId from, const FProposeMsg& m) {
     acc->block_digest = m.block_digest;
     acc->has_assignment = true;
     acc->assignment = mine;
-    acc->sig = env()->keystore.Sign(id(), AcceptSignable(m.block_digest));
+    acc->sig =
+        env()->keystore.Sign(id(), FAcceptMsg::Signable(m.block_digest));
     acc->wire_bytes = 160;
     if (FlattenedCftFastPath(xs)) {
       // Fast path: announce to own cluster nodes; votes go to the whole
@@ -252,7 +245,7 @@ void OrderingNode::SendFAccept(XState& xs) {
   auto acc = std::make_shared<FAcceptMsg>();
   acc->from_cluster = cfg_.cluster_id;
   acc->block_digest = xs.digest;
-  acc->sig = env()->keystore.Sign(id(), AcceptSignable(xs.digest));
+  acc->sig = env()->keystore.Sign(id(), FAcceptMsg::Signable(xs.digest));
   if (FlattenedCftFastPath(xs)) {
     acc->sig_verify_ops = 0;
     // Vote to every node of the initiator cluster: only its current
@@ -293,7 +286,7 @@ void OrderingNode::ResendCrossVotes(XState& xs) {
   auto acc = std::make_shared<FAcceptMsg>();
   acc->from_cluster = cfg_.cluster_id;
   acc->block_digest = xs.digest;
-  acc->sig = env()->keystore.Sign(id(), AcceptSignable(xs.digest));
+  acc->sig = env()->keystore.Sign(id(), FAcceptMsg::Signable(xs.digest));
   auto mine = xs.assignments.find(cfg_.shard);
   if (mine != xs.assignments.end() &&
       mine->second.cluster == cfg_.cluster_id && engine_->IsPrimary()) {
@@ -329,16 +322,17 @@ void OrderingNode::ResendCrossVotes(XState& xs) {
 }
 
 void OrderingNode::HandleFAccept(NodeId from, const FAcceptMsg& m) {
-  XState& xs = StateFor(m.block_digest);
-  if (xs.done) return;
+  if (IsRetired(m.block_digest)) return;  // a late vote
   const ClusterConfig& sender = dir_->Cluster(m.from_cluster);
   if (std::find(sender.ordering.begin(), sender.ordering.end(), from) ==
           sender.ordering.end() ||
       m.sig.signer != from ||
-      !env()->keystore.Verify(m.sig, AcceptSignable(m.block_digest))) {
+      !env()->keystore.Verify(m.sig,
+                              FAcceptMsg::Signable(m.block_digest))) {
     env()->metrics.Inc("cross.bad_accept");
     return;
   }
+  XState& xs = StateFor(m.block_digest);
   if (m.has_assignment) {
     auto it = xs.assignments.find(m.assignment.alpha.shard);
     if (it == xs.assignments.end()) {
@@ -443,8 +437,7 @@ void OrderingNode::MaybeSendFCommit(XState& xs) {
 }
 
 void OrderingNode::HandleFCommit(NodeId from, const FCommitMsg& m) {
-  XState& xs = StateFor(m.block_digest);
-  if (xs.done) return;
+  if (IsRetired(m.block_digest)) return;  // a late vote
   const ClusterConfig& sender = dir_->Cluster(m.from_cluster);
   if (std::find(sender.ordering.begin(), sender.ordering.end(), from) ==
           sender.ordering.end() ||
@@ -453,6 +446,7 @@ void OrderingNode::HandleFCommit(NodeId from, const FCommitMsg& m) {
     env()->metrics.Inc("cross.bad_fcommit");
     return;
   }
+  XState& xs = StateFor(m.block_digest);
 
   if (m.fast_path) {
     // Crash-only fast path: trust the initiator primary's instruction.

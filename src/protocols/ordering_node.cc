@@ -222,9 +222,15 @@ void OrderingNode::OnMessage(NodeId from, const MessageRef& msg) {
     default:
       break;
   }
+  RetireFinished();
 }
 
 void OrderingNode::OnTimer(uint64_t tag, uint64_t payload) {
+  HandleTimer(tag, payload);
+  RetireFinished();
+}
+
+void OrderingNode::HandleTimer(uint64_t tag, uint64_t payload) {
   if (tag >= InternalConsensus::kEngineTimerBase) {
     engine_->OnTimer(tag, payload);
     return;
@@ -320,19 +326,18 @@ void OrderingNode::OnTimer(uint64_t tag, uint64_t payload) {
     Sha256Digest d = it->second;
     cross_timer_digest_.erase(it);
     auto xit = xstates_.find(d);
-    if (xit == xstates_.end() || xit->second.done) return;
-    xit->second.timer_armed = false;
+    if (xit == xstates_.end()) return;  // finished and retired
+    XState& xs = xit->second;
+    xs.timer_armed = false;
     env()->metrics.Inc("cross.timeout");
     // Initiator/coordinator primary: re-drive the instance — some votes
     // or the PREPARE/PROPOSE itself may have been lost, and nothing else
     // retransmits them.
-    RedriveCross(xit->second);
+    RedriveCross(xs);
     // The re-drive may have aborted the instance into the retry
-    // machinery (arbitration back-off) and reshaped xstates_ — re-find
-    // before touching the state again.
-    xit = xstates_.find(d);
-    if (xit == xstates_.end() || xit->second.done) return;
-    XState& xs = xit->second;
+    // machinery (arbitration back-off). It stays in xstates_, done, until
+    // the event ends, so the reference is still valid.
+    if (xs.done) return;
     // §4.3.4: query the coordinator/initiator cluster for the outcome.
     auto q = std::make_shared<QueryMsg>(MsgType::kCommitQuery);
     q->from_cluster = cfg_.cluster_id;
@@ -842,10 +847,43 @@ bool OrderingNode::HasCrossShardConflict(
 }
 
 OrderingNode::XState& OrderingNode::StateFor(const Sha256Digest& d) {
-  XState& xs = xstates_[d];
-  if (xs.started_at == 0) xs.started_at = now();
+  auto [it, created] = xstates_.try_emplace(d);
+  XState& xs = it->second;
+  if (!created) return xs;
   xs.digest = d;
+  auto old = retired_.find(d);
+  if (old == retired_.end()) return xs;
+  XOutcome& out = old->second;
+  xs.block = std::move(out.block);
+  xs.outcome_cert = std::move(out.cert);
+  xs.outcome_known = out.known;
+  xs.outcome_abort = out.abort;
+  for (ShardAssignment& a : out.assignments) {
+    xs.assignments.emplace(a.alpha.shard, std::move(a));
+  }
+  xs.done = true;
+  retired_.erase(old);
+  finished_.push_back(d);
   return xs;
+}
+
+void OrderingNode::RetireFinished() {
+  for (const Sha256Digest& d : finished_) {
+    auto it = xstates_.find(d);
+    if (it == xstates_.end()) continue;
+    XState& xs = it->second;
+    XOutcome& out = retired_[d];
+    out.block = std::move(xs.block);
+    out.cert = std::move(xs.outcome_cert);
+    out.known = xs.outcome_known;
+    out.abort = xs.outcome_abort;
+    out.assignments.reserve(xs.assignments.size());
+    for (auto& [shard, a] : xs.assignments) {
+      out.assignments.push_back(std::move(a));
+    }
+    xstates_.erase(it);
+  }
+  finished_.clear();
 }
 
 void OrderingNode::ArmCrossTimer(const Sha256Digest& d) {
@@ -859,6 +897,7 @@ void OrderingNode::ArmCrossTimer(const Sha256Digest& d) {
 
 void OrderingNode::FinishCross(XState& xs, bool committed) {
   xs.done = true;
+  finished_.push_back(xs.digest);
   if (xs.pinned) {
     xs.pinned = false;
     UnpinCross(xs.block);
@@ -938,10 +977,6 @@ void OrderingNode::FinishCross(XState& xs, bool committed) {
 
 void OrderingNode::RequeueArbitrationLosers(const XState& winner) {
   if (winner.assignments.empty()) return;
-  // Copy the winner's contested slots first: aborting a loser below can
-  // mutate xstates_ (deferred re-admission inserts fresh instances),
-  // which would invalidate references into the table.
-  const Sha256Digest winner_digest = winner.digest;
   std::vector<std::pair<ShardRef, SeqNo>> slots;
   slots.reserve(winner.assignments.size());
   for (const auto& [shard, a] : winner.assignments) {
@@ -950,9 +985,13 @@ void OrderingNode::RequeueArbitrationLosers(const XState& winner) {
   }
   // xstates_ is a hashed container — collect matches, then order the
   // losers by digest so the abort (and retry) schedule is deterministic.
+  // Collecting first also keeps the scan's iterators valid: aborting a
+  // loser can insert into xstates_ (deferred re-admission starts fresh
+  // instances), and an insert that rehashes invalidates iterators, though
+  // not references. The winner itself is already done.
   std::vector<Sha256Digest> losers;
   for (const auto& [d, rival] : xstates_) {
-    if (rival.done || d == winner_digest) continue;
+    if (rival.done) continue;
     for (const auto& [shard, a] : rival.assignments) {
       std::pair<ShardRef, SeqNo> slot{
           ShardRef{a.alpha.collection, a.alpha.shard}, a.alpha.n};
@@ -1081,25 +1120,23 @@ void OrderingNode::RedriveCross(XState& xs) {
 }
 
 void OrderingNode::HandleQuery(NodeId from, const QueryMsg& m) {
-  auto it = xstates_.find(m.block_digest);
-  if (it != xstates_.end() && it->second.done && it->second.outcome_known &&
+  auto it = retired_.find(m.block_digest);
+  if (it != retired_.end() && it->second.known &&
       it->second.block != nullptr) {
     // §4.3.4: answer with the certified outcome. The asker lost the
     // original commit (crash, partition, drop); without this resend its
     // chain — and every collection order-dependent on it — stalls
     // forever.
-    const XState& xs = it->second;
+    const XOutcome& out = it->second;
     env()->metrics.Inc("cross.query_answered");
     auto cm = std::make_shared<XCommitMsg>();
     cm->coord_cluster = cfg_.cluster_id;
-    cm->block = xs.block;
+    cm->block = out.block;
     cm->block_digest = m.block_digest;
-    cm->coord_cert = xs.outcome_cert;
-    cm->is_abort = xs.outcome_abort;
-    if (xs.outcome_abort) cm->type = MsgType::kXAbort;
-    for (const auto& [shard, a] : xs.assignments) {
-      cm->assignments.push_back(a);
-    }
+    cm->coord_cert = out.cert;
+    cm->is_abort = out.abort;
+    if (out.abort) cm->type = MsgType::kXAbort;
+    cm->assignments = out.assignments;
     cm->wire_bytes = 128 + cm->coord_cert.WireSize() +
                      static_cast<uint32_t>(cm->assignments.size()) * 48;
     cm->sig_verify_ops = static_cast<uint16_t>(cm->coord_cert.sigs.size());

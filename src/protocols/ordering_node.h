@@ -57,6 +57,9 @@ class OrderingNode : public Actor {
   uint64_t aborted_blocks() const { return aborted_blocks_; }
   /// Client requests held while intake is gated (see IntakeGated).
   size_t parked_requests() const { return parked_.size(); }
+  /// Cross-cluster instances still in flight here; finished ones are
+  /// retired to a compact outcome record (see RetireFinished).
+  size_t live_cross_instances() const { return xstates_.size(); }
 
   /// Auditor surface: request ids (client, client timestamp) of the
   /// transactions that lost a §4.3.5 digest-priority arbitration here and
@@ -80,7 +83,9 @@ class OrderingNode : public Actor {
     }
   };
 
-  // Cross-cluster protocol state for one in-flight block.
+  // Cross-cluster protocol state for one in-flight block. It lives only
+  // while the instance is live: the event that finishes it retires it to
+  // an XOutcome.
   struct XState {
     BlockPtr block;
     Sha256Digest digest;
@@ -114,9 +119,9 @@ class OrderingNode : public Actor {
     // delivery): held until the block arrives, then replayed.
     std::shared_ptr<const FCommitMsg> pending_fast_commit;
     NodeId pending_fast_commit_from = kInvalidNode;
-    // Outcome evidence, kept so commit-queries (§4.3.4) can be answered:
-    // a node stalled on a lost commit recovers by querying any node that
-    // has the certified outcome.
+    // Outcome evidence, carried into the XOutcome so commit-queries
+    // (§4.3.4) can be answered: a node stalled on a lost commit recovers
+    // by querying any node that has the certified outcome.
     CommitCertificate outcome_cert;
     bool outcome_known = false;
     bool outcome_abort = false;
@@ -128,8 +133,18 @@ class OrderingNode : public Actor {
     bool assign_proposed = false;
     bool done = false;
     bool timer_armed = false;
-    SimTime started_at = 0;
     int retries = 0;
+  };
+
+  // What a finished instance keeps: its certified outcome, for answering
+  // commit queries (§4.3.4), and its presence, which marks late votes and
+  // re-driven proposals for it as stale.
+  struct XOutcome {
+    BlockPtr block;
+    CommitCertificate cert;
+    bool known = false;
+    bool abort = false;
+    std::vector<ShardAssignment> assignments;  // ascending shard
   };
 
   static constexpr uint64_t kTagBatch = 1;
@@ -217,7 +232,22 @@ class OrderingNode : public Actor {
   bool IAmShardAssigner(const CollectionId& c,
                         EnterpriseId initiator_enterprise) const;
   std::vector<NodeId> NodesOf(const std::vector<int>& clusters) const;
+  /// The instance for `d`, created on first use. A retired digest comes
+  /// back as a done instance rebuilt from its outcome record, and is
+  /// retired again at the end of the event: a kXOrder decision delivered
+  /// after the instance finished still re-sends PREPARE/PREPARED from it.
+  /// Handlers that ignore finished instances check IsRetired first, so
+  /// they never allocate one.
   XState& StateFor(const Sha256Digest& d);
+  bool IsRetired(const Sha256Digest& d) const {
+    return retired_.find(d) != retired_.end();
+  }
+  /// Moves every instance finished during the current event to retired_.
+  /// Runs once the event's handler returns, never inside FinishCross:
+  /// FinishCross's callers keep using the XState after it returns.
+  void RetireFinished();
+  /// OnTimer's dispatch; OnTimer retires finished instances after it.
+  void HandleTimer(uint64_t tag, uint64_t payload);
   /// True if `block` intersects an active *or already-deferred*
   /// cross-shard block in >= 2 shards (§4.3.2). Deferred blocks count so
   /// a later block of the same flow cannot overtake an earlier one and
@@ -429,7 +459,11 @@ class OrderingNode : public Actor {
   };
   std::unordered_map<uint64_t, ProgressCheck, TokenHash> progress_checks_;
   uint64_t next_progress_ = 0;
+  // Live cross instances only. One finished during the current event
+  // stays here, done, until RetireFinished moves it to retired_.
   std::unordered_map<Sha256Digest, XState, DigestHash> xstates_;
+  std::unordered_map<Sha256Digest, XOutcome, DigestHash> retired_;
+  std::vector<Sha256Digest> finished_;  // done this event, not yet retired
   std::unordered_map<uint64_t, Sha256Digest, TokenHash> cross_timer_digest_;
   uint64_t next_cross_timer_ = 0;
   // Blocks whose client replies this cluster owns (initiator side).

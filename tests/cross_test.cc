@@ -3,7 +3,9 @@
 // re-proposal, and the firewall-routed StateRequest/StateReply path a
 // gapped execution node uses to converge. Also intake parking: a primary
 // whose committed blocks sit deferred (the routine out-of-order commits of
-// cross-shard ordering) holds fresh requests until it catches up.
+// cross-shard ordering) holds fresh requests until it catches up. Also the
+// cross-instance lifecycle: a finished instance is retired to its outcome
+// record, which still answers commit queries and ignores late votes.
 
 #include <gtest/gtest.h>
 
@@ -18,12 +20,14 @@ class ClientStub : public Actor {
  public:
   explicit ClientStub(Env* env) : Actor(env, "client-stub") {}
   void OnMessage(NodeId, const MessageRef& msg) override {
+    last = msg;
     if (msg->type == MsgType::kReply || msg->type == MsgType::kReplyCert) {
       if (replies++ == 0) first_reply_at = now();
     }
   }
   int replies = 0;
   SimTime first_reply_at = 0;
+  MessageRef last;
 };
 
 // --------------------------------------- §4.3.5 arbitration symmetry
@@ -476,6 +480,242 @@ TEST(IntakeParkingTest, RetransmissionsOfAParkedRequestParkItOnce) {
   g.sys().env().sim.Run(2 * kSecond);
   EXPECT_EQ(g.Metric("order.intake_released"), 1u);
   EXPECT_EQ(g.CommitsOf(1), g.Each(1));
+}
+
+// ------------------------------- finished cross instances retire
+
+/// A fault-free run of two enterprises x two shards (Byzantine PBFT,
+/// ordering nodes executing in place) under cross-shard cross-enterprise
+/// load in one protocol family, drained: the client stops at 300ms and
+/// the run ends at 2s.
+class DrainedCrossRun {
+ public:
+  explicit DrainedCrossRun(ProtocolFamily family)
+      : sys_(Options(family)), stub_(&sys_.env()) {
+    WorkloadParams wl;
+    wl.cross_kind = CrossKind::kCrossShardCrossEnterprise;
+    wl.cross_fraction = 1.0;
+    sys_.AddClient(wl, 300)->Start(0, 300 * kMillisecond, 0,
+                                   300 * kMillisecond);
+    sys_.env().sim.Run(2 * kSecond);
+  }
+
+  QanaatSystem& sys() { return sys_; }
+  ClientStub& stub() { return stub_; }
+  uint64_t Metric(const char* name) { return sys_.env().metrics.Get(name); }
+  /// The node every test below probes, and a peer in its cluster.
+  OrderingNode* node() { return sys_.ordering_node(0, 1); }
+  NodeId peer() const { return sys_.directory().Cluster(0).ordering[0]; }
+  /// Sends `msg` to node() as if from `from`, then runs past a cross
+  /// timeout so anything the message armed fires.
+  void Deliver(NodeId from, MessageRef msg) {
+    sys_.net().Send(from, node()->id(), std::move(msg));
+    sys_.env().sim.Run(sys_.env().sim.now() + kSecond);
+  }
+  /// The first cross-shard block node() committed, if any.
+  const DagLedger::Entry* CrossEntry() {
+    const DagLedger& led = node()->exec_core().ledger();
+    for (size_t i = 0; i < led.size(); ++i) {
+      if (led.entry(i).block->txs.front().shards.size() > 1) {
+        return &led.entry(i);
+      }
+    }
+    return nullptr;
+  }
+  /// The cluster whose ordering nodes signed `cert`.
+  int SignerCluster(const CommitCertificate& cert) {
+    for (int c = 0; c < sys_.cluster_count(); ++c) {
+      const auto& ord = sys_.directory().Cluster(c).ordering;
+      if (std::find(ord.begin(), ord.end(), cert.sigs.front().signer) !=
+          ord.end()) {
+        return c;
+      }
+    }
+    return -1;
+  }
+
+ private:
+  static QanaatSystem::Options Options(ProtocolFamily family) {
+    QanaatSystem::Options so;
+    so.params.num_enterprises = 2;
+    so.params.shards_per_enterprise = 2;
+    so.params.failure_model = FailureModel::kByzantine;
+    so.params.family = family;
+    so.seed = 9;
+    return so;
+  }
+
+  QanaatSystem sys_;
+  ClientStub stub_;
+};
+
+TEST(CrossRetireTest, DrainedRunsLeaveNoLiveInstances) {
+  for (ProtocolFamily family :
+       {ProtocolFamily::kFlattened, ProtocolFamily::kCoordinator}) {
+    DrainedCrossRun run(family);
+    ASSERT_NE(run.CrossEntry(), nullptr);
+    for (int c = 0; c < run.sys().cluster_count(); ++c) {
+      const auto& ord = run.sys().directory().Cluster(c).ordering;
+      for (int i = 0; i < static_cast<int>(ord.size()); ++i) {
+        EXPECT_EQ(run.sys().ordering_node(c, i)->live_cross_instances(), 0u)
+            << "family " << static_cast<int>(family) << ", node " << c
+            << "/" << i;
+      }
+    }
+    static const std::set<NodeId> kNone;
+    Status st = SafetyAuditor::AuditQanaat(run.sys(), true, &kNone);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+  }
+}
+
+TEST(CrossRetireTest, LateFlattenedMessagesCreateNoInstance) {
+  // A re-driven PROPOSE and a late ACCEPT and COMMIT vote, all genuine,
+  // for a block this node finished long ago. Treated as a new instance,
+  // they would re-vote, query its outcome and commit the block again.
+  DrainedCrossRun run(ProtocolFamily::kFlattened);
+  ASSERT_NE(run.CrossEntry(), nullptr);
+  const DagLedger::Entry e = *run.CrossEntry();  // the ledger may grow
+  const Sha256Digest d = e.block->Digest();
+  const uint64_t committed = run.node()->committed_blocks();
+  KeyStore& ks = run.sys().env().keystore;
+
+  auto prop = std::make_shared<FProposeMsg>();
+  prop->initiator_cluster = 0;
+  prop->block = e.block;
+  prop->block_digest = d;
+  prop->sig = ks.Sign(run.peer(), d);
+  run.Deliver(run.peer(), prop);
+  EXPECT_EQ(run.node()->live_cross_instances(), 0u) << "FPropose";
+
+  auto acc = std::make_shared<FAcceptMsg>();
+  acc->from_cluster = 0;
+  acc->block_digest = d;
+  acc->sig = ks.Sign(run.peer(), FAcceptMsg::Signable(d));
+  run.Deliver(run.peer(), acc);
+  EXPECT_EQ(run.node()->live_cross_instances(), 0u) << "FAccept";
+
+  auto cm = std::make_shared<FCommitMsg>();
+  cm->from_cluster = 0;
+  cm->block_digest = d;
+  cm->sig = ks.Sign(run.peer(), d);
+  cm->assignments.push_back(ShardAssignment{0, e.alpha, e.gamma});
+  run.Deliver(run.peer(), cm);
+  EXPECT_EQ(run.node()->live_cross_instances(), 0u) << "FCommit";
+
+  EXPECT_EQ(run.node()->committed_blocks(), committed);
+  EXPECT_EQ(run.Metric("cross.bad_propose") + run.Metric("cross.bad_accept") +
+                run.Metric("cross.bad_fcommit"),
+            0u);
+}
+
+TEST(CrossRetireTest, LateCoordinatorMessagesCreateNoInstance) {
+  // The coordinator family's counterparts: a re-driven PREPARE, a late
+  // PREPARED vote and a late COMMIT for a finished block.
+  DrainedCrossRun run(ProtocolFamily::kCoordinator);
+  ASSERT_NE(run.CrossEntry(), nullptr);
+  const DagLedger::Entry e = *run.CrossEntry();  // the ledger may grow
+  const Sha256Digest d = e.block->Digest();
+  const uint64_t committed = run.node()->committed_blocks();
+  // The entry's certificate is the coordinator cluster's: a valid
+  // credential for both a PREPARE and a COMMIT of this block.
+  const int coord = run.SignerCluster(e.cert);
+  ASSERT_GE(coord, 0);
+  const NodeId coord_node = run.sys().directory().Cluster(coord).ordering[0];
+
+  auto prep = std::make_shared<XPrepareMsg>();
+  prep->coord_cluster = coord;
+  prep->block = e.block;
+  prep->block_digest = d;
+  prep->coord_cert = e.cert;
+  run.Deliver(coord_node, prep);
+  EXPECT_EQ(run.node()->live_cross_instances(), 0u) << "XPrepare";
+
+  auto pd = std::make_shared<XPreparedMsg>();
+  pd->from_cluster = 0;
+  pd->block_digest = d;
+  pd->sig = run.sys().env().keystore.Sign(run.peer(), d);
+  run.Deliver(run.peer(), pd);
+  EXPECT_EQ(run.node()->live_cross_instances(), 0u) << "XPrepared";
+
+  auto cm = std::make_shared<XCommitMsg>();
+  cm->coord_cluster = coord;
+  cm->block = e.block;
+  cm->block_digest = d;
+  cm->coord_cert = e.cert;
+  cm->assignments.push_back(ShardAssignment{0, e.alpha, e.gamma});
+  run.Deliver(coord_node, cm);
+  EXPECT_EQ(run.node()->live_cross_instances(), 0u) << "XCommit";
+
+  EXPECT_EQ(run.node()->committed_blocks(), committed);
+  EXPECT_EQ(run.Metric("cross.bad_prepare") +
+                run.Metric("cross.bad_prepared_sig") +
+                run.Metric("cross.bad_commit"),
+            0u);
+}
+
+TEST(CrossRetireTest, CommitQueryForARetiredInstanceIsAnswered) {
+  // §4.3.4: a replica that lost a commit recovers by querying a peer; the
+  // peer's answer now comes from the outcome record.
+  DrainedCrossRun run(ProtocolFamily::kFlattened);
+  ASSERT_NE(run.CrossEntry(), nullptr);
+  const DagLedger::Entry e = *run.CrossEntry();  // the ledger may grow
+  const Sha256Digest d = e.block->Digest();
+  const uint64_t answered = run.Metric("cross.query_answered");
+
+  auto q = std::make_shared<QueryMsg>(MsgType::kCommitQuery);
+  q->from_cluster = 1;
+  q->block_digest = d;
+  q->sig = run.sys().env().keystore.Sign(run.stub().id(), d);
+  run.Deliver(run.stub().id(), q);
+
+  EXPECT_EQ(run.Metric("cross.query_answered"), answered + 1);
+  ASSERT_NE(run.stub().last, nullptr);
+  ASSERT_EQ(run.stub().last->type, MsgType::kXCommit);
+  const auto& ans = *run.stub().last->As<XCommitMsg>();
+  EXPECT_EQ(ans.block_digest, d);
+  ASSERT_NE(ans.block, nullptr);
+  EXPECT_EQ(ans.block->Digest(), d);
+  EXPECT_FALSE(ans.is_abort);
+  EXPECT_EQ(ans.coord_cert.block_digest, d);
+  EXPECT_EQ(ans.coord_cert.sigs, e.cert.sigs);
+  bool has_ours = false;
+  for (const ShardAssignment& a : ans.assignments) {
+    has_ours |= a.alpha == e.alpha && a.gamma == e.gamma;
+  }
+  EXPECT_TRUE(has_ours) << "the answer lacks this shard's assignment";
+  EXPECT_EQ(ans.assignments.size(), e.block->txs.front().shards.size());
+}
+
+TEST(CrossRetireTest, ForgedVotesForAnUnknownDigestAllocateNothing) {
+  // Votes are verified before any state is allocated: a forged or
+  // misrouted vote for a block nobody proposed would otherwise leave an
+  // instance behind that never finishes.
+  DrainedCrossRun run(ProtocolFamily::kFlattened);
+  const Sha256Digest d = Sha256::Hash(std::string("no such block"));
+  KeyStore& ks = run.sys().env().keystore;
+
+  auto forged_acc = std::make_shared<FAcceptMsg>();
+  forged_acc->from_cluster = 0;
+  forged_acc->block_digest = d;
+  forged_acc->sig = ks.Forge(run.peer());
+  run.Deliver(run.peer(), forged_acc);
+
+  // Validly signed, but the sender is not in the cluster it claims.
+  auto misrouted_acc = std::make_shared<FAcceptMsg>();
+  misrouted_acc->from_cluster = 1;
+  misrouted_acc->block_digest = d;
+  misrouted_acc->sig = ks.Sign(run.peer(), FAcceptMsg::Signable(d));
+  run.Deliver(run.peer(), misrouted_acc);
+
+  auto forged_cm = std::make_shared<FCommitMsg>();
+  forged_cm->from_cluster = 0;
+  forged_cm->block_digest = d;
+  forged_cm->sig = ks.Forge(run.peer());
+  run.Deliver(run.peer(), forged_cm);
+
+  EXPECT_EQ(run.node()->live_cross_instances(), 0u);
+  EXPECT_EQ(run.Metric("cross.bad_accept"), 2u);
+  EXPECT_EQ(run.Metric("cross.bad_fcommit"), 1u);
 }
 
 }  // namespace
