@@ -468,6 +468,16 @@ bool ExecOrderMsg::DecodeFrom(Decoder* dec, ExecOrderMsg* out) {
   return true;
 }
 
+Sha256Digest ExecReplyMsg::Signable(
+    const Sha256Digest& block_digest, const Sha256Digest& result_digest,
+    const std::vector<std::pair<NodeId, uint64_t>>& clients) {
+  Encoder enc;
+  EncodeDigestTo(&enc, block_digest);
+  EncodeDigestTo(&enc, result_digest);
+  EncodeClients(&enc, clients);
+  return Sha256::Hash(enc.buffer());
+}
+
 void ExecReplyMsg::EncodeTo(Encoder* enc) const {
   EncodeDigestTo(enc, block_digest);
   EncodeDigestTo(enc, result_digest);

@@ -345,7 +345,16 @@ struct ExecReplyMsg : Message {
   // (client, client_ts, tx digest) per transaction so filters can route
   // per-client certificates; kept aggregate here: one reply per block.
   std::vector<std::pair<NodeId, uint64_t>> clients;
-  Signature sig;
+  Signature sig;  // share over Signable(block, result, clients)
+
+  /// The digest an execution share signs, and what the filter rows and
+  /// the client re-verify a reply certificate against. It covers the
+  /// client list, so a faulty executor that edits the list signs a
+  /// different signable than the correct executors and can never get its
+  /// list into a certificate.
+  static Sha256Digest Signable(
+      const Sha256Digest& block_digest, const Sha256Digest& result_digest,
+      const std::vector<std::pair<NodeId, uint64_t>>& clients);
 
   void EncodeTo(Encoder* enc) const;
   static bool DecodeFrom(Decoder* dec, ExecReplyMsg* out);

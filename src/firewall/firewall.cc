@@ -213,11 +213,10 @@ void ExecutionNode::HandleExecOrder(const ExecOrderMsg& m) {
           reply->wire_bytes += 512;
         }
         reply->clients = res.clients;
-        Encoder enc;
-        enc.PutRaw(reply->block_digest.bytes.data(), 32);
-        enc.PutRaw(reply->result_digest.bytes.data(), 32);
-        reply->sig =
-            env()->keystore.SignShare(id(), Sha256::Hash(enc.buffer()));
+        reply->sig = env()->keystore.SignShare(
+            id(), ExecReplyMsg::Signable(reply->block_digest,
+                                         reply->result_digest,
+                                         reply->clients));
         reply->wire_bytes += static_cast<uint32_t>(res.clients.size() * 12);
 
         if (cfg_.HasFirewall()) {
@@ -317,10 +316,8 @@ void FilterNode::HandleExecReply(NodeId from, const ExecReplyMsg& m) {
     env()->metrics.Inc("firewall.filtered_misrouted_reply");
     return;
   }
-  Encoder enc;
-  enc.PutRaw(m.block_digest.bytes.data(), 32);
-  enc.PutRaw(m.result_digest.bytes.data(), 32);
-  Sha256Digest signable = Sha256::Hash(enc.buffer());
+  Sha256Digest signable =
+      ExecReplyMsg::Signable(m.block_digest, m.result_digest, m.clients);
   if (m.sig.signer != from ||
       !env()->keystore.VerifyShare(m.sig, signable)) {
     ++filtered_;
@@ -329,31 +326,28 @@ void FilterNode::HandleExecReply(NodeId from, const ExecReplyMsg& m) {
   }
   if (forwarded_up_.count(m.block_digest)) return;
 
-  auto& by_result = reply_shares_[m.block_digest];
-  by_result[m.result_digest][from] = m.sig;
-  if (!reply_bodies_.count(m.result_digest)) {
-    reply_bodies_[m.result_digest] =
-        std::make_shared<ExecReplyMsg>(m);
+  // Shares count per signable: only the shares over this exact result and
+  // client list can certify them.
+  ReplyTally& tally = reply_shares_[m.block_digest][signable];
+  if (tally.shares.empty()) {
+    tally.result_digest = m.result_digest;
+    tally.clients = m.clients;
   }
-
-  size_t quorum = static_cast<size_t>(dir_->params.g) + 1;
-  for (auto& [result, shares] : by_result) {
-    if (shares.size() < quorum) continue;
-    // g+1 matching replies: assemble the reply certificate (§4.2).
-    forwarded_up_.insert(m.block_digest);
-    auto cert_msg = std::make_shared<ReplyCertMsg>();
-    cert_msg->block_digest = m.block_digest;
-    cert_msg->result_digest = result;
-    cert_msg->clients = reply_bodies_[result]->clients;
-    cert_msg->cert.reply_digest = result;
-    for (auto& [node, sig] : shares) cert_msg->cert.sigs.push_back(sig);
-    cert_msg->wire_bytes =
-        96 + static_cast<uint32_t>(cert_msg->clients.size() * 12 +
-                                   cert_msg->cert.sigs.size() * 20);
-    Multicast(Below(), cert_msg);
-    reply_shares_.erase(m.block_digest);
-    return;
-  }
+  tally.shares[from] = m.sig;
+  if (tally.shares.size() < static_cast<size_t>(dir_->params.g) + 1) return;
+  // g+1 matching replies: assemble the reply certificate (§4.2).
+  forwarded_up_.insert(m.block_digest);
+  auto cert_msg = std::make_shared<ReplyCertMsg>();
+  cert_msg->block_digest = m.block_digest;
+  cert_msg->result_digest = tally.result_digest;
+  cert_msg->clients = std::move(tally.clients);
+  cert_msg->cert.reply_digest = tally.result_digest;
+  for (auto& [node, sig] : tally.shares) cert_msg->cert.sigs.push_back(sig);
+  cert_msg->wire_bytes =
+      96 + static_cast<uint32_t>(cert_msg->clients.size() * 12 +
+                                 cert_msg->cert.sigs.size() * 20);
+  Multicast(Below(), cert_msg);
+  reply_shares_.erase(m.block_digest);
 }
 
 void FilterNode::HandleReplyCert(NodeId /*from*/, const MessageRef& msg) {
@@ -366,10 +360,8 @@ void FilterNode::HandleReplyCert(NodeId /*from*/, const MessageRef& msg) {
   }
   // Each row re-validates the certificate, so a row of correct filters
   // drops anything a malicious filter below the top row injected.
-  Encoder enc;
-  enc.PutRaw(m.block_digest.bytes.data(), 32);
-  enc.PutRaw(m.result_digest.bytes.data(), 32);
-  Sha256Digest signable = Sha256::Hash(enc.buffer());
+  Sha256Digest signable =
+      ExecReplyMsg::Signable(m.block_digest, m.result_digest, m.clients);
   size_t quorum = static_cast<size_t>(dir_->params.g) + 1;
   std::set<NodeId> distinct;
   for (const auto& s : m.cert.sigs) {

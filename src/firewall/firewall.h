@@ -122,10 +122,15 @@ class FilterNode : public Actor {
   bool top_row_;
   std::set<Sha256Digest> forwarded_down_;  // ExecOrder digests forwarded
   std::set<Sha256Digest> forwarded_up_;    // reply digests forwarded
-  // Top-row aggregation: block digest -> (result digest -> shares)
-  std::map<Sha256Digest, std::map<Sha256Digest, std::map<NodeId, Signature>>>
-      reply_shares_;
-  std::map<Sha256Digest, std::shared_ptr<const ExecReplyMsg>> reply_bodies_;
+  // Top-row aggregation: block digest -> share signable -> the result
+  // and client list that signable covers, with the shares over it. A
+  // block's entry is erased once its certificate is assembled.
+  struct ReplyTally {
+    Sha256Digest result_digest;
+    std::vector<std::pair<NodeId, uint64_t>> clients;
+    std::map<NodeId, Signature> shares;
+  };
+  std::map<Sha256Digest, std::map<Sha256Digest, ReplyTally>> reply_shares_;
   uint64_t filtered_ = 0;
   uint32_t pull_rr_serve_ = 0;  // round-robins the serving peer choice
 };

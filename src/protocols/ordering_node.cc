@@ -203,7 +203,7 @@ void OrderingNode::OnMessage(NodeId from, const MessageRef& msg) {
       HandleQuery(from, *msg->As<QueryMsg>());
       break;
     case MsgType::kReplyCert:
-      ForwardReplyCert(*msg->As<ReplyCertMsg>());
+      ForwardReplyCert(msg);
       break;
     case MsgType::kExecReply: {
       // Fig 4(b) path: crash-only execution nodes report to the primary,
@@ -694,7 +694,9 @@ void OrderingNode::CommitBlock(const BlockPtr& block, CommitCertificate cert,
   st = std::max(st, alpha.n);
   committed_blocks_++;
   committed_txs_ += block->tx_count();
-  if (reply_from_here) reply_owner_.insert(cert.block_digest);
+  if (reply_from_here && cfg_.HasFirewall()) {
+    reply_owner_.insert(cert.block_digest);
+  }
 
   if (cfg_.SeparatedExecution()) {
     // Byzantine with separation: the primary pushes the request + commit
@@ -763,18 +765,18 @@ void OrderingNode::OnExecutedReply(const ExecutorCore::ExecResult& res,
   for (NodeId c : machines) Send(c, reply);
 }
 
-void OrderingNode::ForwardReplyCert(const ReplyCertMsg& m) {
+void OrderingNode::ForwardReplyCert(const MessageRef& msg) {
   // Reply certificate arrived from the bottom filter row; the primary
-  // forwards it to the client machines (§4.2). All nodes cache it for
-  // client retransmissions. For cross-cluster blocks only the initiator
-  // cluster replies.
-  auto cached = std::make_shared<ReplyCertMsg>(m);
-  reply_cache_[m.block_digest] = cached;
+  // forwards it to the client machines (§4.2). All nodes cache the
+  // received message for client retransmissions. For cross-cluster
+  // blocks only the initiator cluster replies.
+  auto cert = std::static_pointer_cast<const ReplyCertMsg>(msg);
+  reply_cache_[cert->block_digest] = cert;
   if (!engine_->IsPrimary()) return;
-  if (!reply_owner_.count(m.block_digest)) return;
+  if (!reply_owner_.count(cert->block_digest)) return;
   SortedVec<NodeId> machines;
-  for (const auto& [c, ts] : m.clients) machines.Insert(c);
-  for (NodeId c : machines) Send(c, cached);
+  for (const auto& [c, ts] : cert->clients) machines.Insert(c);
+  for (NodeId c : machines) Send(c, msg);
 }
 
 // ------------------------------------------------- cross-cluster common

@@ -216,7 +216,7 @@ class OrderingNode : public Actor {
                    const LocalPart& alpha, std::vector<GammaEntry> gamma,
                    bool reply_from_here);
   void OnExecutedReply(const ExecutorCore::ExecResult& res, bool primary);
-  void ForwardReplyCert(const ReplyCertMsg& m);
+  void ForwardReplyCert(const MessageRef& msg);
   static std::vector<ShardId> AllShards(const XState& xs);
 
   // ---- cross-cluster: shared helpers
@@ -467,6 +467,8 @@ class OrderingNode : public Actor {
   std::unordered_map<uint64_t, Sha256Digest, TokenHash> cross_timer_digest_;
   uint64_t next_cross_timer_ = 0;
   // Blocks whose client replies this cluster owns (initiator side).
+  // Filled only behind a firewall, the one place a reply certificate
+  // arrives (ForwardReplyCert).
   std::unordered_set<Sha256Digest, DigestHash> reply_owner_;
   // Reply cache for retransmissions: block digest -> cert msg.
   std::map<Sha256Digest, std::shared_ptr<const ReplyCertMsg>> reply_cache_;

@@ -115,12 +115,10 @@ void ClientMachine::HandleReply(NodeId /*from*/, const ReplyMsg& m) {
 
 void ClientMachine::HandleReplyCert(const ReplyCertMsg& m) {
   // Re-verify the certificate: g+1 valid shares from distinct executors
-  // over the result digest.
+  // over the block, its result and the client list settled below.
   std::set<NodeId> distinct;
-  Encoder enc;
-  enc.PutRaw(m.block_digest.bytes.data(), 32);
-  enc.PutRaw(m.result_digest.bytes.data(), 32);
-  Sha256Digest signable = Sha256::Hash(enc.buffer());
+  Sha256Digest signable =
+      ExecReplyMsg::Signable(m.block_digest, m.result_digest, m.clients);
   for (const auto& s : m.cert.sigs) {
     if (!env()->keystore.VerifyShare(s, signable)) {
       env()->metrics.Inc("client.bad_reply_cert");

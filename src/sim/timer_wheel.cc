@@ -4,6 +4,20 @@
 
 namespace qanaat {
 
+namespace {
+
+// Empties a slot's buffer under the memory rule: capacity above
+// kKeptSlotEntries is freed, smaller buffers are kept for reuse.
+void ReleaseSlot(std::vector<TimerWheel::Entry>& v) {
+  if (v.capacity() > TimerWheel::kKeptSlotEntries) {
+    std::vector<TimerWheel::Entry>().swap(v);
+  } else {
+    v.clear();
+  }
+}
+
+}  // namespace
+
 int TimerWheel::ScanFrom(int level, int start) const {
   const uint64_t* b = bits_[level];
   int w0 = start >> 6;
@@ -79,15 +93,15 @@ void TimerWheel::DrainLevel0(int idx) {
     bucket_pos_ = 0;
   }
   if (bucket_.empty()) {
-    bucket_.swap(v);  // recycles both vectors' capacity
+    bucket_.swap(v);
     bucket_time_ = bucket_.front().when;
   } else {
     // Same-tick merge: a cascade dropped older-seq entries onto a tick
     // the bucket is already draining.
     bucket_.insert(bucket_.end(), std::make_move_iterator(v.begin()),
                    std::make_move_iterator(v.end()));
-    v.clear();
   }
+  ReleaseSlot(v);
   std::sort(bucket_.begin() + static_cast<long>(bucket_pos_),
             bucket_.end(),
             [](const Entry& a, const Entry& b) { return a.seq < b.seq; });
@@ -98,8 +112,16 @@ void TimerWheel::Cascade(int level, int idx, SimTime now) {
   bits_[level][idx >> 6] &= ~(uint64_t{1} << (idx & 63));
   level_count_[level] -= static_cast<int>(v.size());
   scratch_.swap(v);
+  // Before re-placing: a two-lap slot(now) re-places entries into itself.
+  ReleaseSlot(v);
   for (Entry& e : scratch_) Place(e.when - now, std::move(e));
   scratch_.clear();
+}
+
+size_t TimerWheel::slot_capacity() const {
+  size_t total = 0;
+  for (const std::vector<Entry>& v : slots_) total += v.capacity();
+  return total;
 }
 
 TimerWheel::Entry TimerWheel::Pop(SimTime now) {
@@ -114,6 +136,9 @@ TimerWheel::Entry TimerWheel::Pop(SimTime now) {
     if (v.size() == 1) {
       // Single-entry slot (the sparse-traffic common case): the entry IS
       // the slot min, so skip the cascade/drain hops and pop in place.
+      // Its buffer is small: a slot outgrows kKeptSlotEntries only by
+      // holding more entries than that, and then empties by a drain or
+      // a cascade, which apply the memory rule.
       Entry e = std::move(v.front());
       v.clear();
       bits_[cache_level_][cache_slot_ >> 6] &=

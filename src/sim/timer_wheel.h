@@ -37,6 +37,15 @@ class Actor;
 /// slot scan from slot(now) visits windows in increasing start order;
 /// only slot(now) itself can hold two laps (its window is split by
 /// `now`), which Min() handles by considering it separately.
+///
+/// Memory rule: a slot that empties keeps its buffer only if the buffer
+/// holds at most kKeptSlotEntries entries; a larger one is freed. A
+/// burst therefore cannot pin its size in a slot for the rest of the
+/// run: the empty slots retain at most 768 x 64 entries (~3.5 MB) in
+/// all, and only the drain bucket and the cascade scratch keep capacity
+/// that grows with history. The floor keeps small buffers for sparse
+/// traffic, which refills the same slots every lap: freeing every
+/// emptied buffer costs a malloc/free pair per slot visit.
 class TimerWheel {
  public:
   enum class Kind : uint8_t { kTimer = 0, kDeliver, kHandle };
@@ -62,6 +71,8 @@ class TimerWheel {
   /// Deltas at or beyond this must go to the overflow heap.
   static constexpr SimTime kHorizon = SimTime{1}
                                       << (kSlotBits * kLevels);  // ~16.7 s
+  /// Largest buffer (in entries, ~4.6 KB) an emptied slot keeps.
+  static constexpr size_t kKeptSlotEntries = 64;
 
   TimerWheel()
       : slots_(kLevels * kSlots), slot_min_(kLevels * kSlots) {}
@@ -86,6 +97,10 @@ class TimerWheel {
   /// successful Min() with the same `now` (== the popped entry's time in
   /// the caller's merge loop, so cascades re-anchor windows correctly).
   Entry Pop(SimTime now);
+
+  /// Total entry capacity held by the slot buffers (the drain bucket and
+  /// the cascade scratch excluded).
+  size_t slot_capacity() const;
 
  private:
   static constexpr int kBucketLevel = -1;
@@ -138,6 +153,8 @@ class TimerWheel {
   size_t count_ = 0;
 
   // Due entries for one tick, sorted by seq, consumed via bucket_pos_.
+  // A drain swaps the due slot's buffer in here; the slot keeps the old
+  // bucket buffer only if its capacity is at most kKeptSlotEntries.
   std::vector<Entry> bucket_;
   size_t bucket_pos_ = 0;
   SimTime bucket_time_ = 0;
@@ -150,7 +167,9 @@ class TimerWheel {
   int cache_level_ = kBucketLevel;
   int cache_slot_ = 0;
 
-  std::vector<Entry> scratch_;  // cascade staging, capacity recycled
+  // Cascade staging: takes the cascaded slot's buffer; the slot keeps the
+  // old scratch buffer only if its capacity is at most kKeptSlotEntries.
+  std::vector<Entry> scratch_;
 };
 
 }  // namespace qanaat

@@ -157,6 +157,118 @@ TEST_F(PfFixture, ReplyCertificatesVerifiableByClients) {
   EXPECT_EQ(sys->env().metrics.Get("client.short_reply_cert"), 0u);
 }
 
+// Records the client list of every reply certificate it receives.
+class CertRecordingClient : public ClientMachine {
+ public:
+  using ClientMachine::ClientMachine;
+  void OnMessage(NodeId from, const MessageRef& msg) override {
+    if (msg->type == MsgType::kReplyCert) {
+      const auto& m = *msg->As<ReplyCertMsg>();
+      certs.emplace_back(m.block_digest, m.clients);
+    }
+    ClientMachine::OnMessage(from, msg);
+  }
+  std::vector<std::pair<Sha256Digest, std::vector<std::pair<NodeId, uint64_t>>>>
+      certs;
+};
+
+TEST_F(PfFixture, ForgedReplyClientListNeverReachesACertificate) {
+  // A faulty executor (within g) answers first with a correctly signed
+  // share whose client list is edited: one request of the block left
+  // out, one pending request from outside the block added. Its list
+  // must not reach a certificate, so the client settles exactly the
+  // block's requests.
+  Build();
+  const ClusterConfig& cc = sys->directory().Cluster(0);
+  Network::LinkFault slow;
+  slow.extra_delay_us = 20 * kMillisecond;  // correct shares land later
+  for (NodeId e : cc.execution) {
+    for (NodeId top : cc.filter_rows.back()) {
+      sys->net().SetLinkFault(e, top, slow);
+    }
+  }
+  WorkloadParams wl;
+  wl.cross_fraction = 0.0;
+  CertRecordingClient client(
+      &sys->env(), &sys->directory(),
+      std::make_unique<SmallBankWorkload>(&sys->model(), &sys->directory(),
+                                          wl, Rng(17)),
+      200, 23);
+  const SimTime stop = 300 * kMillisecond;
+  client.Start(0, stop, 0, stop);
+
+  // Step until an executor of cluster 0 has executed a block: its shares
+  // are still on the slow links.
+  ExecutionNode* honest = sys->execution_node(0, 1);
+  while (honest->core().executed_blocks() == 0 &&
+         sys->env().sim.now() < stop) {
+    sys->env().sim.Run(sys->env().sim.now() + 100);
+  }
+  ASSERT_GT(honest->core().executed_blocks(), 0u);
+
+  // The block's result: replay the executor's ledger on a fresh core.
+  Env mirror_env(1);
+  ExecutorCore mirror(&mirror_env, &sys->model(), honest->core().enterprise(),
+                      honest->core().shard());
+  ExecutorCore::ExecResult real;
+  const DagLedger& ledger = honest->core().ledger();
+  for (size_t i = 0; i < ledger.size(); ++i) {
+    const DagLedger::Entry& e = ledger.entry(i);
+    mirror.Submit(e.block, e.cert, e.alpha, e.gamma,
+                  [&real](const ExecutorCore::ExecResult& r) { real = r; });
+  }
+  const Sha256Digest block = real.block->Digest();
+  ASSERT_FALSE(real.clients.empty());
+
+  // The edit: drop the block's first request, add the newest issued
+  // request that is not in the block.
+  auto in_block = [&real](uint64_t ts) {
+    for (const auto& [c, t] : real.clients) {
+      if (t == ts) return true;
+    }
+    return false;
+  };
+  uint64_t outside = client.issued();
+  while (outside > 0 && in_block(outside)) --outside;
+  ASSERT_GT(outside, 0u);
+  auto forged = std::make_shared<ExecReplyMsg>();
+  forged->block_digest = block;
+  forged->result_digest = real.result_digest;
+  forged->clients.assign(real.clients.begin() + 1, real.clients.end());
+  forged->clients.emplace_back(client.id(), outside);
+  NodeId faulty = cc.execution[0];
+  forged->sig = sys->env().keystore.SignShare(
+      faulty, ExecReplyMsg::Signable(block, forged->result_digest,
+                                     forged->clients));
+  for (NodeId top : cc.filter_rows.back()) {
+    sys->net().actor(top)->DeliverAt(sys->env().sim.now(), faulty, forged);
+  }
+  sys->env().sim.Run(stop + 500 * kMillisecond);
+
+  // Every certificate names exactly its block's requests.
+  std::map<Sha256Digest, std::vector<std::pair<NodeId, uint64_t>>> lists;
+  for (int c = 0; c < sys->cluster_count(); ++c) {
+    const DagLedger& l = sys->execution_node(c, 1)->core().ledger();
+    for (size_t i = 0; i < l.size(); ++i) {
+      auto& list = lists[l.entry(i).block->Digest()];
+      list.clear();
+      for (const Transaction& tx : l.entry(i).block->txs) {
+        list.emplace_back(tx.client, tx.client_ts);
+      }
+    }
+  }
+  size_t certs_for_block = 0;
+  for (const auto& [digest, clients] : client.certs) {
+    ASSERT_TRUE(lists.count(digest));
+    EXPECT_EQ(clients, lists[digest]);
+    if (digest == block) ++certs_for_block;
+  }
+  EXPECT_GT(certs_for_block, 0u);
+  EXPECT_EQ(sys->env().metrics.Get("firewall.filtered_bad_share"), 0u);
+  // The request the forged list left out settled too.
+  EXPECT_EQ(client.accepted(), client.issued());
+}
+
 TEST_F(PfFixture, ByzantineFilterContainedByRowRedundancy) {
   // One Byzantine filter per row corrupts everything it forwards. With
   // h+1 = 2 filters per row there is still a fully-correct path, and the

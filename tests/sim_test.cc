@@ -533,6 +533,60 @@ TEST(TimerWheelTest, CancelledEpochTimersDieAndSlotsAreReusable) {
   EXPECT_EQ(t.fired[4].second, 99u);
 }
 
+TEST(TimerWheelTest, StormDrainsInOrderAndEmptiedSlotsKeepSmallBuffers) {
+  // A storm parks far more than kKeptSlotEntries entries in each of 200
+  // level-1 and 60 level-2 slots, several per tick. Draining it must
+  // pop in global (time, seq) order, and the emptied slots may keep at
+  // most kKeptSlotEntries entries of capacity each: cascades and drains
+  // hand slots the scratch and bucket buffers, which must not carry a
+  // burst's size into the rest of the run.
+  TimerWheel wheel;
+  uint64_t seq = 0;
+  auto insert = [&](SimTime when) {
+    TimerWheel::Entry e;
+    e.when = when;
+    e.seq = ++seq;
+    wheel.Insert(0, std::move(e));
+  };
+  constexpr int kPerSlot = 200;  // > 3 x kKeptSlotEntries
+  for (int i = 0; i < kPerSlot; ++i) {
+    for (SimTime slot = 1; slot <= 200; ++slot) {
+      insert(slot * 256 + (i * 7) % 97);  // level 1: delta < 65536
+    }
+    for (SimTime slot = 1; slot <= 60; ++slot) {
+      insert(slot * 65536 + (i * 331) % 4099);  // level 2
+    }
+  }
+  const size_t inserted = wheel.size();
+  ASSERT_EQ(inserted, size_t{260} * kPerSlot);
+
+  SimTime now = 0;
+  SimTime last_when = 0;
+  uint64_t last_seq = 0;
+  size_t popped = 0;
+  SimTime when;
+  uint64_t s;
+  while (wheel.Min(now, &when, &s)) {
+    ASSERT_GE(when, now);
+    now = when;
+    TimerWheel::Entry e = wheel.Pop(now);
+    ASSERT_EQ(e.when, when);
+    ASSERT_EQ(e.seq, s);
+    if (popped > 0) {
+      ASSERT_TRUE(when > last_when || (when == last_when && s > last_seq))
+          << "out of order at pop " << popped;
+    }
+    last_when = when;
+    last_seq = s;
+    ++popped;
+  }
+  EXPECT_EQ(popped, inserted);
+  EXPECT_TRUE(wheel.empty());
+  EXPECT_LE(wheel.slot_capacity(), size_t{TimerWheel::kLevels} *
+                                       TimerWheel::kSlots *
+                                       TimerWheel::kKeptSlotEntries);
+}
+
 TEST(TimerWheelTest, MessageDeliveriesRideTheWheelDeterministically) {
   // Deliveries and handler completions ride the wheel too; two runs of
   // the same seed must stay bit-identical (trace hash covers arrival
