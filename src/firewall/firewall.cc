@@ -1,7 +1,5 @@
 #include "firewall/firewall.h"
 
-#include <algorithm>
-
 #include "protocols/cross_messages.h"
 
 namespace qanaat {
@@ -60,10 +58,7 @@ void ExecutionNode::ArmPullWatchdog() {
 
 void ExecutionNode::SendPullRequest() {
   auto req = std::make_shared<StateRequestMsg>();
-  for (const auto& [ref, chain] : core_.ledger().chains()) {
-    req->heads.push_back(StateRequestMsg::ChainHead{
-        ref.collection, ref.shard, core_.ledger().HeadOf(ref)});
-  }
+  req->heads = ChainHeadsOf(core_);
   // An executor has no consensus frontier; the max sentinel suppresses
   // checkpoint-only replies — it only ever wants ledger entries.
   req->frontier = UINT64_MAX;
@@ -89,63 +84,12 @@ void ExecutionNode::SendPullRequest() {
 void ExecutionNode::HandleStateRequest(NodeId from,
                                        const StateRequestMsg& m) {
   if (!dir_->params.state_transfer) return;
-  if (std::find(cfg_.execution.begin(), cfg_.execution.end(), m.requester) ==
-      cfg_.execution.end()) {
+  if (!cfg_.IsExecutionNode(m.requester)) {
     return;  // filters validate this too; defense in depth
   }
-  std::map<ShardRef, SeqNo> req_heads;
-  for (const auto& h : m.heads) {
-    req_heads[ShardRef{h.collection, h.shard}] = h.head;
-  }
-  // Same chunking as the ordering-side server: at most kMaxEntries per
-  // reply, filled round-robin ACROSS chains so a long chain cannot
-  // starve the chain its γ dependencies point at; the requester re-pulls
-  // with advanced heads until a round installs nothing new.
-  constexpr size_t kMaxEntries = 256;
-  auto rep = std::make_shared<StateReplyMsg>();
-  const DagLedger& led = core_.ledger();
-  uint64_t bytes = 64;
-  size_t verify_ops = 0;
-  std::vector<std::pair<const std::vector<size_t>*, size_t>> cursors;
-  for (const auto& [ref, chain] : led.chains()) {
-    auto it = req_heads.find(ref);
-    SeqNo have = it == req_heads.end() ? 0 : it->second;
-    if (have < chain.size()) cursors.emplace_back(&chain, have);
-  }
-  bool any = true;
-  while (any && rep->entries.size() < kMaxEntries) {
-    any = false;
-    for (auto& [chain, i] : cursors) {
-      if (i >= chain->size() || rep->entries.size() >= kMaxEntries) {
-        continue;
-      }
-      const DagLedger::Entry& e = led.entry((*chain)[i++]);
-      rep->entries.push_back(
-          StateReplyMsg::Entry{e.block, e.cert, e.alpha, e.gamma});
-      bytes += 64 + e.block->WireSize() + e.cert.WireSize();
-      verify_ops += e.cert.sigs.size();
-      any = true;
-    }
-  }
-  // Certified-but-wedged tail (see the ordering-side server): committed
-  // blocks still waiting on predecessors here must travel too, or a
-  // requester recovering during the wedge can never learn them.
-  for (const auto& p : core_.pending()) {
-    if (rep->entries.size() >= kMaxEntries) break;
-    auto it = req_heads.find(ShardRef{p.alpha.collection, p.alpha.shard});
-    SeqNo have = it == req_heads.end() ? 0 : it->second;
-    if (p.alpha.n <= have) continue;
-    rep->entries.push_back(
-        StateReplyMsg::Entry{p.block, p.cert, p.alpha, p.gamma});
-    bytes += 64 + p.block->WireSize() + p.cert.WireSize();
-    verify_ops += p.cert.sigs.size();
-  }
-  if (rep->entries.empty()) return;  // nothing the requester lacks
-  rep->requester = m.requester;
-  rep->wire_bytes =
-      static_cast<uint32_t>(std::min<uint64_t>(bytes, UINT32_MAX));
-  rep->sig_verify_ops =
-      static_cast<uint16_t>(std::min<size_t>(verify_ops, 65535));
+  // No checkpoint: executors run no consensus.
+  auto rep = BuildStateReply(core_, m, /*ckpt=*/nullptr);
+  if (rep == nullptr) return;  // nothing the requester lacks
   env()->metrics.Inc("exec.state_served");
   env()->metrics.Inc("exec.state_blocks_served", rep->entries.size());
   // With a firewall `from` is the brokering top-row filter, which routes
@@ -393,9 +337,7 @@ void FilterNode::HandleStateRequest(NodeId /*from*/, const MessageRef& msg) {
   // Only pulls originated by this cluster's execution nodes may use the
   // firewall, and only through the top row; anything else is
   // out-of-protocol traffic.
-  if (!top_row_ ||
-      std::find(cfg_.execution.begin(), cfg_.execution.end(), m.requester) ==
-          cfg_.execution.end()) {
+  if (!top_row_ || !cfg_.IsExecutionNode(m.requester)) {
     ++filtered_;
     env()->metrics.Inc("firewall.filtered_bad_pull");
     return;
@@ -415,15 +357,9 @@ void FilterNode::HandleStateRequest(NodeId /*from*/, const MessageRef& msg) {
 
 void FilterNode::HandleStateReply(NodeId /*from*/, const MessageRef& msg) {
   const auto& m = *msg->As<StateReplyMsg>();
-  if (std::find(cfg_.execution.begin(), cfg_.execution.end(), m.requester) ==
-      cfg_.execution.end()) {
-    ++filtered_;
-    env()->metrics.Inc("firewall.filtered_bad_pull");
-    return;
-  }
-  if (!top_row_) {
-    // Transfers never cross below the top row: a StateReply arriving at
-    // a lower row was injected or misrouted.
+  // Transfers never cross below the top row, and only ever serve this
+  // cluster's execution nodes: anything else was injected or misrouted.
+  if (!top_row_ || !cfg_.IsExecutionNode(m.requester)) {
     ++filtered_;
     env()->metrics.Inc("firewall.filtered_bad_pull");
     return;

@@ -31,7 +31,6 @@ class ExecutionNode : public Actor {
   void OnRecover() override;
 
   const ExecutorCore& core() const { return core_; }
-  ExecutorCore* mutable_core() { return &core_; }
 
   /// Byzantine behaviour: corrupt every execution result (a node trying
   /// to smuggle data out through replies). The firewall must filter it.

@@ -1,6 +1,7 @@
 #ifndef QANAAT_PROTOCOLS_CONTEXT_H_
 #define QANAAT_PROTOCOLS_CONTEXT_H_
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -34,6 +35,9 @@ struct ClusterConfig {
 
   bool HasFirewall() const { return !filter_rows.empty(); }
   bool SeparatedExecution() const { return !execution.empty(); }
+  bool IsExecutionNode(NodeId n) const {
+    return std::find(execution.begin(), execution.end(), n) != execution.end();
+  }
   NodeId InitialPrimary() const { return ordering[0]; }
 };
 

@@ -1,9 +1,13 @@
 // Wire codecs for the cross-cluster protocol messages (coordinator-based
-// §4.3 and flattened §4.4 families). Decoders are defensive: every count
-// is bounded by the remaining buffer and a carried block must hash to the
-// digest it claims, so arbitrary bytes can never crash or fool a node.
+// §4.3 and flattened §4.4 families), plus the state-transfer server both
+// catch-up paths share. Decoders are defensive: every count is bounded by
+// the remaining buffer and a carried block must hash to the digest it
+// claims, so arbitrary bytes can never crash or fool a node.
 
 #include "protocols/cross_messages.h"
+
+#include <algorithm>
+#include <map>
 
 namespace qanaat {
 
@@ -31,6 +35,94 @@ bool VerifyTransferredLedgerEntry(const Directory& dir, const KeyStore& ks,
     }
   }
   return e.cert.ValidFrom(ks, dir.params.CertQuorum(), allowed);
+}
+
+std::vector<StateRequestMsg::ChainHead> ChainHeadsOf(const ExecutorCore& core) {
+  std::vector<StateRequestMsg::ChainHead> heads;
+  for (const auto& [ref, chain] : core.ledger().chains()) {
+    heads.push_back(StateRequestMsg::ChainHead{ref.collection, ref.shard,
+                                               core.ledger().HeadOf(ref)});
+  }
+  return heads;
+}
+
+std::shared_ptr<StateReplyMsg> BuildStateReply(
+    const ExecutorCore& core, const StateRequestMsg& request,
+    const CheckpointCertificate* ckpt) {
+  std::map<ShardRef, SeqNo> req_heads;
+  for (const auto& h : request.heads) {
+    req_heads[ShardRef{h.collection, h.shard}] = h.head;
+  }
+  auto have = [&req_heads](const ShardRef& ref) {
+    auto it = req_heads.find(ref);
+    return it == req_heads.end() ? SeqNo{0} : it->second;
+  };
+  // Chunked like the other catch-up protocols (fills: 16 slots, Fabric
+  // fetch: 8 blocks): at most kMaxEntries entries per reply, filled
+  // round-robin ACROSS chains — oldest missing entry of each chain
+  // first — so a long chain cannot starve the chain its γ dependencies
+  // point at. The requester re-requests with updated heads until a
+  // round installs nothing new.
+  constexpr size_t kMaxEntries = 256;
+  auto rep = std::make_shared<StateReplyMsg>();
+  uint64_t bytes = 64;
+  size_t verify_ops = 0;
+  if (ckpt != nullptr) {
+    rep->ckpt = *ckpt;
+    bytes += ckpt->WireSize();
+    verify_ops += ckpt->sigs.size();
+  }
+  const DagLedger& led = core.ledger();
+  // Per-chain cursors into the missing suffix (chain[i] holds the entry
+  // committed at sequence number i + 1, so the requester's gap starts
+  // at index `head`).
+  std::vector<std::pair<const std::vector<size_t>*, size_t>> cursors;
+  for (const auto& [ref, chain] : led.chains()) {
+    SeqNo from = have(ref);
+    if (from < chain.size()) cursors.emplace_back(&chain, from);
+  }
+  bool any = true;
+  while (any && rep->entries.size() < kMaxEntries) {
+    any = false;
+    for (auto& [chain, i] : cursors) {
+      if (i >= chain->size() || rep->entries.size() >= kMaxEntries) {
+        continue;
+      }
+      const DagLedger::Entry& e = led.entry((*chain)[i++]);
+      rep->entries.push_back(
+          StateReplyMsg::Entry{e.block, e.cert, e.alpha, e.gamma});
+      any = true;
+    }
+  }
+  // Certified-but-wedged tail: blocks this server committed whose chain
+  // predecessor is still missing live outside the installed chains. A
+  // requester that recovers while a chain is globally wedged would never
+  // see them in any later sync round (once the wedge clears, the tail
+  // block has no successor to reveal the gap) — include them, pending
+  // the same predecessors on the requester's side.
+  for (const auto& p : core.pending()) {
+    if (rep->entries.size() >= kMaxEntries) break;
+    if (p.alpha.n <= have(ShardRef{p.alpha.collection, p.alpha.shard})) {
+      continue;
+    }
+    rep->entries.push_back(
+        StateReplyMsg::Entry{p.block, p.cert, p.alpha, p.gamma});
+  }
+  // A lagging ordering node still wants a newer checkpoint on its own;
+  // executors request with frontier = UINT64_MAX, so they never do.
+  if (rep->entries.empty() && rep->ckpt.slot <= request.frontier) {
+    return nullptr;
+  }
+  for (const auto& e : rep->entries) {
+    bytes += 64 + e.block->WireSize() + e.cert.WireSize();
+    verify_ops += e.cert.sigs.size();
+  }
+  rep->requester = request.requester;  // echo for firewall-routed pulls
+  rep->wire_bytes =
+      static_cast<uint32_t>(std::min<uint64_t>(bytes, UINT32_MAX));
+  rep->sig_verify_ops =
+      static_cast<uint16_t>(std::min<size_t>(verify_ops, 65535));
+  return rep;
 }
 
 namespace {

@@ -1,11 +1,13 @@
 #ifndef QANAAT_PROTOCOLS_CROSS_MESSAGES_H_
 #define QANAAT_PROTOCOLS_CROSS_MESSAGES_H_
 
+#include <memory>
 #include <vector>
 
 #include "collections/tx_id.h"
 #include "consensus/messages.h"
 #include "crypto/signer.h"
+#include "firewall/executor_core.h"
 #include "ledger/block.h"
 #include "protocols/context.h"
 #include "sim/message.h"
@@ -21,6 +23,21 @@ namespace qanaat {
 /// legitimately certify blocks of that chain.
 bool VerifyTransferredLedgerEntry(const Directory& dir, const KeyStore& ks,
                                   const StateReplyMsg::Entry& e);
+
+/// The chain heads a state-transfer requester reports: the gaplessly
+/// committed head of every chain in `core`'s ledger.
+std::vector<StateRequestMsg::ChainHead> ChainHeadsOf(const ExecutorCore& core);
+
+/// The one state-transfer server, for both catch-up paths: the reply to
+/// `request` from `core`'s ledger, with `ckpt` (the server's stable
+/// checkpoint; null for executors, which run no consensus) attached and
+/// charged. Entries are chunked — at most 256, filled round-robin across
+/// chains, then the certified-but-wedged tail above the requester's
+/// heads. Returns null when the requester lacks nothing: no entry, and no
+/// checkpoint above its consensus frontier.
+std::shared_ptr<StateReplyMsg> BuildStateReply(
+    const ExecutorCore& core, const StateRequestMsg& request,
+    const CheckpointCertificate* ckpt);
 
 /// ⟨PREPARE, ID, d, m⟩_σPc — coordinator cluster → involved clusters
 /// (paper §4.3, Fig 5). Carries the block and the coordinator cluster's

@@ -14,62 +14,34 @@
 
 namespace qanaat {
 
-void OrderingNode::StartCoordinated(const BlockPtr& block) {
-  const Transaction& probe = block->txs.front();
-  int coord = CoordinatorClusterOf(probe.collection, probe.shards);
-  if (coord != cfg_.cluster_id) {
-    // We received requests for a flow another cluster coordinates (only
-    // possible in non-designated mode); hand the whole batch over.
-    for (const auto& tx : block->txs) {
-      auto req = std::make_shared<RequestMsg>();
-      req->tx = tx;
-      req->wire_bytes = 64 + tx.WireSize();
-      Send(dir_->Cluster(coord).InitialPrimary(), req);
-    }
-    return;
-  }
-
-  // Concurrency control (§4.3.2): defer blocks that intersect an active
-  // cross-shard transaction in >= 2 shards.
-  if (probe.shards.size() > 1) {
-    if (HasCrossShardConflict(block, probe.shards)) {
-      deferred_cross_.push_back(DeferredCross{block});
-      PinCross(block);
-      env()->metrics.Inc("cross.deferred_conflict");
-      return;
-    }
-    active_cross_[block->Digest()] = probe.shards;
-  }
-
-  XState& xs = StateFor(block->Digest());
-  xs.block = block;
-  xs.involved = InvolvedClusters(probe.collection, probe.shards);
-  xs.is_cross_enterprise = probe.collection.members.size() > 1;
-  xs.is_cross_shard = probe.shards.size() > 1;
-  xs.i_coordinate = true;
-  PinInstance(xs);
-  xs.assignments[block->id.alpha.shard] =
-      ShardAssignment{cfg_.cluster_id, block->id.alpha, block->id.gamma};
-  own_pending_.insert({ShardRef{block->id.alpha.collection,
-                                block->id.alpha.shard},
-                       block->id.alpha.n});
-
+void OrderingNode::ProposeCoordinated(XState& xs) {
   ConsensusValue v;
   v.kind = ConsensusValue::Kind::kXOrder;
-  v.block = block;
+  v.block = xs.block;
   v.block_digest = xs.digest;
-  v.assignments = {xs.assignments[block->id.alpha.shard]};
+  v.assignments = {xs.assignments[xs.block->id.alpha.shard]};
   engine_->Propose(v);
   ArmCrossTimer(xs.digest);
 }
 
+void OrderingNode::SendXPrepare(const XState& xs) {
+  auto prep = std::make_shared<XPrepareMsg>();
+  prep->coord_cluster = cfg_.cluster_id;
+  prep->block = xs.block;
+  prep->block_digest = xs.digest;
+  prep->coord_cert = xs.order_cert;
+  prep->wire_bytes = 160 + xs.block->WireSize() + prep->coord_cert.WireSize();
+  prep->sig_verify_ops = static_cast<uint16_t>(prep->coord_cert.sigs.size());
+  for (int c : xs.involved) {
+    if (c == cfg_.cluster_id) continue;
+    Multicast(dir_->Cluster(c).ordering, prep);
+  }
+}
+
 void OrderingNode::OnXOrderDecided(uint64_t slot, const ConsensusValue& v) {
   XState& xs = StateFor(v.block_digest);
-  xs.block = v.block;
+  BindBlock(xs, v.block);
   const Transaction& probe = v.block->txs.front();
-  xs.involved = InvolvedClusters(probe.collection, probe.shards);
-  xs.is_cross_enterprise = probe.collection.members.size() > 1;
-  xs.is_cross_shard = probe.shards.size() > 1;
   for (const auto& a : v.assignments) {
     xs.assignments[a.alpha.shard] = a;
     if (a.cluster == cfg_.cluster_id) {
@@ -89,18 +61,7 @@ void OrderingNode::OnXOrderDecided(uint64_t slot, const ConsensusValue& v) {
                              ConsensusValue::Kind::kXOrder);
     xs.order_cert_known = true;
     if (!engine_->IsPrimary()) return;
-    auto prep = std::make_shared<XPrepareMsg>();
-    prep->coord_cluster = cfg_.cluster_id;
-    prep->block = v.block;
-    prep->block_digest = v.block_digest;
-    prep->coord_cert = xs.order_cert;
-    prep->wire_bytes = 160 + v.block->WireSize() + prep->coord_cert.WireSize();
-    prep->sig_verify_ops =
-        static_cast<uint16_t>(prep->coord_cert.sigs.size());
-    for (int c : xs.involved) {
-      if (c == cfg_.cluster_id) continue;
-      Multicast(dir_->Cluster(c).ordering, prep);
-    }
+    SendXPrepare(xs);
     MaybeStartCommitPhase(xs);  // single-cluster edge case
     return;
   }
@@ -150,12 +111,9 @@ void OrderingNode::HandleXPrepare(NodeId from, const XPrepareMsg& m) {
   (void)from;
   if (IsRetired(m.block_digest)) return;  // a re-drive of a finished one
   XState& xs = StateFor(m.block_digest);
-  xs.block = m.block;
+  BindBlock(xs, m.block);
   PinInstance(xs);
   const Transaction& probe = m.block->txs.front();
-  xs.involved = InvolvedClusters(probe.collection, probe.shards);
-  xs.is_cross_enterprise = probe.collection.members.size() > 1;
-  xs.is_cross_shard = probe.shards.size() > 1;
   xs.assignments[m.block->id.alpha.shard] = ShardAssignment{
       m.coord_cluster, m.block->id.alpha, m.block->id.gamma};
   ArmCrossTimer(m.block_digest);
@@ -387,15 +345,7 @@ void OrderingNode::OnXCommitDecided(uint64_t slot, const ConsensusValue& v,
     }
   }
 
-  RecordOutcome(xs, cert, is_abort);
-  if (!is_abort) {
-    auto it = xs.assignments.find(cfg_.shard);
-    if (it != xs.assignments.end()) {
-      CommitBlock(xs.block, cert, it->second.alpha, it->second.gamma,
-                  /*reply_from_here=*/true);
-    }
-  }
-  FinishCross(xs, !is_abort);
+  SettleCross(xs, cert, /*committed=*/!is_abort, /*reply_from_here=*/true);
 }
 
 void OrderingNode::HandleXCommit(NodeId /*from*/, const XCommitMsg& m) {
@@ -423,20 +373,14 @@ void OrderingNode::HandleXCommit(NodeId /*from*/, const XCommitMsg& m) {
         validated_digest_.erase(claim);
       }
     }
-    RecordOutcome(xs, m.coord_cert, true);
-    FinishCross(xs, false);
+    SettleCross(xs, m.coord_cert, /*committed=*/false,
+                /*reply_from_here=*/false);
     return;
   }
   for (const auto& a : m.assignments) {
     xs.assignments[a.alpha.shard] = a;
   }
-  RecordOutcome(xs, m.coord_cert, false);
-  auto it = xs.assignments.find(cfg_.shard);
-  if (it != xs.assignments.end()) {
-    CommitBlock(m.block, m.coord_cert, it->second.alpha, it->second.gamma,
-                /*reply_from_here=*/false);
-  }
-  FinishCross(xs, true);
+  SettleCross(xs, m.coord_cert, /*committed=*/true, /*reply_from_here=*/false);
 }
 
 }  // namespace qanaat

@@ -17,57 +17,20 @@ bool OrderingNode::FlattenedCftFastPath(const XState& xs) const {
          !xs.is_cross_enterprise && xs.is_cross_shard;
 }
 
-void OrderingNode::StartFlattened(const BlockPtr& block) {
-  const Transaction& probe = block->txs.front();
-  int initiator = CoordinatorClusterOf(probe.collection, probe.shards);
-  if (initiator != cfg_.cluster_id) {
-    for (const auto& tx : block->txs) {
-      auto req = std::make_shared<RequestMsg>();
-      req->tx = tx;
-      req->wire_bytes = 64 + tx.WireSize();
-      Send(dir_->Cluster(initiator).InitialPrimary(), req);
-    }
-    return;
-  }
-
-  // Concurrency rule (§4.4.2): no concurrent uncommitted request sharing
-  // >= 2 shards.
-  if (probe.shards.size() > 1) {
-    if (HasCrossShardConflict(block, probe.shards)) {
-      deferred_cross_.push_back(DeferredCross{block});
-      PinCross(block);
-      env()->metrics.Inc("cross.deferred_conflict");
-      return;
-    }
-    active_cross_[block->Digest()] = probe.shards;
-  }
-
-  XState& xs = StateFor(block->Digest());
-  xs.block = block;
-  xs.involved = InvolvedClusters(probe.collection, probe.shards);
-  xs.is_cross_enterprise = probe.collection.members.size() > 1;
-  xs.is_cross_shard = probe.shards.size() > 1;
-  xs.i_coordinate = true;
-  PinInstance(xs);
-  xs.assignments[block->id.alpha.shard] =
-      ShardAssignment{cfg_.cluster_id, block->id.alpha, block->id.gamma};
-  own_pending_.insert({ShardRef{block->id.alpha.collection,
-                                block->id.alpha.shard},
-                       block->id.alpha.n});
-
-  auto prop = std::make_shared<FProposeMsg>();
-  prop->initiator_cluster = cfg_.cluster_id;
-  prop->block = block;
-  prop->block_digest = xs.digest;
-  prop->sig = env()->keystore.Sign(id(), xs.digest);
-  prop->wire_bytes = 128 + block->WireSize();
-  for (int c : xs.involved) {
-    for (NodeId n : dir_->Cluster(c).ordering) {
-      if (n != id()) Send(n, prop);
-    }
-  }
+void OrderingNode::ProposeFlattened(XState& xs) {
+  SendFPropose(xs);
   ArmCrossTimer(xs.digest);
   SendFAccept(xs);
+}
+
+void OrderingNode::SendFPropose(const XState& xs) {
+  auto prop = std::make_shared<FProposeMsg>();
+  prop->initiator_cluster = cfg_.cluster_id;
+  prop->block = xs.block;
+  prop->block_digest = xs.digest;
+  prop->sig = env()->keystore.Sign(id(), xs.digest);
+  prop->wire_bytes = 128 + xs.block->WireSize();
+  SendToInvolved(xs, prop);
 }
 
 void OrderingNode::HandleFPropose(NodeId from, const FProposeMsg& m) {
@@ -84,12 +47,9 @@ void OrderingNode::HandleFPropose(NodeId from, const FProposeMsg& m) {
   }
   if (IsRetired(m.block_digest)) return;  // a re-drive of a finished one
   XState& xs = StateFor(m.block_digest);
-  xs.block = m.block;
+  BindBlock(xs, m.block);
   PinInstance(xs);
   const Transaction& probe = m.block->txs.front();
-  xs.involved = InvolvedClusters(probe.collection, probe.shards);
-  xs.is_cross_enterprise = probe.collection.members.size() > 1;
-  xs.is_cross_shard = probe.shards.size() > 1;
   // Replies to clients come from the initiator cluster — every node of
   // it, so the client can gather f+1 matching results.
   xs.i_coordinate = (m.initiator_cluster == cfg_.cluster_id);
@@ -164,11 +124,7 @@ void OrderingNode::HandleFPropose(NodeId from, const FProposeMsg& m) {
       xs.sent_accept = true;
       return;
     }
-    for (int c : xs.involved) {
-      for (NodeId n : dir_->Cluster(c).ordering) {
-        if (n != id()) Send(n, acc);
-      }
-    }
+    SendToInvolved(xs, acc);
     xs.sent_accept = true;
     xs.accepts[cfg_.cluster_id][id()] = acc->sig;
     MaybeSendFCommit(xs);
@@ -259,11 +215,7 @@ void OrderingNode::SendFAccept(XState& xs) {
     }
     return;
   }
-  for (int c : xs.involved) {
-    for (NodeId n : dir_->Cluster(c).ordering) {
-      if (n != id()) Send(n, acc);
-    }
-  }
+  SendToInvolved(xs, acc);
   xs.accepts[cfg_.cluster_id][id()] = acc->sig;
   MaybeSendFCommit(xs);
 }
@@ -301,11 +253,7 @@ void OrderingNode::ResendCrossVotes(XState& xs) {
     }
     return;
   }
-  for (int c : xs.involved) {
-    for (NodeId n : dir_->Cluster(c).ordering) {
-      if (n != id()) Send(n, acc);
-    }
-  }
+  SendToInvolved(xs, acc);
   if (xs.sent_commit) {
     auto cm = std::make_shared<FCommitMsg>();
     cm->from_cluster = cfg_.cluster_id;
@@ -313,11 +261,7 @@ void OrderingNode::ResendCrossVotes(XState& xs) {
     cm->sig = env()->keystore.Sign(id(), xs.digest);
     for (const auto& [s2, a] : xs.assignments) cm->assignments.push_back(a);
     cm->wire_bytes = 96 + static_cast<uint32_t>(cm->assignments.size()) * 48;
-    for (int c : xs.involved) {
-      for (NodeId n : dir_->Cluster(c).ordering) {
-        if (n != id()) Send(n, cm);
-      }
-    }
+    SendToInvolved(xs, cm);
   }
 }
 
@@ -400,33 +344,19 @@ void OrderingNode::MaybeSendFCommit(XState& xs) {
     for (const auto& [s, a] : xs.assignments) cm->assignments.push_back(a);
     cm->wire_bytes =
         96 + static_cast<uint32_t>(cm->assignments.size()) * 48;
-    for (int c : xs.involved) {
-      for (NodeId n : dir_->Cluster(c).ordering) {
-        if (n != id()) Send(n, cm);
-      }
-    }
+    SendToInvolved(xs, cm);
     // Commit locally.
     CommitCertificate cert;
     cert.block_digest = xs.digest;
     cert.direct = true;
     cert.sigs.push_back(cm->sig);
-    RecordOutcome(xs, cert, false);
-    auto mine = xs.assignments.find(cfg_.shard);
-    if (mine != xs.assignments.end()) {
-      CommitBlock(xs.block, cert, mine->second.alpha, mine->second.gamma,
-                  /*reply_from_here=*/true);
-    }
-    FinishCross(xs, true);
+    SettleCross(xs, cert, /*committed=*/true, /*reply_from_here=*/true);
     return;
   }
 
   for (const auto& [s2, a] : xs.assignments) cm->assignments.push_back(a);
   cm->wire_bytes = 96 + static_cast<uint32_t>(cm->assignments.size()) * 48;
-  for (int c : xs.involved) {
-    for (NodeId n : dir_->Cluster(c).ordering) {
-      if (n != id()) Send(n, cm);
-    }
-  }
+  SendToInvolved(xs, cm);
   xs.commit_votes[cfg_.cluster_id][id()] = cm->sig;
   for (const auto& [s2, a] : xs.assignments) {
     auto& slot = xs.assignment_votes[a.alpha.shard][a.alpha.n];
@@ -466,13 +396,7 @@ void OrderingNode::HandleFCommit(NodeId from, const FCommitMsg& m) {
     cert.block_digest = m.block_digest;
     cert.direct = true;
     cert.sigs.push_back(m.sig);
-    RecordOutcome(xs, cert, false);
-    auto mine = xs.assignments.find(cfg_.shard);
-    if (mine != xs.assignments.end()) {
-      CommitBlock(xs.block, cert, mine->second.alpha, mine->second.gamma,
-                  /*reply_from_here=*/false);
-    }
-    FinishCross(xs, true);
+    SettleCross(xs, cert, /*committed=*/true, /*reply_from_here=*/false);
     return;
   }
 
@@ -541,13 +465,8 @@ void OrderingNode::MaybeFCommitDone(XState& xs) {
       xs.assignments[cfg_.shard] = *winner;
     }
   }
-  RecordOutcome(xs, cert, false);
-  auto mine = xs.assignments.find(cfg_.shard);
-  if (mine != xs.assignments.end()) {
-    CommitBlock(xs.block, cert, mine->second.alpha, mine->second.gamma,
-                /*reply_from_here=*/xs.i_coordinate);
-  }
-  FinishCross(xs, true);
+  SettleCross(xs, cert, /*committed=*/true,
+              /*reply_from_here=*/xs.i_coordinate);
 }
 
 }  // namespace qanaat

@@ -214,9 +214,7 @@ void OrderingNode::OnMessage(NodeId from, const MessageRef& msg) {
       reply->result_digest = m.result_digest;
       reply->clients = m.clients;
       reply->sig = env()->keystore.Sign(id(), m.result_digest);
-      SortedVec<NodeId> machines;
-      for (const auto& [c, ts] : m.clients) machines.Insert(c);
-      for (NodeId c : machines) Send(c, reply);
+      SendToClients(m.clients, reply);
       break;
     }
     default:
@@ -263,11 +261,7 @@ void OrderingNode::HandleTimer(uint64_t tag, uint64_t payload) {
       return;
     }
     env()->metrics.Inc("order.exec_push_backup");
-    if (cfg_.HasFirewall()) {
-      Multicast(cfg_.filter_rows.front(), it->second.msg);
-    } else {
-      Multicast(cfg_.execution, it->second.msg);
-    }
+    PushToExecution(it->second.msg);
     if (++it->second.tries >= 3) {
       pending_exec_push_.erase(it);
     } else {
@@ -630,11 +624,7 @@ void OrderingNode::OnBatchClosed(const FlowKey& key,
     engine_->Propose(v);
     return;
   }
-  if (dir_->params.family == ProtocolFamily::kCoordinator) {
-    StartCoordinated(block);
-  } else {
-    StartFlattened(block);
-  }
+  StartCross(block);
 }
 
 // --------------------------------------------------- consensus plumbing
@@ -712,11 +702,7 @@ void OrderingNode::CommitBlock(const BlockPtr& block, CommitCertificate cert,
     eo->wire_bytes = 128 + block->WireSize() + eo->cert.WireSize();
     eo->sig_verify_ops = static_cast<uint16_t>(eo->cert.sigs.size());
     if (engine_->IsPrimary()) {
-      if (cfg_.HasFirewall()) {
-        Multicast(cfg_.filter_rows.front(), eo);
-      } else {
-        Multicast(cfg_.execution, eo);
-      }
+      PushToExecution(eo);
     } else {
       uint64_t token = next_exec_push_++;
       pending_exec_push_[token] = PendingExecPush{std::move(eo), 0};
@@ -727,13 +713,12 @@ void OrderingNode::CommitBlock(const BlockPtr& block, CommitCertificate cert,
 
   // Co-located execution (crash clusters; Byzantine without separation):
   // every ordering node executes.
-  bool primary = engine_->IsPrimary();
   Status st2 = exec_.Submit(
       block, std::move(cert), alpha, std::move(gamma),
-      [this, reply_from_here, primary](const ExecutorCore::ExecResult& res) {
+      [this, reply_from_here](const ExecutorCore::ExecResult& res) {
         ChargeCpu(res.cpu_cost);
         if (!reply_from_here) return;
-        OnExecutedReply(res, primary);
+        OnExecutedReply(res);
       });
   if (!st2.ok() && st2.code() != StatusCode::kAlreadyExists) {
     env()->metrics.Inc("order.commit_submit_error");
@@ -742,8 +727,7 @@ void OrderingNode::CommitBlock(const BlockPtr& block, CommitCertificate cert,
   MaybeReleaseParked();  // the commit may have drained deferred blocks
 }
 
-void OrderingNode::OnExecutedReply(const ExecutorCore::ExecResult& res,
-                                   bool primary) {
+void OrderingNode::OnExecutedReply(const ExecutorCore::ExecResult& res) {
   // Every executing node replies; the client machine applies its
   // acceptance rule (first reply on crash clusters, f+1 matching results
   // on Byzantine ones). Suppressing non-primary replies on crash
@@ -751,18 +735,13 @@ void OrderingNode::OnExecutedReply(const ExecutorCore::ExecResult& res,
   // leadership can land on a recovered replica whose execution lags its
   // consensus (its ledger misses blocks from its crashed life), and then
   // nobody ever answers the clients.
-  (void)primary;
   auto reply = std::make_shared<ReplyMsg>();
   reply->block_digest = res.block->Digest();
   reply->result_digest = res.result_digest;
   reply->clients = res.clients;
   reply->sig = env()->keystore.Sign(id(), res.result_digest);
   reply->wire_bytes = 96 + static_cast<uint32_t>(res.clients.size() * 12);
-  // Distinct target machines in ascending id order (same order the
-  // std::set this replaced produced) without a tree allocation per reply.
-  SortedVec<NodeId> machines;
-  for (const auto& [c, ts] : res.clients) machines.Insert(c);
-  for (NodeId c : machines) Send(c, reply);
+  SendToClients(res.clients, reply);
 }
 
 void OrderingNode::ForwardReplyCert(const MessageRef& msg) {
@@ -774,9 +753,25 @@ void OrderingNode::ForwardReplyCert(const MessageRef& msg) {
   reply_cache_[cert->block_digest] = cert;
   if (!engine_->IsPrimary()) return;
   if (!reply_owner_.count(cert->block_digest)) return;
+  SendToClients(cert->clients, msg);
+}
+
+void OrderingNode::SendToClients(
+    const std::vector<std::pair<NodeId, uint64_t>>& clients,
+    const MessageRef& msg) {
+  // Distinct machines in ascending id order (the send order the pinned
+  // trace hashes assume), without a tree allocation per reply.
   SortedVec<NodeId> machines;
-  for (const auto& [c, ts] : cert->clients) machines.Insert(c);
+  for (const auto& [c, ts] : clients) machines.Insert(c);
   for (NodeId c : machines) Send(c, msg);
+}
+
+void OrderingNode::PushToExecution(const MessageRef& msg) {
+  if (cfg_.HasFirewall()) {
+    Multicast(cfg_.filter_rows.front(), msg);
+  } else {
+    Multicast(cfg_.execution, msg);
+  }
 }
 
 // ------------------------------------------------- cross-cluster common
@@ -818,16 +813,6 @@ bool OrderingNode::IAmShardAssigner(const CollectionId& c,
   return cfg_.enterprise == initiator_enterprise;
 }
 
-std::vector<NodeId> OrderingNode::NodesOf(
-    const std::vector<int>& clusters) const {
-  std::vector<NodeId> out;
-  for (int c : clusters) {
-    const auto& ord = dir_->Cluster(c).ordering;
-    out.insert(out.end(), ord.begin(), ord.end());
-  }
-  return out;
-}
-
 bool OrderingNode::HasCrossShardConflict(
     const BlockPtr& block, const std::vector<ShardId>& shards) const {
   auto intersects2 = [&shards](const std::vector<ShardId>& other) {
@@ -839,11 +824,9 @@ bool OrderingNode::HasCrossShardConflict(
   for (const auto& [d, s] : active_cross_) {
     if (intersects2(s)) return true;
   }
-  for (const auto& d : deferred_cross_) {
-    if (d.block == block) continue;  // re-admission of the head itself
-    if (!d.block->txs.empty() && intersects2(d.block->txs.front().shards)) {
-      return true;
-    }
+  for (const BlockPtr& d : deferred_cross_) {
+    if (d == block) continue;  // re-admission of the head itself
+    if (!d->txs.empty() && intersects2(d->txs.front().shards)) return true;
   }
   return false;
 }
@@ -897,6 +880,80 @@ void OrderingNode::ArmCrossTimer(const Sha256Digest& d) {
   StartTimer(dir_->params.cross_timeout_us, kTagCross, token);
 }
 
+void OrderingNode::StartCross(const BlockPtr& block) {
+  const Transaction& probe = block->txs.front();
+  int initiator = CoordinatorClusterOf(probe.collection, probe.shards);
+  if (initiator != cfg_.cluster_id) {
+    // We received requests for a flow another cluster coordinates or
+    // initiates; hand the whole batch over.
+    for (const auto& tx : block->txs) {
+      auto req = std::make_shared<RequestMsg>();
+      req->tx = tx;
+      req->wire_bytes = 64 + tx.WireSize();
+      Send(dir_->Cluster(initiator).InitialPrimary(), req);
+    }
+    return;
+  }
+
+  // Concurrency control (§4.3.2, §4.4.2): defer blocks that intersect an
+  // active cross-shard transaction in >= 2 shards.
+  if (probe.shards.size() > 1) {
+    if (HasCrossShardConflict(block, probe.shards)) {
+      deferred_cross_.push_back(block);
+      PinCross(block);
+      env()->metrics.Inc("cross.deferred_conflict");
+      return;
+    }
+    active_cross_[block->Digest()] = probe.shards;
+  }
+
+  XState& xs = StateFor(block->Digest());
+  BindBlock(xs, block);
+  xs.i_coordinate = true;
+  PinInstance(xs);
+  xs.assignments[block->id.alpha.shard] =
+      ShardAssignment{cfg_.cluster_id, block->id.alpha, block->id.gamma};
+  own_pending_.insert({ShardRef{block->id.alpha.collection,
+                                block->id.alpha.shard},
+                       block->id.alpha.n});
+  if (dir_->params.family == ProtocolFamily::kCoordinator) {
+    ProposeCoordinated(xs);
+  } else {
+    ProposeFlattened(xs);
+  }
+}
+
+void OrderingNode::BindBlock(XState& xs, const BlockPtr& block) {
+  xs.block = block;
+  const Transaction& probe = block->txs.front();
+  xs.involved = InvolvedClusters(probe.collection, probe.shards);
+  xs.is_cross_enterprise = probe.collection.members.size() > 1;
+  xs.is_cross_shard = probe.shards.size() > 1;
+}
+
+void OrderingNode::SendToInvolved(const XState& xs, const MessageRef& msg) {
+  for (int c : xs.involved) {
+    for (NodeId n : dir_->Cluster(c).ordering) {
+      if (n != id()) Send(n, msg);
+    }
+  }
+}
+
+void OrderingNode::SettleCross(XState& xs, const CommitCertificate& cert,
+                               bool committed, bool reply_from_here) {
+  xs.outcome_cert = cert;
+  xs.outcome_known = true;
+  xs.outcome_abort = !committed;
+  if (committed) {
+    auto mine = xs.assignments.find(cfg_.shard);
+    if (mine != xs.assignments.end()) {
+      CommitBlock(xs.block, cert, mine->second.alpha, mine->second.gamma,
+                  reply_from_here);
+    }
+  }
+  FinishCross(xs, committed);
+}
+
 void OrderingNode::FinishCross(XState& xs, bool committed) {
   xs.done = true;
   finished_.push_back(xs.digest);
@@ -916,18 +973,14 @@ void OrderingNode::FinishCross(XState& xs, bool committed) {
   if (it != active_cross_.end()) {
     active_cross_.erase(it);
     if (!deferred_cross_.empty()) {
-      std::vector<DeferredCross> retry;
+      std::vector<BlockPtr> retry;
       retry.swap(deferred_cross_);
-      for (auto& d : retry) {
+      for (const BlockPtr& d : retry) {
         // Hand the pin from the deferred entry to whatever holder the
         // restart lands in (new instance, or back onto the deferred
-        // queue) — the Start call below re-pins.
-        UnpinCross(d.block);
-        if (dir_->params.family == ProtocolFamily::kCoordinator) {
-          StartCoordinated(d.block);
-        } else {
-          StartFlattened(d.block);
-        }
+        // queue) — StartCross re-pins.
+        UnpinCross(d);
+        StartCross(d);
       }
     }
   }
@@ -1051,18 +1104,7 @@ void OrderingNode::RunRetry(uint64_t token) {
                              static_cast<uint32_t>(retries));
   XState& xs = StateFor(fresh->Digest());
   xs.retries = retries;
-  if (dir_->params.family == ProtocolFamily::kCoordinator) {
-    StartCoordinated(fresh);
-  } else {
-    StartFlattened(fresh);
-  }
-}
-
-void OrderingNode::RecordOutcome(XState& xs, const CommitCertificate& cert,
-                                 bool abort) {
-  xs.outcome_cert = cert;
-  xs.outcome_known = true;
-  xs.outcome_abort = abort;
+  StartCross(fresh);
 }
 
 void OrderingNode::RedriveCross(XState& xs) {
@@ -1092,32 +1134,10 @@ void OrderingNode::RedriveCross(XState& xs) {
   }
   env()->metrics.Inc("cross.redrive");
   if (dir_->params.family == ProtocolFamily::kFlattened) {
-    auto prop = std::make_shared<FProposeMsg>();
-    prop->initiator_cluster = cfg_.cluster_id;
-    prop->block = xs.block;
-    prop->block_digest = xs.digest;
-    prop->sig = env()->keystore.Sign(id(), xs.digest);
-    prop->wire_bytes = 128 + xs.block->WireSize();
-    for (int c : xs.involved) {
-      for (NodeId n : dir_->Cluster(c).ordering) {
-        if (n != id()) Send(n, prop);
-      }
-    }
+    SendFPropose(xs);
     ResendCrossVotes(xs);
   } else if (xs.order_cert_known) {
-    auto prep = std::make_shared<XPrepareMsg>();
-    prep->coord_cluster = cfg_.cluster_id;
-    prep->block = xs.block;
-    prep->block_digest = xs.digest;
-    prep->coord_cert = xs.order_cert;
-    prep->wire_bytes =
-        160 + xs.block->WireSize() + prep->coord_cert.WireSize();
-    prep->sig_verify_ops =
-        static_cast<uint16_t>(prep->coord_cert.sigs.size());
-    for (int c : xs.involved) {
-      if (c == cfg_.cluster_id) continue;
-      Multicast(dir_->Cluster(c).ordering, prep);
-    }
+    SendXPrepare(xs);
   }
 }
 
@@ -1169,10 +1189,7 @@ void OrderingNode::SendStateRequest() {
   }
   if (peer == id()) return;
   auto req = std::make_shared<StateRequestMsg>();
-  for (const auto& [ref, chain] : exec_.ledger().chains()) {
-    req->heads.push_back(StateRequestMsg::ChainHead{
-        ref.collection, ref.shard, exec_.ledger().HeadOf(ref)});
-  }
+  req->heads = ChainHeadsOf(exec_);
   req->frontier = engine_->LastDelivered();
   req->wire_bytes =
       48 + static_cast<uint32_t>(req->heads.size()) * 16;
@@ -1182,76 +1199,12 @@ void OrderingNode::SendStateRequest() {
 
 void OrderingNode::HandleStateRequest(NodeId from, const StateRequestMsg& m) {
   if (!dir_->params.state_transfer) return;
-  std::map<ShardRef, SeqNo> req_heads;
-  for (const auto& h : m.heads) {
-    req_heads[ShardRef{h.collection, h.shard}] = h.head;
-  }
-  // Chunked like the other catch-up protocols (fills: 16 slots, Fabric
-  // fetch: 8 blocks): at most kMaxEntries entries per reply, filled
-  // round-robin ACROSS chains — oldest missing entry of each chain
-  // first — so a long chain cannot starve the chain its γ dependencies
-  // point at. The requester re-requests with updated heads until a
-  // round installs nothing new.
-  constexpr size_t kMaxEntries = 256;
-  auto rep = std::make_shared<StateReplyMsg>();
-  rep->ckpt = engine_->stable_checkpoint();
-  const DagLedger& led = exec_.ledger();
-  uint64_t bytes = 64 + rep->ckpt.WireSize();
-  size_t verify_ops = rep->ckpt.sigs.size();
-  // Per-chain cursors into the missing suffix (chain[i] holds the entry
-  // committed at sequence number i + 1, so the requester's gap starts
-  // at index `head`).
-  std::vector<std::pair<const std::vector<size_t>*, size_t>> cursors;
-  for (const auto& [ref, chain] : led.chains()) {
-    auto it = req_heads.find(ref);
-    SeqNo have = it == req_heads.end() ? 0 : it->second;
-    if (have < chain.size()) cursors.emplace_back(&chain, have);
-  }
-  bool any = true;
-  while (any && rep->entries.size() < kMaxEntries) {
-    any = false;
-    for (auto& [chain, i] : cursors) {
-      if (i >= chain->size() || rep->entries.size() >= kMaxEntries) {
-        continue;
-      }
-      const DagLedger::Entry& e = led.entry((*chain)[i++]);
-      rep->entries.push_back(
-          StateReplyMsg::Entry{e.block, e.cert, e.alpha, e.gamma});
-      bytes += 64 + e.block->WireSize() + e.cert.WireSize();
-      verify_ops += e.cert.sigs.size();
-      any = true;
-    }
-  }
-  // Certified-but-wedged tail: blocks this replica committed whose chain
-  // predecessor is still missing live outside the installed chains. A
-  // requester that recovers while a chain is globally wedged would never
-  // see them in any later sync round (once the wedge clears, the tail
-  // block has no successor to reveal the gap) — include them, pending
-  // the same predecessors on the requester's side.
-  for (const auto& p : exec_.pending()) {
-    if (rep->entries.size() >= kMaxEntries) break;
-    auto it = req_heads.find(ShardRef{p.alpha.collection, p.alpha.shard});
-    SeqNo have = it == req_heads.end() ? 0 : it->second;
-    if (p.alpha.n <= have) continue;
-    rep->entries.push_back(
-        StateReplyMsg::Entry{p.block, p.cert, p.alpha, p.gamma});
-    bytes += 64 + p.block->WireSize() + p.cert.WireSize();
-    verify_ops += p.cert.sigs.size();
-  }
-  if (rep->entries.empty() && rep->ckpt.slot <= m.frontier) return;
-  rep->requester = m.requester;  // echo for firewall-routed executor pulls
-  rep->wire_bytes = static_cast<uint32_t>(
-      std::min<uint64_t>(bytes, UINT32_MAX));
-  rep->sig_verify_ops =
-      static_cast<uint16_t>(std::min<size_t>(verify_ops, 65535));
+  // The stable checkpoint travels (and is charged) even when empty.
+  auto rep = BuildStateReply(exec_, m, &engine_->stable_checkpoint());
+  if (rep == nullptr) return;
   env()->metrics.Inc("order.state_served");
   env()->metrics.Inc("order.state_blocks_served", rep->entries.size());
   Send(from, rep);
-}
-
-bool OrderingNode::VerifyTransferredEntry(
-    const StateReplyMsg::Entry& e) const {
-  return VerifyTransferredLedgerEntry(*dir_, env()->keystore, e);
 }
 
 bool OrderingNode::InstallTransferredBlock(const StateReplyMsg::Entry& e) {
@@ -1287,7 +1240,7 @@ void OrderingNode::HandleStateReply(NodeId /*from*/, const StateReplyMsg& m) {
   for (const auto& e : m.entries) {
     ShardRef ref{e.alpha.collection, e.alpha.shard};
     if (e.alpha.n <= exec_.ledger().HeadOf(ref)) continue;  // have it
-    if (!VerifyTransferredEntry(e)) {
+    if (!VerifyTransferredLedgerEntry(*dir_, env()->keystore, e)) {
       env()->metrics.Inc("order.bad_state_block");
       continue;
     }
@@ -1311,11 +1264,7 @@ void OrderingNode::ReplayExecPushes() {
   env()->metrics.Inc("order.exec_push_replayed", pending_exec_push_.size());
   for (const auto& [token, p] : pending_exec_push_) {
     if (reply_cache_.count(p.msg->cert.block_digest)) continue;
-    if (cfg_.HasFirewall()) {
-      Multicast(cfg_.filter_rows.front(), p.msg);
-    } else {
-      Multicast(cfg_.execution, p.msg);
-    }
+    PushToExecution(p.msg);
   }
   pending_exec_push_.clear();
 }

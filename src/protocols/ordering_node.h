@@ -215,8 +215,14 @@ class OrderingNode : public Actor {
   void CommitBlock(const BlockPtr& block, CommitCertificate cert,
                    const LocalPart& alpha, std::vector<GammaEntry> gamma,
                    bool reply_from_here);
-  void OnExecutedReply(const ExecutorCore::ExecResult& res, bool primary);
+  void OnExecutedReply(const ExecutorCore::ExecResult& res);
   void ForwardReplyCert(const MessageRef& msg);
+  /// Sends `msg` once to each distinct client machine in `clients`.
+  void SendToClients(const std::vector<std::pair<NodeId, uint64_t>>& clients,
+                     const MessageRef& msg);
+  /// Hands a committed block to the separated execution nodes: through
+  /// the bottom filter row with a firewall, directly without one.
+  void PushToExecution(const MessageRef& msg);
   static std::vector<ShardId> AllShards(const XState& xs);
 
   // ---- cross-cluster: shared helpers
@@ -231,7 +237,6 @@ class OrderingNode : public Actor {
   /// initiator enterprise's clusters do (paper §4.3.3 verbatim).
   bool IAmShardAssigner(const CollectionId& c,
                         EnterpriseId initiator_enterprise) const;
-  std::vector<NodeId> NodesOf(const std::vector<int>& clusters) const;
   /// The instance for `d`, created on first use. A retired digest comes
   /// back as a done instance rebuilt from its outcome record, and is
   /// retired again at the end of the event: a kXOrder decision delivered
@@ -254,6 +259,22 @@ class OrderingNode : public Actor {
   /// gap the chain.
   bool HasCrossShardConflict(const BlockPtr& block,
                              const std::vector<ShardId>& shards) const;
+  /// Starts a cross instance for a freshly sealed block: hands the batch
+  /// to the initiator cluster's primary when this cluster does not
+  /// initiate the flow, defers it behind a conflicting cross-shard block
+  /// (§4.3.2, §4.4.2), and otherwise sets up the instance and runs the
+  /// family's proposal step.
+  void StartCross(const BlockPtr& block);
+  /// Binds `block` to its instance: the block, its involved clusters and
+  /// its cross-enterprise / cross-shard kind.
+  void BindBlock(XState& xs, const BlockPtr& block);
+  /// Sends `msg` to every other ordering node of every involved cluster.
+  void SendToInvolved(const XState& xs, const MessageRef& msg);
+  /// Settles an instance on its certified outcome: records it for
+  /// commit-queries (§4.3.4), commits the block under this shard's
+  /// assignment if it committed, and finishes the instance.
+  void SettleCross(XState& xs, const CommitCertificate& cert, bool committed,
+                   bool reply_from_here);
   void FinishCross(XState& xs, bool committed);
   /// §4.3.5 loser re-proposal: after `winner` commits, aborts every live
   /// rival instance claiming one of the winner's slots with a different
@@ -273,7 +294,11 @@ class OrderingNode : public Actor {
   void ResendCrossVotes(XState& xs);
 
   // ---- coordinator-based family (ordering_coordinator.cc)
-  void StartCoordinated(const BlockPtr& block);
+  /// Proposal step of a started instance: the coordinator cluster orders
+  /// the block internally (kXOrder) before PREPARE goes out.
+  void ProposeCoordinated(XState& xs);
+  /// The coordinator primary's PREPARE to every other involved cluster.
+  void SendXPrepare(const XState& xs);
   void OnXOrderDecided(uint64_t slot, const ConsensusValue& v);
   void OnXCommitDecided(uint64_t slot, const ConsensusValue& v,
                         bool is_abort);
@@ -283,7 +308,10 @@ class OrderingNode : public Actor {
   void MaybeStartCommitPhase(XState& xs);
 
   // ---- flattened family (ordering_flattened.cc)
-  void StartFlattened(const BlockPtr& block);
+  /// Proposal step of a started instance: PROPOSE to every involved
+  /// node, then this node's own ACCEPT.
+  void ProposeFlattened(XState& xs);
+  void SendFPropose(const XState& xs);
   void HandleFPropose(NodeId from, const FProposeMsg& m);
   void HandleFAccept(NodeId from, const FAcceptMsg& m);
   void HandleFCommit(NodeId from, const FCommitMsg& m);
@@ -294,8 +322,6 @@ class OrderingNode : public Actor {
 
   // ---- failure handling
   void HandleQuery(NodeId from, const QueryMsg& m);
-  /// Records a certified cross-instance outcome for query answering.
-  void RecordOutcome(XState& xs, const CommitCertificate& cert, bool abort);
 
   // ---- checkpointed state transfer (recovery path)
   /// Arms the one-shot state-sync timer (deduped while pending): the
@@ -307,11 +333,6 @@ class OrderingNode : public Actor {
   void SendStateRequest();
   void HandleStateRequest(NodeId from, const StateRequestMsg& m);
   void HandleStateReply(NodeId from, const StateReplyMsg& m);
-  /// Verifies one transferred ledger entry: recomputed Merkle root and
-  /// block digest must match the commit certificate, and the certificate
-  /// must carry a quorum of valid signatures from ordering nodes of the
-  /// collection's member clusters.
-  bool VerifyTransferredEntry(const StateReplyMsg::Entry& e) const;
   /// Installs a verified entry: dedup bookkeeping, γ-capture state, and
   /// in-order execution (which rebuilds the MvStore deterministically).
   /// Returns false when the entry was already queued or applied (a
@@ -474,10 +495,7 @@ class OrderingNode : public Actor {
   std::map<Sha256Digest, std::shared_ptr<const ReplyCertMsg>> reply_cache_;
   // Serialization of conflicting cross-shard blocks (paper §4.3.2: no two
   // concurrent transactions may intersect in >= 2 shards).
-  struct DeferredCross {
-    BlockPtr block;
-  };
-  std::vector<DeferredCross> deferred_cross_;
+  std::vector<BlockPtr> deferred_cross_;
   // Iterated only for an order-independent overlap test, so a flat map
   // is safe.
   std::unordered_map<Sha256Digest, std::vector<ShardId>, DigestHash>

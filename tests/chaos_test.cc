@@ -98,6 +98,7 @@ TEST(ChaosGolden, TraceHashesMatchPinnedSchedules) {
     ChaosStack stack;
     uint64_t seed;
     uint64_t trace_hash;
+    bool firewall = false;
   };
   // Expanded to 5 seeds x 3 stacks by the protocol hot-path overhaul
   // (timer wheel, Paxos slot flattening, signable memoization). Every
@@ -125,6 +126,13 @@ TEST(ChaosGolden, TraceHashesMatchPinnedSchedules) {
   // now pin its requests too, and the relay watchdog no longer reads a
   // pin as proof of a live primary (pbft/12 and paxos/2 exercise both).
   // The Fabric pins did not move.
+  // The two `firewall` rows run separated execution behind the privacy
+  // firewall with ChaosFirewall's overrides (Byzantine executor, intra-
+  // shard cross-enterprise traffic): seed 11 is flattened, seed 12
+  // coordinator-based. Chaos plans crash only ordering nodes, so these
+  // guard the ordering side of the firewall path — the push to
+  // execution, cross-instance settling and the ordering-side state
+  // server — which no benign row exercises.
   static const Golden kGolden[] = {
       {ChaosStack::kQanaatPbft, 2u, 0xf18db696d67b8197ULL},
       {ChaosStack::kQanaatPbft, 3u, 0x316cc6a6c2c8607bULL},
@@ -141,11 +149,20 @@ TEST(ChaosGolden, TraceHashesMatchPinnedSchedules) {
       {ChaosStack::kFabric, 5u, 0xebc0767ebf79ecc1ULL},
       {ChaosStack::kFabric, 7u, 0x9c004389bab0a364ULL},
       {ChaosStack::kFabric, 12u, 0x1cb437fd7f974f07ULL},
+      {ChaosStack::kQanaatPbft, 11u, 0x4ba3255b43dab011ULL, true},
+      {ChaosStack::kQanaatPbft, 12u, 0x93d5d954e98bfb3bULL, true},
   };
   for (const Golden& g : kGolden) {
-    ChaosReport r = RunChaos(CorpusOptions(g.stack, g.seed));
+    ChaosOptions o = CorpusOptions(g.stack, g.seed);
+    if (g.firewall) {
+      o.use_firewall = true;
+      o.byzantine_executor = true;
+      o.cross_kind = CrossKind::kIntraShardCrossEnterprise;
+    }
+    ChaosReport r = RunChaos(o);
     EXPECT_EQ(r.trace_hash, g.trace_hash)
         << ChaosStackName(g.stack) << " seed " << g.seed
+        << (g.firewall ? " (firewall)" : "")
         << " diverged from the pinned schedule";
     EXPECT_TRUE(r.safety.ok());
   }

@@ -2,16 +2,20 @@
 // contract, piece by piece — certified checkpoints garbage-collect only
 // once stable, tampered certificates are rejected, recovered replicas
 // converge to byte-identical state on every stack, state transfer is
-// served by non-primary peers, and Fabric peers catch up across lossy
-// block delivery. The random chaos corpus (chaos_test.cc) exercises the
-// same machinery under arbitrary schedules; these tests pin down each
-// mechanism in isolation.
+// served by non-primary peers, the one state-transfer server chunks its
+// replies as both catch-up paths expect, and Fabric peers catch up
+// across lossy block delivery. The random chaos corpus (chaos_test.cc)
+// exercises the same machinery under arbitrary schedules; these tests pin
+// down each mechanism in isolation.
 
 #include <gtest/gtest.h>
+
+#include <numeric>
 
 #include "consensus/paxos.h"
 #include "consensus/pbft.h"
 #include "harness/chaos.h"
+#include "protocols/cross_messages.h"
 #include "sim/faults.h"
 
 namespace qanaat {
@@ -288,6 +292,149 @@ TEST(StateTransferTest, ServedEntirelyByNonPrimaryPeers) {
   EXPECT_TRUE(st.ok()) << st.ToString();
   EXPECT_GT(rs.sys->env().metrics.Get("order.state_block_installed"), 0u);
   EXPECT_GT(rs.client->accepted(), 100u);
+}
+
+// ------------------------------------------ state-reply chunking policy
+
+/// An executor core holding two chains of shard 0 — the enterprise-local
+/// collection and the shared root — for driving the one state-transfer
+/// server (BuildStateReply) directly. Every block carries one transaction
+/// and a single-signature certificate.
+struct ReplyFixture {
+  ReplyFixture() : env(5), model(2), core(&env, &model, 0, 0) {
+    EXPECT_TRUE(model.AddWorkflow(EnterpriseSet::All(2)).ok());
+  }
+
+  /// Submits block `n` of chain `c`: it commits, or waits behind a gap.
+  void Commit(const CollectionId& c, SeqNo n) {
+    auto b = std::make_shared<Block>();
+    b->id.alpha = {c, 0, n};
+    Transaction tx;
+    tx.collection = c;
+    tx.shards = {0};
+    tx.client_ts = n;
+    tx.ops.push_back(TxOp{TxOp::Kind::kWrite, 1, static_cast<int64_t>(n), {}});
+    b->txs.push_back(tx);
+    b->Seal();
+    CommitCertificate cert;
+    cert.block_digest = b->Digest();
+    cert.direct = true;
+    cert.sigs.push_back(env.keystore.Sign(0, cert.block_digest));
+    ASSERT_TRUE(core.Submit(b, cert, b->id.alpha, {}, nullptr).ok());
+  }
+  void CommitChain(const CollectionId& c, SeqNo len) {
+    for (SeqNo n = 1; n <= len; ++n) Commit(c, n);
+  }
+
+  Env env;
+  DataModel model;
+  ExecutorCore core;
+  CollectionId local{EnterpriseSet::Single(0)};
+  CollectionId root{EnterpriseSet::All(2)};
+};
+
+std::vector<SeqNo> ServedHeights(const StateReplyMsg& rep,
+                                 const CollectionId& c) {
+  std::vector<SeqNo> out;
+  for (const auto& e : rep.entries) {
+    if (e.alpha.collection == c) out.push_back(e.alpha.n);
+  }
+  return out;
+}
+
+TEST(StateReplyTest, RoundRobinAcrossChainsUpToTheCap) {
+  ReplyFixture fx;
+  fx.CommitChain(fx.local, 300);
+  fx.CommitChain(fx.root, 3);
+  StateRequestMsg req;  // a requester holding nothing
+  auto rep = BuildStateReply(fx.core, req, nullptr);
+  ASSERT_NE(rep, nullptr);
+  ASSERT_EQ(rep->entries.size(), 256u);
+  // The short chain is served in full, inside the first three rounds,
+  // next to the long one; the long chain fills the rest of the cap.
+  EXPECT_EQ(ServedHeights(*rep, fx.root), (std::vector<SeqNo>{1, 2, 3}));
+  for (size_t i = 6; i < rep->entries.size(); ++i) {
+    EXPECT_EQ(rep->entries[i].alpha.collection, fx.local) << "entry " << i;
+  }
+  std::vector<SeqNo> first(253);
+  std::iota(first.begin(), first.end(), SeqNo{1});
+  EXPECT_EQ(ServedHeights(*rep, fx.local), first);
+
+  // The next round starts at the requester's advanced heads.
+  req.heads = {{fx.local, 0, 290}, {fx.root, 0, 3}};
+  rep = BuildStateReply(fx.core, req, nullptr);
+  ASSERT_NE(rep, nullptr);
+  std::vector<SeqNo> rest(10);
+  std::iota(rest.begin(), rest.end(), SeqNo{291});
+  EXPECT_EQ(ServedHeights(*rep, fx.local), rest);
+  EXPECT_TRUE(ServedHeights(*rep, fx.root).empty());
+}
+
+TEST(StateReplyTest, PendingTailAboveTheRequesterHeadsTravels) {
+  ReplyFixture fx;
+  fx.CommitChain(fx.local, 2);
+  fx.Commit(fx.local, 4);  // certified, but waits on the missing block 3
+  fx.Commit(fx.local, 5);
+  ASSERT_EQ(fx.core.pending_blocks(), 2u);
+  StateRequestMsg req;
+  req.heads = {{fx.local, 0, 2}};
+  auto rep = BuildStateReply(fx.core, req, nullptr);
+  ASSERT_NE(rep, nullptr);
+  EXPECT_EQ(ServedHeights(*rep, fx.local), (std::vector<SeqNo>{4, 5}));
+  req.heads = {{fx.local, 0, 4}};
+  rep = BuildStateReply(fx.core, req, nullptr);
+  ASSERT_NE(rep, nullptr);
+  EXPECT_EQ(ServedHeights(*rep, fx.local), (std::vector<SeqNo>{5}));
+}
+
+TEST(StateReplyTest, NothingWhenTheRequesterLacksNothing) {
+  ReplyFixture fx;
+  fx.CommitChain(fx.local, 3);
+  fx.Commit(fx.local, 5);
+  StateRequestMsg req;
+  req.heads = {{fx.local, 0, 5}};
+  // Executors pull with the max frontier and serve no checkpoint.
+  req.frontier = UINT64_MAX;
+  EXPECT_EQ(BuildStateReply(fx.core, req, nullptr), nullptr);
+  // An ordering node's checkpoint alone earns a reply only when it lies
+  // above the requester's consensus frontier.
+  CheckpointCertificate ckpt;
+  ckpt.slot = 64;
+  req.frontier = 64;
+  EXPECT_EQ(BuildStateReply(fx.core, req, &ckpt), nullptr);
+  req.frontier = 63;
+  auto rep = BuildStateReply(fx.core, req, &ckpt);
+  ASSERT_NE(rep, nullptr);
+  EXPECT_TRUE(rep->entries.empty());
+  EXPECT_EQ(rep->ckpt.slot, 64u);
+  // The requester side reports exactly the heads the server compares.
+  EXPECT_EQ(ChainHeadsOf(fx.core).size(), 1u);
+  EXPECT_EQ(ChainHeadsOf(fx.core).front().head, 3u);
+}
+
+TEST(StateReplyTest, WireBytesChargeEntriesAndOnlyAPassedCheckpoint) {
+  ReplyFixture fx;
+  fx.CommitChain(fx.local, 2);
+  fx.CommitChain(fx.root, 1);
+  StateRequestMsg req;
+  req.requester = NodeId{42};
+  auto rep = BuildStateReply(fx.core, req, nullptr);
+  ASSERT_NE(rep, nullptr);
+  ASSERT_EQ(rep->entries.size(), 3u);
+  uint64_t bytes = 64;
+  size_t verify_ops = 0;
+  for (const auto& e : rep->entries) {
+    bytes += 64 + e.block->WireSize() + e.cert.WireSize();
+    verify_ops += e.cert.sigs.size();
+  }
+  EXPECT_EQ(rep->wire_bytes, bytes);
+  EXPECT_EQ(rep->sig_verify_ops, verify_ops);
+  EXPECT_EQ(rep->requester, NodeId{42});
+  // An ordering node's stable checkpoint is charged even when empty.
+  CheckpointCertificate empty;
+  auto charged = BuildStateReply(fx.core, req, &empty);
+  ASSERT_NE(charged, nullptr);
+  EXPECT_EQ(charged->wire_bytes, bytes + empty.WireSize());
 }
 
 // --------------------- §4.3.5 rivalry settlement (former ROADMAP gap)
