@@ -1,5 +1,5 @@
-// Ablations beyond the paper's figures (DESIGN.md §6): the effect of the
-// design choices Qanaat makes.
+// Ablations beyond the paper's figures: the effect of the design choices
+// Qanaat makes.
 //   (a) batch size — throughput/latency trade-off of block batching;
 //   (b) firewall depth h — confidentiality redundancy vs. cost;
 //   (c) γ capture — the consistency violations a naive per-collection
@@ -101,7 +101,7 @@ static void GammaCaptureAblation() {
 }
 
 int main() {
-  std::printf("Ablations (DESIGN.md §6)\n\n");
+  std::printf("Ablations\n\n");
   BatchSizeAblation();
   FirewallDepthAblation();
   GammaCaptureAblation();

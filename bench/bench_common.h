@@ -118,12 +118,6 @@ inline void PrintJsonPoint(const char* bench, const char* system,
       p.avg_latency_ms, p.p99_latency_ms);
 }
 
-inline void PrintKneeRow(const char* name, const SweepResult& r) {
-  std::printf("%-12s knee: %8.0f tps @ %7.2f ms (p99 %7.2f ms)\n", name,
-              r.knee.measured_tps, r.knee.avg_latency_ms,
-              r.knee.p99_latency_ms);
-}
-
 /// Shared driver for Figures 7, 8 and 9: one subfigure per cross-cluster
 /// fraction in {10%, 50%, 90%}, all Qanaat series (+ optionally the
 /// Fabric family).

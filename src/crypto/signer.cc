@@ -18,7 +18,7 @@ Signature KeyStore::SignWithDomain(NodeId i, uint64_t domain,
   // The tag is a keyed PRF over the 256-bit digest: two lanes of chained
   // SplitMix64 finalizers, keyed by (seed, domain, signer). This replaced
   // an inner SHA-256 — sign/verify dominated the sim-core wall clock —
-  // and the substitution argument of DESIGN.md §2 is unchanged:
+  // and the substitution argument (README) is unchanged:
   // unforgeability against the *simulated* adversary holds because
   // protocol code never computes tags itself (secret keys never leave
   // the KeyStore; Byzantine models use Forge(), which never verifies).

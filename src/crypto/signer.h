@@ -14,12 +14,11 @@ namespace qanaat {
 
 /// A signature over a digest by one node, ⟨m⟩_σi in the paper's notation.
 ///
-/// Substitution note (see DESIGN.md §2): instead of ECDSA over a PKI we use
-/// a deterministic keyed digest, tag = SHA-256(secret_key(i) ‖ digest)
-/// truncated to 16 bytes. Unforgeability holds against the simulated
-/// adversary because secret keys never leave the KeyStore; protocol code
-/// only ever observes sign/verify outcomes, exactly as with real
-/// signatures.
+/// Substitution note (see README "Substitution argument"): instead of
+/// ECDSA over a PKI the tag is a 16-byte keyed PRF over the digest.
+/// Unforgeability holds against the simulated adversary because secret
+/// keys never leave the KeyStore; protocol code only ever observes
+/// sign/verify outcomes, exactly as with real signatures.
 struct Signature {
   NodeId signer = kInvalidNode;
   uint64_t tag_lo = 0;

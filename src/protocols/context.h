@@ -35,6 +35,9 @@ struct ClusterConfig {
 
   bool HasFirewall() const { return !filter_rows.empty(); }
   bool SeparatedExecution() const { return !execution.empty(); }
+  bool IsOrderingNode(NodeId n) const {
+    return std::find(ordering.begin(), ordering.end(), n) != ordering.end();
+  }
   bool IsExecutionNode(NodeId n) const {
     return std::find(execution.begin(), execution.end(), n) != execution.end();
   }

@@ -100,8 +100,10 @@ void OrderingNode::OnXOrderDecided(uint64_t slot, const ConsensusValue& v) {
 
 void OrderingNode::HandleXPrepare(NodeId from, const XPrepareMsg& m) {
   const ClusterConfig& coord = dir_->Cluster(m.coord_cluster);
-  // Validate provenance: a cluster-signed message from the coordinator.
-  if (m.coord_cert.block_digest != m.block_digest ||
+  // Validate provenance: a cluster-signed message from the coordinator,
+  // carrying a block (the wire admits a missing or empty one).
+  if (m.block == nullptr || m.block->txs.empty() ||
+      m.coord_cert.block_digest != m.block_digest ||
       m.block->Digest() != m.block_digest ||
       !m.coord_cert.ValidFrom(env()->keystore, dir_->params.CertQuorum(),
                               coord.ordering)) {

@@ -36,10 +36,10 @@ void OrderingNode::SendFPropose(const XState& xs) {
 void OrderingNode::HandleFPropose(NodeId from, const FProposeMsg& m) {
   const ClusterConfig& init = dir_->Cluster(m.initiator_cluster);
   // Provenance: signed by a member of the initiator cluster (the primary
-  // may have changed; membership is what a remote node can check).
-  if (std::find(init.ordering.begin(), init.ordering.end(), from) ==
-          init.ordering.end() ||
-      m.sig.signer != from ||
+  // may have changed; membership is what a remote node can check). The
+  // block is checked first: the wire admits a missing or empty one.
+  if (m.block == nullptr || m.block->txs.empty() ||
+      !init.IsOrderingNode(from) || m.sig.signer != from ||
       !env()->keystore.Verify(m.sig, m.block_digest) ||
       m.block->Digest() != m.block_digest) {
     env()->metrics.Inc("cross.bad_propose");
@@ -268,9 +268,7 @@ void OrderingNode::ResendCrossVotes(XState& xs) {
 void OrderingNode::HandleFAccept(NodeId from, const FAcceptMsg& m) {
   if (IsRetired(m.block_digest)) return;  // a late vote
   const ClusterConfig& sender = dir_->Cluster(m.from_cluster);
-  if (std::find(sender.ordering.begin(), sender.ordering.end(), from) ==
-          sender.ordering.end() ||
-      m.sig.signer != from ||
+  if (!sender.IsOrderingNode(from) || m.sig.signer != from ||
       !env()->keystore.Verify(m.sig,
                               FAcceptMsg::Signable(m.block_digest))) {
     env()->metrics.Inc("cross.bad_accept");
@@ -369,9 +367,7 @@ void OrderingNode::MaybeSendFCommit(XState& xs) {
 void OrderingNode::HandleFCommit(NodeId from, const FCommitMsg& m) {
   if (IsRetired(m.block_digest)) return;  // a late vote
   const ClusterConfig& sender = dir_->Cluster(m.from_cluster);
-  if (std::find(sender.ordering.begin(), sender.ordering.end(), from) ==
-          sender.ordering.end() ||
-      m.sig.signer != from ||
+  if (!sender.IsOrderingNode(from) || m.sig.signer != from ||
       !env()->keystore.Verify(m.sig, m.block_digest)) {
     env()->metrics.Inc("cross.bad_fcommit");
     return;
@@ -445,14 +441,10 @@ void OrderingNode::MaybeFCommitDone(XState& xs) {
     size_t best = 0;
     const ShardAssignment* winner = nullptr;
     for (const auto& [n, variant] : av->second) {
-      const std::vector<NodeId>& assigner =
-          dir_->Cluster(variant.first.cluster).ordering;
+      const ClusterConfig& assigner = dir_->Cluster(variant.first.cluster);
       size_t backing = 0;
       for (NodeId v : variant.second) {
-        if (std::find(assigner.begin(), assigner.end(), v) !=
-            assigner.end()) {
-          ++backing;
-        }
+        if (assigner.IsOrderingNode(v)) ++backing;
       }
       if (backing >= dir_->params.LocalMajority() && backing > best) {
         best = backing;

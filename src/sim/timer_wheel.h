@@ -12,23 +12,24 @@ namespace qanaat {
 
 class Actor;
 
-/// Hierarchical timing wheel for the simulator's tagged events — actor
+/// Hierarchical timing wheel holding the simulator's events — actor
 /// timers (the dominant schedule churn: engine slot watchdogs, batcher
-/// deadlines, fill/checkpoint timers) plus message delivery and handler
-/// completion, whose horizons are transport latencies and CPU queues.
-/// Insertion is O(1) — bucket index arithmetic plus a push_back — where
-/// the binary heap paid O(log n) sift cost per event against a heap full
-/// of long-lived timers that mostly never fire.
+/// deadlines, fill/checkpoint timers), message delivery and handler
+/// completion, whose horizons are transport latencies and CPU queues,
+/// and the harness's generic closures. Insertion is O(1) — bucket index
+/// arithmetic plus a push_back — where a binary heap pays O(log n) sift
+/// cost per event against a queue full of long-lived timers that mostly
+/// never fire.
 ///
 /// Three levels of 256 slots cover deltas up to ~16.7 simulated seconds
 /// (1 µs, 256 µs and 65536 µs of span per slot respectively); the
-/// Simulator spills rarer far-future events to its 4-ary heap.
+/// Simulator keeps the rare farther events in a small overflow store.
 ///
 /// Determinism contract: the wheel pops entries in exactly the global
-/// (time, seq) order the heap would have used — Min() reports the
-/// lexicographically smallest (when, seq) so the Simulator can merge
-/// wheel events against heap events tie-break-identically, keeping every
-/// golden per-seed trace hash unchanged.
+/// (time, seq) order — Min() reports the lexicographically smallest
+/// (when, seq) so the Simulator can merge wheel events against overflow
+/// events tie-break-identically, keeping every golden per-seed trace
+/// hash unchanged.
 ///
 /// Level-l slots are unambiguous time buckets because all pending
 /// entries satisfy now <= when < now + 256^(l+1): an entry is placed at
@@ -48,12 +49,13 @@ class Actor;
 /// emptied buffer costs a malloc/free pair per slot visit.
 class TimerWheel {
  public:
-  enum class Kind : uint8_t { kTimer = 0, kDeliver, kHandle };
+  enum class Kind : uint8_t { kTimer = 0, kDeliver, kHandle, kClosure };
 
-  /// Field use per kind:
-  ///   kTimer   — a = tag, b = payload;
-  ///   kDeliver — a = arrival time, b = sender, msg;
-  ///   kHandle  — b = sender, msg.
+  /// The simulator's one event record. Field use per kind:
+  ///   kTimer   — actor, epoch, a = tag, b = payload;
+  ///   kDeliver — actor, epoch, b = sender, msg (arrival time = when);
+  ///   kHandle  — actor, epoch, b = sender, msg;
+  ///   kClosure — a = index into the Simulator's closure pool.
   struct Entry {
     SimTime when = 0;
     uint64_t seq = 0;
@@ -68,7 +70,7 @@ class TimerWheel {
   static constexpr int kLevels = 3;
   static constexpr int kSlotBits = 8;
   static constexpr int kSlots = 1 << kSlotBits;
-  /// Deltas at or beyond this must go to the overflow heap.
+  /// Deltas at or beyond this must go to the overflow store.
   static constexpr SimTime kHorizon = SimTime{1}
                                       << (kSlotBits * kLevels);  // ~16.7 s
   /// Largest buffer (in entries, ~4.6 KB) an emptied slot keeps.
@@ -80,13 +82,20 @@ class TimerWheel {
   bool empty() const { return count_ == 0; }
   size_t size() const { return count_; }
 
-  /// Inserts an entry with now <= e.when < now + kHorizon. `e.seq` must
-  /// exceed every previously issued sequence number (the Simulator's
-  /// global counter guarantees it).
-  void Insert(SimTime now, Entry e) {
-    if (cache_valid_ && e.when < cache_when_) cache_valid_ = false;
-    Place(e.when - now, std::move(e));
+  /// Files a new entry at (when, seq), now <= when < now + kHorizon, and
+  /// returns it for the caller to fill in before the next wheel call.
+  /// `seq` must exceed every previously issued sequence number (the
+  /// Simulator's global counter guarantees it). Filling in place keeps
+  /// Entry temporaries off the schedule paths: an Entry handed through a
+  /// shared insert helper stayed on the stack under GCC 12, ~4% of the
+  /// timer storm's CPU time.
+  Entry& Emplace(SimTime now, SimTime when, uint64_t seq) {
+    if (cache_valid_ && when < cache_when_) cache_valid_ = false;
     ++count_;
+    Entry& e = SlotFor(when - now, when, seq).emplace_back();
+    e.when = when;
+    e.seq = seq;
+    return e;
   }
 
   /// Earliest pending (when, seq); false when empty. `now` is the
@@ -109,24 +118,28 @@ class TimerWheel {
     return slots_[(level << kSlotBits) + idx];
   }
 
-  void Place(SimTime delta, Entry e) {
+  /// The slot an entry (when, seq) at `delta` from now belongs to, marked
+  /// occupied; the caller appends the entry.
+  std::vector<Entry>& SlotFor(SimTime delta, SimTime when, uint64_t seq) {
     int level = delta < (SimTime{1} << kSlotBits)
                     ? 0
                     : delta < (SimTime{1} << (2 * kSlotBits)) ? 1 : 2;
-    int idx =
-        static_cast<int>(e.when >> (kSlotBits * level)) & (kSlots - 1);
+    int idx = static_cast<int>(when >> (kSlotBits * level)) & (kSlots - 1);
     std::vector<Entry>& v = Slot(level, idx);
     // Per-slot min, kept O(1): entries only ever leave a slot via a
     // whole-slot drain or cascade, so the min never needs a rescan.
     SlotMinKey& m = slot_min_[(level << kSlotBits) + idx];
-    if (v.empty() || e.when < m.when ||
-        (e.when == m.when && e.seq < m.seq)) {
-      m.when = e.when;
-      m.seq = e.seq;
+    if (v.empty() || when < m.when || (when == m.when && seq < m.seq)) {
+      m.when = when;
+      m.seq = seq;
     }
-    v.push_back(std::move(e));
     bits_[level][idx >> 6] |= uint64_t{1} << (idx & 63);
     ++level_count_[level];
+    return v;
+  }
+
+  void Place(SimTime delta, Entry e) {
+    SlotFor(delta, e.when, e.seq).push_back(std::move(e));
   }
 
   /// First occupied slot of `level` in circular order from `start`;

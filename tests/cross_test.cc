@@ -5,7 +5,9 @@
 // whose committed blocks sit deferred (the routine out-of-order commits of
 // cross-shard ordering) holds fresh requests until it catches up. Also the
 // cross-instance lifecycle: a finished instance is retired to its outcome
-// record, which still answers commit queries and ignores late votes.
+// record, which still answers commit queries and ignores late votes. Also
+// cross proposals whose block is missing or empty, which the wire codec
+// admits: they are rejected before anything reads the block.
 
 #include <gtest/gtest.h>
 
@@ -525,9 +527,8 @@ class DrainedCrossRun {
   /// The cluster whose ordering nodes signed `cert`.
   int SignerCluster(const CommitCertificate& cert) {
     for (int c = 0; c < sys_.cluster_count(); ++c) {
-      const auto& ord = sys_.directory().Cluster(c).ordering;
-      if (std::find(ord.begin(), ord.end(), cert.sigs.front().signer) !=
-          ord.end()) {
+      if (sys_.directory().Cluster(c).IsOrderingNode(
+              cert.sigs.front().signer)) {
         return c;
       }
     }
@@ -716,6 +717,55 @@ TEST(CrossRetireTest, ForgedVotesForAnUnknownDigestAllocateNothing) {
   EXPECT_EQ(run.node()->live_cross_instances(), 0u);
   EXPECT_EQ(run.Metric("cross.bad_accept"), 2u);
   EXPECT_EQ(run.Metric("cross.bad_fcommit"), 1u);
+}
+
+// ------------------------------ proposals without a usable block
+
+/// An FPropose that passes every provenance check — sent and signed by a
+/// member of the initiator cluster — but carries `block`, which may be
+/// missing or empty.
+MessageRef SignedFPropose(DrainedCrossRun& run, BlockPtr block,
+                          const Sha256Digest& digest) {
+  auto prop = std::make_shared<FProposeMsg>();
+  prop->initiator_cluster = 0;
+  prop->block = std::move(block);
+  prop->block_digest = digest;
+  prop->sig = run.sys().env().keystore.Sign(run.peer(), digest);
+  return prop;
+}
+
+TEST(CrossProposalTest, SignedFProposeWithAnEmptyBlockIsRejected) {
+  DrainedCrossRun run(ProtocolFamily::kFlattened);
+  auto empty = std::make_shared<Block>();
+  empty->Seal();
+  const uint64_t bad = run.Metric("cross.bad_propose");
+  run.Deliver(run.peer(), SignedFPropose(run, empty, empty->Digest()));
+  EXPECT_EQ(run.Metric("cross.bad_propose"), bad + 1);
+  EXPECT_EQ(run.node()->live_cross_instances(), 0u);
+}
+
+TEST(CrossProposalTest, SignedFProposeWithoutABlockIsRejected) {
+  DrainedCrossRun run(ProtocolFamily::kFlattened);
+  const Sha256Digest d = Sha256::Hash(std::string("no block"));
+  const uint64_t bad = run.Metric("cross.bad_propose");
+  run.Deliver(run.peer(), SignedFPropose(run, nullptr, d));
+  EXPECT_EQ(run.Metric("cross.bad_propose"), bad + 1);
+  EXPECT_EQ(run.node()->live_cross_instances(), 0u);
+}
+
+TEST(CrossProposalTest, UnsignedXPrepareWithoutABlockIsRejected) {
+  // Sent by a client: the certificate names the digest but carries no
+  // signature, and the block check must come before any use of it.
+  DrainedCrossRun run(ProtocolFamily::kCoordinator);
+  const Sha256Digest d = Sha256::Hash(std::string("no block"));
+  auto prep = std::make_shared<XPrepareMsg>();
+  prep->coord_cluster = 0;
+  prep->block_digest = d;
+  prep->coord_cert.block_digest = d;
+  const uint64_t bad = run.Metric("cross.bad_prepare");
+  run.Deliver(run.stub().id(), prep);
+  EXPECT_EQ(run.Metric("cross.bad_prepare"), bad + 1);
+  EXPECT_EQ(run.node()->live_cross_instances(), 0u);
 }
 
 }  // namespace

@@ -52,9 +52,9 @@ TEST(SimulatorTest, EventsCanScheduleEvents) {
 }
 
 TEST(SimulatorTest, PooledEventsPreserveOrderAcrossPoolReuse) {
-  // The tagged event queue recycles pool slots after each executed
-  // event. (time, insertion-seq) ordering must survive reuse: a second
-  // wave of same-time events, landing in slots freed by the first wave,
+  // The simulator recycles closure-pool slots after each executed
+  // closure. (time, insertion-seq) ordering must survive reuse: a second
+  // wave of same-time closures, landing in slots freed by the first wave,
   // still executes in exact insertion order.
   Simulator sim;
   std::vector<int> order;
@@ -64,7 +64,7 @@ TEST(SimulatorTest, PooledEventsPreserveOrderAcrossPoolReuse) {
   sim.RunAll();
   // Second wave, alternating between two times: ties break by insertion
   // order, and every time-7 event runs before every time-8 event even
-  // though their pool slots interleave.
+  // though their closure-pool slots interleave.
   for (int i = 16; i < 32; ++i) {
     sim.Schedule(i % 2 == 0 ? 7 : 8, [&order, i] { order.push_back(i); });
   }
@@ -262,21 +262,36 @@ TEST(NetworkTest, DeterministicAcrossRuns) {
 
 class TimerActor : public Actor {
  public:
+  /// Tags under which a message delivery and a LogClosure() closure are
+  /// logged in `fired` (timers log their own tag).
+  static constexpr uint64_t kDelivered = 0;
+  static constexpr uint64_t kClosureRan = 2;
+
   explicit TimerActor(Env* env) : Actor(env, "timer") {}
   void OnMessage(NodeId, const MessageRef&) override {}
   void OnTimer(uint64_t tag, uint64_t payload) override {
     fired.emplace_back(tag, payload);
   }
+  /// Runs as a delivery reaches the actor, before CPU queueing: logs the
+  /// delivery event itself among the timers.
+  SimTime CostOf(const Message& msg) const override {
+    fired.emplace_back(kDelivered, 0);
+    return Actor::CostOf(msg);
+  }
   void Arm(SimTime d, uint64_t tag, uint64_t payload) {
     StartTimer(d, tag, payload);
   }
-  std::vector<std::pair<uint64_t, uint64_t>> fired;
+  /// A closure that logs `id` in `fired` when it runs.
+  Simulator::Callback LogClosure(uint64_t id) {
+    return [this, id] { fired.emplace_back(kClosureRan, id); };
+  }
+  mutable std::vector<std::pair<uint64_t, uint64_t>> fired;
 };
 
 TEST(ActorTimerTest, TaggedTimersPreserveArmingOrderAcrossPoolReuse) {
-  // Actor timers ride the pooled tagged-event path; ties on the same
-  // firing time must keep arming order, including for timers armed after
-  // earlier events freed their pool slots.
+  // Actor timers ride the timer wheel; ties on the same firing time must
+  // keep arming order, including for timers armed after earlier ones
+  // drained their wheel slot.
   NetFixture f;
   TimerActor t(&f.env);
   for (uint64_t i = 0; i < 8; ++i) t.Arm(50, 1, i);
@@ -462,54 +477,62 @@ TEST(NetworkTest, LinkFaultDropIsPerLink) {
 
 // ------------------------------------------- hierarchical timer wheel
 
-TEST(TimerWheelTest, SameTickOrderAcrossWheelHeapSpillBoundary) {
-  // A timer beyond the wheel horizon spills to the 4-ary heap; a timer
-  // armed later for the SAME tick lands in the wheel. The merge loop
-  // must still fire them in global arming (seq) order, and closures
-  // scheduled for that tick interleave by seq too.
+TEST(TimerWheelTest, SameTickOrderAcrossWheelOverflowSpillBoundary) {
+  // A timer, a closure and a message delivery beyond the wheel horizon
+  // wait in the overflow store; a timer and a closure scheduled later for
+  // the SAME tick land in the wheel. The run loop must fire all of them
+  // in global scheduling (seq) order.
   NetFixture f;
+  f.env.costs.jitter_us = 0;
   TimerActor t(&f.env);
-  const SimTime kTick = TimerWheel::kHorizon + 100;
-  t.Arm(kTick, 1, 100);               // beyond horizon: heap spill
-  std::vector<int> closure_pos;
-  f.env.sim.Schedule(TimerWheel::kHorizon, [] {});  // advance the clock
-  f.env.sim.Run(TimerWheel::kHorizon);
-  t.Arm(100, 1, 200);                 // same tick, now within the wheel
-  f.env.sim.ScheduleAt(kTick, [&] {
-    closure_pos.push_back(static_cast<int>(t.fired.size()));
-  });
-  t.Arm(100, 1, 300);                 // armed after the closure
+  EchoActor sender(&f.env, 0);
+  const SimTime kTick = TimerWheel::kHorizon + 1000;
+  // Beyond the horizon: these three wait in the overflow store.
+  t.Arm(kTick, 1, 100);
+  f.env.sim.ScheduleAt(kTick, t.LogClosure(150));
+  Network::LinkFault lf;
+  lf.extra_delay_us = kTick - f.env.costs.lan_latency_us;
+  ASSERT_GE(lf.extra_delay_us, TimerWheel::kHorizon);
+  f.net.SetLinkFault(sender.id(), t.id(), lf);
+  auto msg = std::make_shared<Message>(MsgType::kRequest);
+  msg->sig_verify_ops = 0;
+  msg->wire_bytes = 0;  // no transmission delay: arrives at kTick
+  f.net.Send(sender.id(), t.id(), msg);
+  f.env.sim.Schedule(kTick - 100, [] {});  // advance the clock
+  f.env.sim.Run(kTick - 100);
+  // The same tick, now within the wheel.
+  t.Arm(100, 1, 200);
+  f.env.sim.ScheduleAt(kTick, t.LogClosure(250));
+  t.Arm(100, 1, 300);
   f.env.sim.RunAll();
-  ASSERT_EQ(t.fired.size(), 3u);
-  EXPECT_EQ(t.fired[0].second, 100u);  // heap-spilled timer first (seq)
-  EXPECT_EQ(t.fired[1].second, 200u);
-  EXPECT_EQ(t.fired[2].second, 300u);
-  // The closure was scheduled between the 200 and 300 arms: it must run
-  // after two timers fired and before the third.
-  ASSERT_EQ(closure_pos.size(), 1u);
-  EXPECT_EQ(closure_pos[0], 2);
+  const std::vector<std::pair<uint64_t, uint64_t>> expect = {
+      {1, 100}, {TimerActor::kClosureRan, 150}, {TimerActor::kDelivered, 0},
+      {1, 200}, {TimerActor::kClosureRan, 250}, {1, 300}};
+  EXPECT_EQ(t.fired, expect);
 }
 
 TEST(TimerWheelTest, SameTickMergesAcrossWheelLevels) {
   // Entries for one tick can sit at different wheel levels depending on
-  // how far ahead they were armed (level 2 for a 70 ms delta, level 1
-  // for 1 ms, level 0 for 100 us). The drain must merge them back into
-  // exact arming order.
+  // how far ahead they were scheduled (level 2 for a 70 ms delta, level 1
+  // for 1 ms, level 0 for 100 us); closures cascade like timers. The
+  // drain must merge them back into exact scheduling order.
   NetFixture f;
   TimerActor t(&f.env);
   const SimTime kTick = 70000;
   t.Arm(kTick, 1, 1);  // delta 70000 -> level 2
+  f.env.sim.ScheduleAt(kTick, t.LogClosure(1));
   f.env.sim.Schedule(kTick - 1000, [] {});
   f.env.sim.Run(kTick - 1000);
-  t.Arm(1000, 1, 2);   // same tick, delta 1000 -> level 1
+  t.Arm(1000, 1, 2);  // same tick, delta 1000 -> level 1
+  f.env.sim.ScheduleAt(kTick, t.LogClosure(2));
   f.env.sim.Schedule(900, [] {});
   f.env.sim.Run(kTick - 100);
-  t.Arm(100, 1, 3);    // same tick, delta 100 -> level 0
+  t.Arm(100, 1, 3);  // same tick, delta 100 -> level 0
   f.env.sim.RunAll();
-  ASSERT_EQ(t.fired.size(), 3u);
-  EXPECT_EQ(t.fired[0].second, 1u);
-  EXPECT_EQ(t.fired[1].second, 2u);
-  EXPECT_EQ(t.fired[2].second, 3u);
+  const std::vector<std::pair<uint64_t, uint64_t>> expect = {
+      {1, 1}, {TimerActor::kClosureRan, 1}, {1, 2},
+      {TimerActor::kClosureRan, 2}, {1, 3}};
+  EXPECT_EQ(t.fired, expect);
 }
 
 TEST(TimerWheelTest, CancelledEpochTimersDieAndSlotsAreReusable) {
@@ -542,12 +565,7 @@ TEST(TimerWheelTest, StormDrainsInOrderAndEmptiedSlotsKeepSmallBuffers) {
   // burst's size into the rest of the run.
   TimerWheel wheel;
   uint64_t seq = 0;
-  auto insert = [&](SimTime when) {
-    TimerWheel::Entry e;
-    e.when = when;
-    e.seq = ++seq;
-    wheel.Insert(0, std::move(e));
-  };
+  auto insert = [&](SimTime when) { wheel.Emplace(0, when, ++seq); };
   constexpr int kPerSlot = 200;  // > 3 x kKeptSlotEntries
   for (int i = 0; i < kPerSlot; ++i) {
     for (SimTime slot = 1; slot <= 200; ++slot) {
