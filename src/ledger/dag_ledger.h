@@ -1,6 +1,7 @@
 #ifndef QANAAT_LEDGER_DAG_LEDGER_H_
 #define QANAAT_LEDGER_DAG_LEDGER_H_
 
+#include <deque>
 #include <map>
 #include <vector>
 
@@ -78,7 +79,10 @@ class DagLedger {
   static Status CheckGammaMonotone(const std::vector<GammaEntry>& earlier,
                                    const std::vector<GammaEntry>& later);
 
-  std::vector<Entry> entries_;
+  // Append-only and read by index. A deque grows a block at a time, so
+  // the ledger never carries a vector's doubling slack or holds two
+  // copies of itself mid-growth, and references to entries stay valid.
+  std::deque<Entry> entries_;
   std::map<ShardRef, std::vector<size_t>> chains_;  // per collection shard
   // Hot per-commit lookups: flat sorted-vector maps (see common/flat_map.h).
   FlatMap<ShardRef, SeqNo> heads_;

@@ -24,15 +24,14 @@ OrderingNode::OrderingNode(Env* env, const Directory* dir,
           },
           [this](const FlowKey& key, std::vector<Transaction> txs,
                  BatchClose why) { OnBatchClosed(key, std::move(txs), why); }) {
-  // The dedup tables sit on the per-request hot path. A modest seed
-  // reservation skips the first few growth rebuilds; further growth is
-  // amortized (each rebuild is a flat copy), which beats the old
-  // megabyte-scale up-front reservations — zeroing those dominated
+  // The two expiring dedup windows sit on the per-request hot path. A
+  // modest seed reservation skips the first few growth rebuilds; further
+  // growth is amortized (each rebuild is a flat copy), which beats the
+  // old megabyte-scale up-front reservations — zeroing those dominated
   // node construction and wrecked cache locality for the common small
-  // case.
+  // case. The committed record grows per client and needs none.
   seen_requests_.reserve(1 << 10);
   observed_requests_.reserve(1 << 10);
-  committed_requests_.reserve(1 << 10);
   EngineContext ctx;
   ctx.env = env;
   ctx.self = id();
@@ -677,7 +676,7 @@ void OrderingNode::CommitBlock(const BlockPtr& block, CommitCertificate cert,
                                std::vector<GammaEntry> gamma,
                                bool reply_from_here) {
   for (const Transaction& tx : block->txs) {
-    committed_requests_.Put({tx.client, tx.client_ts}, 0);
+    committed_requests_.Insert({tx.client, tx.client_ts});
   }
   // Track committed state for future γ captures.
   auto& st = state_[alpha.collection];
@@ -1209,7 +1208,7 @@ void OrderingNode::HandleStateRequest(NodeId from, const StateRequestMsg& m) {
 
 bool OrderingNode::InstallTransferredBlock(const StateReplyMsg::Entry& e) {
   for (const Transaction& tx : e.block->txs) {
-    committed_requests_.Put({tx.client, tx.client_ts}, 0);
+    committed_requests_.Insert({tx.client, tx.client_ts});
   }
   auto& st = state_[e.alpha.collection];
   st = std::max(st, e.alpha.n);

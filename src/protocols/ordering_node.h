@@ -423,7 +423,7 @@ class OrderingNode : public Actor {
   // preparing) can be retried by client retransmission instead of being
   // blacklisted forever; committed_requests_ is the permanent record.
   RequestTable observed_requests_;
-  RequestTable committed_requests_;
+  RequestSet committed_requests_;
   /// The one shared expiry predicate both dedup maps use.
   bool RecentlyIn(const RequestTable& m, const RequestId& id) const;
   bool ObservedRecently(const RequestId& id) const;

@@ -1,26 +1,27 @@
 #ifndef QANAAT_PROTOCOLS_REQUEST_TABLE_H_
 #define QANAAT_PROTOCOLS_REQUEST_TABLE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
+#include "common/flat_map.h"
 #include "common/rng.h"
 #include "common/types.h"
 
 namespace qanaat {
 
 /// Open-addressed flat map from request identity (client, client
-/// timestamp) to a timestamp — the shape of every per-request dedup
-/// record an ordering node keeps (intake, observation, permanent
-/// at-most-once). These tables are touched once or more per transaction
-/// per replica, where std::unordered_map paid a node allocation per
-/// insert and a pointer chase per lookup; here an entry is 24 contiguous
-/// bytes, inserts never allocate below the load cap, and the periodic
-/// expiry sweep rebuilds the table instead of unlinking entries one by
-/// one. Linear probing with power-of-two capacity and load factor <= 1/2
-/// keeps probe runs short; kInvalidNode marks an empty slot (no real
-/// client carries that id).
+/// timestamp) to a timestamp — the shape of an ordering node's two
+/// expiring per-request dedup windows (intake and observation). These
+/// tables are touched once or more per transaction per replica, where
+/// std::unordered_map paid a node allocation per insert and a pointer
+/// chase per lookup; here an entry is 24 contiguous bytes, inserts never
+/// allocate below the load cap, and the periodic expiry sweep rebuilds
+/// the table instead of unlinking entries one by one. Linear probing with
+/// power-of-two capacity and load factor <= 1/2 keeps probe runs short;
+/// kInvalidNode marks an empty slot (no real client carries that id).
 class RequestTable {
  private:
   struct Entry {
@@ -52,8 +53,6 @@ class RequestTable {
     const Entry& e = slots_[ProbeFor(id, slots_)];
     return e.client == kInvalidNode ? nullptr : &e.when;
   }
-
-  bool Contains(const RequestId& id) const { return Find(id) != nullptr; }
 
   /// Drops every entry with timestamp < horizon by rebuilding — O(n)
   /// once per expiry window, amortized against the per-entry unlink walk
@@ -113,6 +112,43 @@ class RequestTable {
   }
 
   std::vector<Entry> slots_;
+  size_t size_ = 0;
+};
+
+/// Set of request identities that never forgets: an ordering node's
+/// permanent at-most-once record of committed requests. It stores only
+/// the timestamps, each client's in one ascending vector, so a request
+/// costs 8 bytes plus vector slack. Clients issue timestamps in order and
+/// requests commit nearly in that order, so almost every insert is an
+/// append and the rest land a few places from the end. A watermark per
+/// client would not do: a client spreads its requests over clusters, so
+/// each node holds a sparse subsequence of its timestamps.
+class RequestSet {
+ public:
+  using RequestId = std::pair<NodeId, uint64_t>;
+
+  void Insert(const RequestId& id) {
+    std::vector<uint64_t>& ts = by_client_[id.first];
+    if (ts.empty() || ts.back() < id.second) {
+      ts.push_back(id.second);
+    } else {
+      auto it = std::lower_bound(ts.begin(), ts.end(), id.second);
+      if (*it == id.second) return;
+      ts.insert(it, id.second);
+    }
+    ++size_;
+  }
+
+  bool Contains(const RequestId& id) const {
+    const std::vector<uint64_t>* ts = by_client_.Find(id.first);
+    return ts != nullptr &&
+           std::binary_search(ts->begin(), ts->end(), id.second);
+  }
+
+  size_t size() const { return size_; }
+
+ private:
+  FlatMap<NodeId, std::vector<uint64_t>> by_client_;
   size_t size_ = 0;
 };
 

@@ -4,123 +4,93 @@
 
 namespace qanaat {
 
-uint32_t MvStore::FindChain(Key key) const {
+size_t MvStore::BucketOf(Key key) const {
   size_t mask = index_.size() - 1;
   size_t i = HashKey(key) & mask;
-  while (true) {
-    const auto& bucket = index_[i];
-    if (bucket.second == kNoChain) return kNoChain;
-    if (bucket.first == key) return bucket.second;
+  while (index_[i] != kEmptyBucket && latest_[index_[i]].key != key) {
     i = (i + 1) & mask;
   }
-}
-
-uint32_t MvStore::FindOrCreateChain(Key key) {
-  size_t mask = index_.size() - 1;
-  size_t i = HashKey(key) & mask;
-  while (true) {
-    auto& bucket = index_[i];
-    if (bucket.second == kNoChain) {
-      uint32_t idx = static_cast<uint32_t>(chains_.size());
-      chains_.emplace_back();
-      bucket = {key, idx};
-      // Keep the load factor under 1/2 so probe runs stay short.
-      if (chains_.size() * 2 > index_.size()) GrowIndex();
-      return idx;
-    }
-    if (bucket.first == key) return bucket.second;
-    i = (i + 1) & mask;
-  }
+  return i;
 }
 
 void MvStore::GrowIndex() {
-  std::vector<std::pair<Key, uint32_t>> bigger(index_.size() * 2,
-                                               {0, kNoChain});
+  std::vector<uint32_t> bigger(index_.size() * 2, kEmptyBucket);
   size_t mask = bigger.size() - 1;
-  for (const auto& bucket : index_) {
-    if (bucket.second == kNoChain) continue;
-    size_t i = HashKey(bucket.first) & mask;
-    while (bigger[i].second != kNoChain) i = (i + 1) & mask;
-    bigger[i] = bucket;
+  for (uint32_t pos : index_) {
+    if (pos == kEmptyBucket) continue;
+    size_t i = HashKey(latest_[pos].key) & mask;
+    while (bigger[i] != kEmptyBucket) i = (i + 1) & mask;
+    bigger[i] = pos;
   }
   index_.swap(bigger);
 }
 
 Status MvStore::Put(Key key, Value value, SeqNo version) {
-  auto& chain = chains_[FindOrCreateChain(key)];
-  if (!chain.empty() && chain.back().version > version) {
-    return Status::FailedPrecondition(
-        "version regression on key " + std::to_string(key) + ": " +
-        std::to_string(chain.back().version) + " -> " +
-        std::to_string(version));
-  }
-  if (!chain.empty() && chain.back().version == version) {
-    chain.back().value = value;  // last write in the same tx wins
+  uint32_t& pos = index_[BucketOf(key)];
+  if (pos == kEmptyBucket) {
+    pos = static_cast<uint32_t>(latest_.size());
+    latest_.push_back({key, version, value});
+    // Keep the load factor under 1/2 so probe runs stay short.
+    if (latest_.size() * 2 > index_.size()) GrowIndex();
   } else {
-    chain.push_back({version, value});
+    Latest& cur = latest_[pos];
+    if (cur.version > version) {
+      return Status::FailedPrecondition(
+          "version regression on key " + std::to_string(key) + ": " +
+          std::to_string(cur.version) + " -> " + std::to_string(version));
+    }
+    if (cur.version < version) {
+      superseded_[key].push_back({cur.version, cur.value});
+      cur.version = version;
+    }
+    cur.value = value;
   }
   latest_version_ = std::max(latest_version_, version);
   return Status::Ok();
 }
 
 StatusOr<MvStore::Value> MvStore::Get(Key key) const {
-  uint32_t idx = FindChain(key);
-  if (idx == kNoChain || chains_[idx].empty()) {
-    return Status::NotFound("key " + std::to_string(key));
-  }
-  return chains_[idx].back().value;
+  const Value* v = Find(key);
+  if (v == nullptr) return Status::NotFound("key " + std::to_string(key));
+  return *v;
 }
 
 StatusOr<MvStore::Value> MvStore::GetAt(Key key, SeqNo max_version) const {
-  uint32_t idx = FindChain(key);
-  if (idx == kNoChain || chains_[idx].empty()) {
+  uint32_t pos = index_[BucketOf(key)];
+  if (pos == kEmptyBucket) {
     return Status::NotFound("key " + std::to_string(key));
   }
-  const auto& chain = chains_[idx];
-  // Last version <= max_version.
-  auto pos = std::upper_bound(
-      chain.begin(), chain.end(), max_version,
-      [](SeqNo v, const VersionedValue& vv) { return v < vv.version; });
-  if (pos == chain.begin()) {
-    return Status::NotFound("key " + std::to_string(key) +
-                            " absent at version " +
-                            std::to_string(max_version));
+  if (latest_[pos].version <= max_version) return latest_[pos].value;
+  auto older = superseded_.find(key);
+  if (older != superseded_.end()) {
+    const auto& chain = older->second;
+    // Last version <= max_version.
+    auto it = std::upper_bound(
+        chain.begin(), chain.end(), max_version,
+        [](SeqNo v, const VersionedValue& vv) { return v < vv.version; });
+    if (it != chain.begin()) return std::prev(it)->value;
   }
-  return std::prev(pos)->value;
+  return Status::NotFound("key " + std::to_string(key) +
+                          " absent at version " +
+                          std::to_string(max_version));
 }
 
 size_t MvStore::VersionCountOf(Key key) const {
-  uint32_t idx = FindChain(key);
-  return idx == kNoChain ? 0 : chains_[idx].size();
-}
-
-void MvStore::TrimBelow(SeqNo floor) {
-  for (auto& chain : chains_) {
-    if (chain.size() <= 1) continue;
-    // Keep the newest version < floor as the base value plus everything
-    // >= floor.
-    auto first_kept = std::lower_bound(
-        chain.begin(), chain.end(), floor,
-        [](const VersionedValue& vv, SeqNo v) { return vv.version < v; });
-    if (first_kept == chain.begin()) continue;
-    auto base = std::prev(first_kept);
-    chain.erase(chain.begin(), base);
-  }
+  if (Find(key) == nullptr) return 0;
+  auto older = superseded_.find(key);
+  return 1 + (older == superseded_.end() ? 0 : older->second.size());
 }
 
 uint64_t MvStore::Fingerprint() const {
   // Commutative accumulation (sum of mixed per-key words): key order in
-  // the open-addressed index depends on insertion history, which differs
-  // between a replica that executed live and one rebuilt by state
-  // transfer, and must not affect the result.
+  // latest_ follows insertion history, which differs between a replica
+  // that executed live and one rebuilt by state transfer, and must not
+  // affect the result.
   uint64_t acc = 0;
-  for (const auto& bucket : index_) {
-    if (bucket.second == kNoChain) continue;
-    const auto& chain = chains_[bucket.second];
-    if (chain.empty()) continue;
-    uint64_t w = Mix64(bucket.first + 0x9e3779b97f4a7c15ULL);
-    w ^= Mix64(chain.back().version + 0x51ed270b9f652295ULL);
-    w ^= Mix64(static_cast<uint64_t>(chain.back().value));
+  for (const Latest& e : latest_) {
+    uint64_t w = Mix64(e.key + 0x9e3779b97f4a7c15ULL);
+    w ^= Mix64(e.version + 0x51ed270b9f652295ULL);
+    w ^= Mix64(static_cast<uint64_t>(e.value));
     acc += Mix64(w);
   }
   return acc;

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -22,15 +23,24 @@ namespace qanaat {
 ///
 /// Versions are the local sequence numbers of the committing transactions
 /// and are therefore monotonically increasing per store.
+///
+/// Every executing replica keeps one store per (collection, shard) and
+/// nearly every key ends a run with exactly one version, so the layout is
+/// built around that case: a key costs one 24-byte (key, version, value)
+/// record in a dense array plus a 4-byte index bucket, with no heap block
+/// of its own. Only keys written at more than one version reach the
+/// side table of superseded versions.
 class MvStore {
  public:
   using Key = uint64_t;
   using Value = int64_t;
 
-  MvStore() { index_.assign(kInitialBuckets, {0, kNoChain}); }
+  MvStore() : index_(kInitialBuckets, kEmptyBucket) {}
 
   /// Installs `value` for `key` at `version`. Versions must not decrease
   /// across calls for the same key (enforced; ledger order guarantees it).
+  /// A write at the key's current version overwrites its value (the last
+  /// write of one transaction wins).
   Status Put(Key key, Value value, SeqNo version);
 
   /// Latest committed value.
@@ -42,9 +52,8 @@ class MvStore {
   /// builds a std::string per miss — measurable at hundreds of thousands
   /// of reads per run.
   const Value* Find(Key key) const {
-    uint32_t idx = FindChain(key);
-    if (idx == kNoChain || chains_[idx].empty()) return nullptr;
-    return &chains_[idx].back().value;
+    uint32_t pos = index_[BucketOf(key)];
+    return pos == kEmptyBucket ? nullptr : &latest_[pos].value;
   }
 
   /// Snapshot read: the value as of version <= max_version (the γ-capture
@@ -54,14 +63,10 @@ class MvStore {
   /// Highest version ever written to this store.
   SeqNo latest_version() const { return latest_version_; }
 
-  size_t key_count() const { return chains_.size(); }
+  size_t key_count() const { return latest_.size(); }
 
   /// Number of versions retained for `key` (0 if absent).
   size_t VersionCountOf(Key key) const;
-
-  /// Drops versions strictly below `floor`, keeping at least the newest
-  /// one per key (checkpoint garbage collection).
-  void TrimBelow(SeqNo floor);
 
   /// Order-independent fingerprint over every key's latest (version,
   /// value): the state-identity surface the chaos auditor compares
@@ -71,17 +76,18 @@ class MvStore {
   uint64_t Fingerprint() const;
 
  private:
+  /// A key's newest version, inline.
+  struct Latest {
+    Key key;
+    SeqNo version;
+    Value value;
+  };
   struct VersionedValue {
     SeqNo version;
     Value value;
   };
-  // Per-key version chains, dense and append-only; keys live only in
-  // the linear-probed open-addressing index (one authoritative copy).
-  // Store reads/writes run on every executed transaction, and the
-  // node-per-entry layout of std::unordered_map made each access a
-  // guaranteed cache miss.
 
-  static constexpr uint32_t kNoChain = UINT32_MAX;
+  static constexpr uint32_t kEmptyBucket = UINT32_MAX;
   // Small initial table: deployments build one store per (collection,
   // shard) per node and most stay tiny, so construction cost matters as
   // much as steady-state probes. Growth doubles under load factor 1/2.
@@ -91,14 +97,20 @@ class MvStore {
     return static_cast<size_t>(Mix64(k + 0x9e3779b97f4a7c15ULL));
   }
 
-  /// Index of `key`'s chain, or kNoChain.
-  uint32_t FindChain(Key key) const;
-  /// Index of `key`'s chain, creating an empty one on first write.
-  uint32_t FindOrCreateChain(Key key);
+  /// Bucket of `key`'s index entry, or the empty bucket where it belongs.
+  size_t BucketOf(Key key) const;
   void GrowIndex();
 
-  std::vector<std::vector<VersionedValue>> chains_;  // dense chain storage
-  std::vector<std::pair<Key, uint32_t>> index_;      // open-addressed buckets
+  // Newest version of every key, in first-write order.
+  std::vector<Latest> latest_;
+  // Linear-probed open addressing over positions in latest_: the key is
+  // compared in place there, so it is stored once.
+  std::vector<uint32_t> index_;
+  // Older versions of keys written more than once, ascending and all
+  // below the key's entry in latest_. Off the hot path: only a key's
+  // second and later versions, and snapshot reads older than its newest
+  // version, reach it.
+  std::unordered_map<Key, std::vector<VersionedValue>> superseded_;
   SeqNo latest_version_ = 0;
 };
 

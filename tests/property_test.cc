@@ -121,35 +121,74 @@ INSTANTIATE_TEST_SUITE_P(Sizes, MerkleProperty,
 
 class MvStoreProperty : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(MvStoreProperty, SnapshotReadEqualsSerialReplay) {
-  // Model: apply random writes at increasing versions; GetAt(k, v) must
-  // equal the last write to k at version <= v in the reference log.
-  Rng rng(GetParam());
-  MvStore store;
-  std::map<std::pair<uint64_t, SeqNo>, int64_t> log;  // (key, ver) -> val
-  SeqNo version = 0;
-  for (int i = 0; i < 500; ++i) {
-    ++version;
+/// Reference model: every accepted write per key, by version.
+using VersionLog = std::map<uint64_t, std::map<SeqNo, int64_t>>;
+
+/// Draws a key: a quarter from a hot set of 20 (long version chains),
+/// the rest from a space wide enough to grow the index from its initial
+/// 256 buckets to 8192.
+uint64_t RandomKey(Rng& rng) {
+  return rng.Uniform(4) == 0 ? rng.Uniform(20) : 1000 + rng.Uniform(8000);
+}
+
+/// Applies a random history at increasing versions to `store` and
+/// returns its model. One write in eight is repeated at the same version
+/// (the last one wins), and every tenth version also tries a version
+/// regression on a hot key, which must be refused and change nothing.
+VersionLog ApplyRandomHistory(uint64_t seed, MvStore* store) {
+  Rng rng(seed);
+  VersionLog log;
+  for (SeqNo version = 1; version <= 2000; ++version) {
     int writes = 1 + static_cast<int>(rng.Uniform(4));
     for (int w = 0; w < writes; ++w) {
-      uint64_t key = rng.Uniform(20);
-      auto val = static_cast<int64_t>(rng.Uniform(1000));
-      ASSERT_TRUE(store.Put(key, val, version).ok());
-      log[{key, version}] = val;
+      uint64_t key = RandomKey(rng);
+      int repeats = rng.Uniform(8) == 0 ? 2 : 1;
+      for (int r = 0; r < repeats; ++r) {
+        auto val = static_cast<int64_t>(rng.Uniform(1000));
+        EXPECT_TRUE(store->Put(key, val, version).ok());
+        log[key][version] = val;
+      }
+    }
+    auto hot = log.find(rng.Uniform(20));
+    if (version % 10 == 0 && hot != log.end() &&
+        hot->second.rbegin()->first > 1) {
+      SeqNo stale = 1 + rng.Uniform(hot->second.rbegin()->first - 1);
+      EXPECT_EQ(store->Put(hot->first, -1, stale).code(),
+                StatusCode::kFailedPrecondition);
     }
   }
-  for (int probe = 0; probe < 300; ++probe) {
-    uint64_t key = rng.Uniform(20);
-    SeqNo at = 1 + rng.Uniform(version);
-    // Reference: scan the log backwards.
+  return log;
+}
+
+TEST_P(MvStoreProperty, SnapshotReadEqualsSerialReplay) {
+  // Model: GetAt(k, v) must equal the last write to k at version <= v in
+  // the reference log, and Get/Find the last write of all.
+  MvStore store;
+  VersionLog log = ApplyRandomHistory(GetParam(), &store);
+  SeqNo version = store.latest_version();
+  ASSERT_EQ(version, 2000u);
+  EXPECT_EQ(store.key_count(), log.size());
+  EXPECT_GT(store.key_count(), 2048u);  // the index doubled five times
+  for (const auto& [key, versions] : log) {
+    EXPECT_EQ(store.VersionCountOf(key), versions.size()) << key;
+    ASSERT_NE(store.Find(key), nullptr) << key;
+    EXPECT_EQ(*store.Find(key), versions.rbegin()->second) << key;
+  }
+  EXPECT_EQ(store.Find(999), nullptr);
+  EXPECT_EQ(store.VersionCountOf(999), 0u);
+  Rng rng(GetParam() + 1);
+  for (int probe = 0; probe < 3000; ++probe) {
+    uint64_t key = RandomKey(rng);
+    SeqNo at = rng.Uniform(version + 1);
     const int64_t* expect = nullptr;
-    for (SeqNo v = at; v >= 1 && expect == nullptr; --v) {
-      auto it = log.find({key, v});
-      if (it != log.end()) expect = &it->second;
+    auto it = log.find(key);
+    if (it != log.end()) {
+      auto after = it->second.upper_bound(at);
+      if (after != it->second.begin()) expect = &std::prev(after)->second;
     }
     auto got = store.GetAt(key, at);
     if (expect == nullptr) {
-      EXPECT_FALSE(got.ok());
+      EXPECT_EQ(got.status().code(), StatusCode::kNotFound);
     } else {
       ASSERT_TRUE(got.ok());
       EXPECT_EQ(*got, *expect);
@@ -157,27 +196,28 @@ TEST_P(MvStoreProperty, SnapshotReadEqualsSerialReplay) {
   }
 }
 
-TEST_P(MvStoreProperty, TrimPreservesReadsAtOrAboveFloor) {
+TEST_P(MvStoreProperty, FingerprintIgnoresKeyOrder) {
+  // A replica rebuilt by state transfer writes the same keys in another
+  // order than one that executed live; the auditor compares the two by
+  // Fingerprint. Replay each key's history, keys in shuffled order.
+  MvStore live;
+  VersionLog log = ApplyRandomHistory(GetParam(), &live);
+  std::vector<uint64_t> keys;
+  for (const auto& entry : log) keys.push_back(entry.first);
   Rng rng(GetParam() * 7 + 3);
-  MvStore store;
-  MvStore reference;
-  for (SeqNo v = 1; v <= 200; ++v) {
-    uint64_t key = rng.Uniform(5);
-    auto val = static_cast<int64_t>(v * 10);
-    ASSERT_TRUE(store.Put(key, val, v).ok());
-    ASSERT_TRUE(reference.Put(key, val, v).ok());
+  for (size_t i = keys.size(); i > 1; --i) {
+    std::swap(keys[i - 1], keys[rng.Uniform(i)]);
   }
-  store.TrimBelow(120);
-  for (SeqNo at = 120; at <= 200; ++at) {
-    for (uint64_t key = 0; key < 5; ++key) {
-      auto a = store.GetAt(key, at);
-      auto b = reference.GetAt(key, at);
-      EXPECT_EQ(a.ok(), b.ok());
-      if (a.ok()) {
-        EXPECT_EQ(*a, *b);
-      }
+  MvStore rebuilt;
+  for (uint64_t key : keys) {
+    for (const auto& [version, val] : log[key]) {
+      ASSERT_TRUE(rebuilt.Put(key, val, version).ok());
     }
   }
+  EXPECT_EQ(rebuilt.Fingerprint(), live.Fingerprint());
+  // The latest (version, value) of every key is covered.
+  ASSERT_TRUE(rebuilt.Put(keys.front(), -7, live.latest_version()).ok());
+  EXPECT_NE(rebuilt.Fingerprint(), live.Fingerprint());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MvStoreProperty,

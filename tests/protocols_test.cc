@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "protocols/request_table.h"
 #include "qanaat/system.h"
 
 namespace qanaat {
@@ -173,6 +174,44 @@ TEST(OrderingTest, IntakeDedupExpiresForAbandonedProposal) {
   sys.env().sim.Run(1500 * kMillisecond);
   EXPECT_EQ(sys.env().metrics.Get("order.duplicate_request"), 1u)
       << "expired intake entry must not flag the retransmission";
+}
+
+// ---------------------------------------- permanent at-most-once record
+
+TEST(RequestSetTest, OutOfOrderAndDuplicateInserts) {
+  RequestSet set;
+  for (uint64_t ts : {5u, 1u, 9u, 3u, 7u, 9u, 5u, 8u}) set.Insert({4, ts});
+  EXPECT_EQ(set.size(), 6u);  // 9 and 5 arrived twice
+  for (uint64_t ts : {1u, 3u, 5u, 7u, 8u, 9u}) {
+    EXPECT_TRUE(set.Contains({4, ts})) << ts;
+  }
+  for (uint64_t ts : {0u, 2u, 4u, 6u, 10u}) {
+    EXPECT_FALSE(set.Contains({4, ts})) << ts;
+  }
+}
+
+TEST(RequestSetTest, ClientsAreSeparate) {
+  RequestSet set;
+  EXPECT_FALSE(set.Contains({3, 1}));  // unknown client, empty set
+  set.Insert({2, 10});
+  set.Insert({7, 10});
+  EXPECT_EQ(set.size(), 2u);  // the same ts under two clients
+  EXPECT_TRUE(set.Contains({2, 10}));
+  EXPECT_TRUE(set.Contains({7, 10}));
+  EXPECT_FALSE(set.Contains({3, 10}));  // unknown client
+  EXPECT_FALSE(set.Contains({kInvalidNode, 10}));
+}
+
+TEST(RequestSetTest, ExtremeTimestamps) {
+  RequestSet set;
+  set.Insert({1, UINT64_MAX});
+  set.Insert({1, 0});
+  set.Insert({1, UINT64_MAX});
+  EXPECT_EQ(set.size(), 2u);
+  EXPECT_TRUE(set.Contains({1, 0}));
+  EXPECT_TRUE(set.Contains({1, UINT64_MAX}));
+  EXPECT_FALSE(set.Contains({1, UINT64_MAX - 1}));
+  EXPECT_FALSE(set.Contains({1, 1}));
 }
 
 // ------------------------------------- cross-shard ID concatenation

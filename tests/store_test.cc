@@ -64,18 +64,6 @@ TEST(MvStoreTest, IndependentKeys) {
   EXPECT_EQ(s.key_count(), 2u);
 }
 
-TEST(MvStoreTest, TrimKeepsNewestBelowFloor) {
-  MvStore s;
-  for (SeqNo v = 1; v <= 10; ++v) ASSERT_TRUE(s.Put(1, int64_t(v), v).ok());
-  s.TrimBelow(8);
-  // Versions 8, 9, 10 plus the base (7) survive.
-  EXPECT_EQ(s.VersionCountOf(1), 4u);
-  EXPECT_EQ(*s.GetAt(1, 8), 8);
-  EXPECT_EQ(*s.Get(1), 10);
-  // Reads below the floor resolve to the retained base.
-  EXPECT_EQ(*s.GetAt(1, 7), 7);
-}
-
 TEST(MvStoreTest, WriteBatchAtomicVersion) {
   MvStore s;
   WriteBatch b;
