@@ -4,7 +4,6 @@
 #include <string>
 
 #include "common/enterprise_set.h"
-#include "common/serde.h"
 #include "common/types.h"
 
 namespace qanaat {
@@ -49,12 +48,9 @@ struct CollectionId {
 
   std::string Label() const { return "d_" + members.Label(); }
 
-  void EncodeTo(Encoder* enc) const { enc->PutU16(members.mask()); }
-  static bool DecodeFrom(Decoder* dec, CollectionId* out) {
-    uint16_t m;
-    if (!dec->GetU16(&m)) return false;
-    out->members = EnterpriseSet(m);
-    return true;
+  template <class IO, class Self>
+  static bool Fields(IO& io, Self& m) {
+    return io(m.members);
   }
 
   friend bool operator==(const CollectionId& a, const CollectionId& b) {

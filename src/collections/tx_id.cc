@@ -9,31 +9,6 @@ std::string LocalPart::ToString() const {
   return s;
 }
 
-void TxId::EncodeTo(Encoder* enc) const {
-  alpha.EncodeTo(enc);
-  enc->PutU16(static_cast<uint16_t>(extra_alphas.size()));
-  for (const auto& a : extra_alphas) a.EncodeTo(enc);
-  enc->PutU16(static_cast<uint16_t>(gamma.size()));
-  for (const auto& g : gamma) g.EncodeTo(enc);
-}
-
-bool TxId::DecodeFrom(Decoder* dec, TxId* out) {
-  if (!LocalPart::DecodeFrom(dec, &out->alpha)) return false;
-  uint16_t na;
-  if (!dec->GetU16(&na)) return false;
-  out->extra_alphas.resize(na);
-  for (auto& a : out->extra_alphas) {
-    if (!LocalPart::DecodeFrom(dec, &a)) return false;
-  }
-  uint16_t ng;
-  if (!dec->GetU16(&ng)) return false;
-  out->gamma.resize(ng);
-  for (auto& g : out->gamma) {
-    if (!GammaEntry::DecodeFrom(dec, &g)) return false;
-  }
-  return true;
-}
-
 std::optional<SeqNo> TxId::GammaFor(const CollectionId& y) const {
   for (const auto& g : gamma) {
     if (g.collection == y) return g.m;

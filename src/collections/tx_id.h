@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "collections/collection_id.h"
-#include "common/serde.h"
 #include "common/status.h"
 #include "common/types.h"
 
@@ -20,14 +19,9 @@ struct LocalPart {
   ShardId shard = 0;
   SeqNo n = 0;
 
-  void EncodeTo(Encoder* enc) const {
-    collection.EncodeTo(enc);
-    enc->PutU16(shard);
-    enc->PutU64(n);
-  }
-  static bool DecodeFrom(Decoder* dec, LocalPart* out) {
-    return CollectionId::DecodeFrom(dec, &out->collection) &&
-           dec->GetU16(&out->shard) && dec->GetU64(&out->n);
+  template <class IO, class Self>
+  static bool Fields(IO& io, Self& m) {
+    return io(m.collection) && io(m.shard) && io(m.n);
   }
 
   std::string ToString() const;
@@ -45,13 +39,9 @@ struct GammaEntry {
   CollectionId collection;
   SeqNo m = 0;
 
-  void EncodeTo(Encoder* enc) const {
-    collection.EncodeTo(enc);
-    enc->PutU64(m);
-  }
-  static bool DecodeFrom(Decoder* dec, GammaEntry* out) {
-    return CollectionId::DecodeFrom(dec, &out->collection) &&
-           dec->GetU64(&out->m);
+  template <class IO, class Self>
+  static bool Fields(IO& io, Self& e) {
+    return io(e.collection) && io(e.m);
   }
   friend bool operator==(const GammaEntry& a, const GammaEntry& b) {
     return a.collection == b.collection && a.m == b.m;
@@ -70,8 +60,10 @@ struct TxId {
   std::vector<LocalPart> extra_alphas;
   std::vector<GammaEntry> gamma;
 
-  void EncodeTo(Encoder* enc) const;
-  static bool DecodeFrom(Decoder* dec, TxId* out);
+  template <class IO, class Self>
+  static bool Fields(IO& io, Self& m) {
+    return io(m.alpha) && io.List16(m.extra_alphas) && io.List16(m.gamma);
+  }
 
   /// γ lookup: sequence captured for collection Y, if present.
   std::optional<SeqNo> GammaFor(const CollectionId& y) const;
@@ -95,24 +87,9 @@ struct ShardAssignment {
   LocalPart alpha;
   std::vector<GammaEntry> gamma;
 
-  void EncodeTo(Encoder* enc) const {
-    enc->PutU32(static_cast<uint32_t>(cluster));
-    alpha.EncodeTo(enc);
-    enc->PutU16(static_cast<uint16_t>(gamma.size()));
-    for (const auto& g : gamma) g.EncodeTo(enc);
-  }
-  static bool DecodeFrom(Decoder* dec, ShardAssignment* out) {
-    uint32_t c;
-    if (!dec->GetU32(&c)) return false;
-    out->cluster = static_cast<int>(c);
-    if (!LocalPart::DecodeFrom(dec, &out->alpha)) return false;
-    uint16_t ng;
-    if (!dec->GetU16(&ng)) return false;
-    out->gamma.resize(ng);
-    for (auto& g : out->gamma) {
-      if (!GammaEntry::DecodeFrom(dec, &g)) return false;
-    }
-    return true;
+  template <class IO, class Self>
+  static bool Fields(IO& io, Self& m) {
+    return io(m.cluster) && io(m.alpha) && io.List16(m.gamma);
   }
   friend bool operator==(const ShardAssignment& x, const ShardAssignment& y) {
     return x.cluster == y.cluster && x.alpha == y.alpha && x.gamma == y.gamma;

@@ -97,6 +97,12 @@ class EnterpriseSet {
     return a.mask_ < b.mask_;
   }
 
+  /// Wire layout (common/serde.h): the u16 mask.
+  template <class IO, class Self>
+  static bool Fields(IO& io, Self& m) {
+    return io(m.mask_);
+  }
+
  private:
   uint16_t mask_;
 };

@@ -1,17 +1,19 @@
 #ifndef QANAAT_COMMON_SERDE_H_
 #define QANAAT_COMMON_SERDE_H_
 
+#include <array>
 #include <cstdint>
 #include <cstring>
-#include <string>
+#include <memory>
+#include <type_traits>
+#include <utility>
 #include <vector>
-
-#include "common/status.h"
 
 namespace qanaat {
 
-/// Little-endian binary encoder. All protocol messages are serialized with
-/// this so digests and signatures cover a canonical byte representation.
+/// Little-endian binary encoder. Every wire type is serialized through it
+/// (see Writer below), so digests and signatures cover one canonical byte
+/// representation.
 class Encoder {
  public:
   // One up-front reservation covers almost every message/digest encode;
@@ -23,14 +25,7 @@ class Encoder {
   void PutU16(uint16_t v) { PutLE(v); }
   void PutU32(uint32_t v) { PutLE(v); }
   void PutU64(uint64_t v) { PutLE(v); }
-  void PutI64(int64_t v) { PutLE(static_cast<uint64_t>(v)); }
   void PutBool(bool v) { PutU8(v ? 1 : 0); }
-
-  /// Length-prefixed byte string.
-  void PutBytes(const std::string& s) {
-    PutU32(static_cast<uint32_t>(s.size()));
-    buf_.insert(buf_.end(), s.begin(), s.end());
-  }
   void PutRaw(const void* data, size_t n) {
     const auto* p = static_cast<const uint8_t*>(data);
     buf_.insert(buf_.end(), p, p + n);
@@ -64,24 +59,10 @@ class Decoder {
   bool GetU16(uint16_t* v) { return GetLE(v); }
   bool GetU32(uint32_t* v) { return GetLE(v); }
   bool GetU64(uint64_t* v) { return GetLE(v); }
-  bool GetI64(int64_t* v) {
-    uint64_t u;
-    if (!GetLE(&u)) return false;
-    *v = static_cast<int64_t>(u);
-    return true;
-  }
   bool GetBool(bool* v) {
     uint8_t b;
     if (!GetU8(&b)) return false;
     *v = (b != 0);
-    return true;
-  }
-  bool GetBytes(std::string* s) {
-    uint32_t n;
-    if (!GetU32(&n)) return false;
-    if (pos_ + n > size_) return false;
-    s->assign(reinterpret_cast<const char*>(data_ + pos_), n);
-    pos_ += n;
     return true;
   }
   /// Copies exactly n raw bytes; false on underflow.
@@ -119,6 +100,209 @@ class Decoder {
   size_t size_;
   size_t pos_;
 };
+
+// Every wire type declares its layout once, as a field list that two
+// walkers run:
+//
+//   template <class IO, class Self>
+//   static bool Fields(IO& io, Self& m) {
+//     return io(m.view) && io(m.slot) && io.List16(m.proofs) && ...;
+//   }
+//
+// A Writer appends the fields to an Encoder (Self is const); a Reader
+// fills them from a Decoder and fails on the first malformed one. The
+// walker rules are the whole codec:
+//  * integers, bools and enums travel little-endian at their own width
+//    (so an int cluster id travels as u32);
+//  * a std::array<uint8_t, N> (Sha256Digest) travels as its raw bytes;
+//  * a double travels as its IEEE-754 bits, so a round trip is exact;
+//  * a std::pair travels field by field;
+//  * a shared_ptr travels as a presence flag, then its pointee;
+//  * a vector travels behind an explicit u16 or u32 count (List16 /
+//    List32). A count larger than the bytes left fails the decode: every
+//    element takes at least one byte, so it is corruption, and it must
+//    not reach an allocation;
+//  * io.Check(ok) states a decode-time invariant; writing ignores it.
+
+/// Appends a value's canonical bytes by walking its field list.
+class Writer {
+ public:
+  /// Lets a field list act after a decode only (a Block re-seals).
+  static constexpr bool kDecoding = false;
+
+  explicit Writer(Encoder* enc) : enc_(enc) {}
+
+  template <class T>
+  bool operator()(const T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      enc_->PutBool(v);
+    } else if constexpr (std::is_enum_v<T>) {
+      (*this)(static_cast<std::underlying_type_t<T>>(v));
+    } else if constexpr (std::is_integral_v<T>) {
+      PutUnsigned(static_cast<std::make_unsigned_t<T>>(v));
+    } else if constexpr (std::is_same_v<T, double>) {
+      uint64_t bits = 0;
+      std::memcpy(&bits, &v, sizeof(bits));
+      enc_->PutU64(bits);
+    } else {
+      return T::Fields(*this, v);
+    }
+    return true;
+  }
+  template <size_t N>
+  bool operator()(const std::array<uint8_t, N>& bytes) {
+    enc_->PutRaw(bytes.data(), N);
+    return true;
+  }
+  template <class A, class B>
+  bool operator()(const std::pair<A, B>& p) {
+    return (*this)(p.first) && (*this)(p.second);
+  }
+  template <class T>
+  bool operator()(const std::shared_ptr<T>& p) {
+    enc_->PutBool(p != nullptr);
+    return p == nullptr || (*this)(*p);
+  }
+
+  template <class T>
+  bool List16(const std::vector<T>& v) {
+    return List<uint16_t>(v);
+  }
+  template <class T>
+  bool List32(const std::vector<T>& v) {
+    return List<uint32_t>(v);
+  }
+
+  bool Check(bool /*ok*/) { return true; }
+
+ private:
+  template <class N, class T>
+  bool List(const std::vector<T>& v) {
+    PutUnsigned(static_cast<N>(v.size()));
+    for (const T& x : v) (*this)(x);
+    return true;
+  }
+  template <class U>
+  void PutUnsigned(U u) {
+    static_assert(sizeof(U) == 1 || sizeof(U) == 2 || sizeof(U) == 4 ||
+                  sizeof(U) == 8);
+    if constexpr (sizeof(U) == 1) {
+      enc_->PutU8(u);
+    } else if constexpr (sizeof(U) == 2) {
+      enc_->PutU16(u);
+    } else if constexpr (sizeof(U) == 4) {
+      enc_->PutU32(u);
+    } else {
+      enc_->PutU64(u);
+    }
+  }
+
+  Encoder* enc_;
+};
+
+/// Fills a value from a Decoder by walking its field list. False on
+/// underflow, on a count past the bytes left, or on a failed Check; the
+/// value is then partially filled and must be discarded.
+class Reader {
+ public:
+  static constexpr bool kDecoding = true;
+
+  explicit Reader(Decoder* dec) : dec_(dec) {}
+
+  template <class T>
+  bool operator()(T& v) {
+    if constexpr (std::is_same_v<T, bool>) {
+      return dec_->GetBool(&v);
+    } else if constexpr (std::is_enum_v<T>) {
+      std::underlying_type_t<T> u = 0;
+      if (!(*this)(u)) return false;
+      v = static_cast<T>(u);
+      return true;
+    } else if constexpr (std::is_integral_v<T>) {
+      std::make_unsigned_t<T> u = 0;
+      if (!GetUnsigned(&u)) return false;
+      v = static_cast<T>(u);
+      return true;
+    } else if constexpr (std::is_same_v<T, double>) {
+      uint64_t bits = 0;
+      if (!dec_->GetU64(&bits)) return false;
+      std::memcpy(&v, &bits, sizeof(bits));
+      return true;
+    } else {
+      return T::Fields(*this, v);
+    }
+  }
+  template <size_t N>
+  bool operator()(std::array<uint8_t, N>& bytes) {
+    return dec_->GetRaw(bytes.data(), N);
+  }
+  template <class A, class B>
+  bool operator()(std::pair<A, B>& p) {
+    return (*this)(p.first) && (*this)(p.second);
+  }
+  template <class T>
+  bool operator()(std::shared_ptr<const T>& p) {
+    bool present = false;
+    if (!dec_->GetBool(&present)) return false;
+    p.reset();
+    if (!present) return true;
+    auto fresh = std::make_shared<T>();
+    if (!(*this)(*fresh)) return false;
+    p = std::move(fresh);
+    return true;
+  }
+
+  template <class T>
+  bool List16(std::vector<T>& v) {
+    return List<uint16_t>(v);
+  }
+  template <class T>
+  bool List32(std::vector<T>& v) {
+    return List<uint32_t>(v);
+  }
+
+  bool Check(bool ok) { return ok; }
+
+ private:
+  template <class N, class T>
+  bool List(std::vector<T>& v) {
+    N n = 0;
+    if (!GetUnsigned(&n) || n > dec_->remaining()) return false;
+    v.resize(n);
+    for (T& x : v) {
+      if (!(*this)(x)) return false;
+    }
+    return true;
+  }
+  template <class U>
+  bool GetUnsigned(U* u) {
+    static_assert(sizeof(U) == 1 || sizeof(U) == 2 || sizeof(U) == 4 ||
+                  sizeof(U) == 8);
+    if constexpr (sizeof(U) == 1) {
+      return dec_->GetU8(u);
+    } else if constexpr (sizeof(U) == 2) {
+      return dec_->GetU16(u);
+    } else if constexpr (sizeof(U) == 4) {
+      return dec_->GetU32(u);
+    } else {
+      return dec_->GetU64(u);
+    }
+  }
+
+  Decoder* dec_;
+};
+
+/// Appends the canonical encoding of `v` (any type with a field list).
+template <class T>
+void Encode(const T& v, Encoder* enc) {
+  Writer{enc}(v);
+}
+
+/// Decodes `v` from `dec`; false on any malformation.
+template <class T>
+bool Decode(Decoder* dec, T* v) {
+  return Reader{dec}(*v);
+}
 
 }  // namespace qanaat
 

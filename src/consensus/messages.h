@@ -18,8 +18,10 @@ struct RequestMsg : Message {
   Transaction tx;
   bool is_retransmission = false;
 
-  void EncodeTo(Encoder* enc) const;
-  static bool DecodeFrom(Decoder* dec, RequestMsg* out);
+  template <class IO, class Self>
+  static bool Fields(IO& io, Self& m) {
+    return io(m.tx) && io(m.is_retransmission);
+  }
 };
 
 /// Reply from an executing node to the client machine (crash and
@@ -33,8 +35,11 @@ struct ReplyMsg : Message {
   std::vector<std::pair<NodeId, uint64_t>> clients;
   Signature sig;
 
-  void EncodeTo(Encoder* enc) const;
-  static bool DecodeFrom(Decoder* dec, ReplyMsg* out);
+  template <class IO, class Self>
+  static bool Fields(IO& io, Self& m) {
+    return io(m.block_digest) && io(m.result_digest) &&
+           io.List32(m.clients) && io(m.sig);
+  }
 };
 
 /// Reply certificate assembled by the top filter row: g+1 matching signed
@@ -46,8 +51,11 @@ struct ReplyCertMsg : Message {
   std::vector<std::pair<NodeId, uint64_t>> clients;
   ReplyCertificate cert;
 
-  void EncodeTo(Encoder* enc) const;
-  static bool DecodeFrom(Decoder* dec, ReplyCertMsg* out);
+  template <class IO, class Self>
+  static bool Fields(IO& io, Self& m) {
+    return io(m.block_digest) && io(m.result_digest) &&
+           io.List32(m.clients) && io(m.cert);
+  }
 };
 
 // ------------------------------------- checkpoints + state transfer
@@ -69,8 +77,10 @@ struct CheckpointCertificate {
   uint32_t WireSize() const {
     return static_cast<uint32_t>(44 + sigs.size() * 20);
   }
-  void EncodeTo(Encoder* enc) const;
-  static bool DecodeFrom(Decoder* dec, CheckpointCertificate* out);
+  template <class IO, class Self>
+  static bool Fields(IO& io, Self& m) {
+    return io(m.slot) && io(m.digest) && io.List16(m.sigs);
+  }
 };
 
 /// Engine-level checkpoint vote, broadcast every checkpoint_interval
@@ -85,8 +95,10 @@ struct CheckpointMsg : Message {
   Signature sig;
   CheckpointCertificate cert;  // empty for a plain vote
 
-  void EncodeTo(Encoder* enc) const;
-  static bool DecodeFrom(Decoder* dec, CheckpointMsg* out);
+  template <class IO, class Self>
+  static bool Fields(IO& io, Self& m) {
+    return io(m.slot) && io(m.digest) && io(m.sig) && io(m.cert);
+  }
 };
 
 // --------------------------------------------------------- PBFT messages
@@ -99,8 +111,11 @@ struct PrePrepareMsg : Message {
   Sha256Digest value_digest;
   Signature sig;  // primary's signature over (view, slot, value_digest)
 
-  void EncodeTo(Encoder* enc) const;
-  static bool DecodeFrom(Decoder* dec, PrePrepareMsg* out);
+  template <class IO, class Self>
+  static bool Fields(IO& io, Self& m) {
+    return io(m.view) && io(m.slot) && io(m.value) && io(m.value_digest) &&
+           io(m.sig);
+  }
 };
 
 struct PrepareMsg : Message {
@@ -110,8 +125,10 @@ struct PrepareMsg : Message {
   Sha256Digest value_digest;
   Signature sig;
 
-  void EncodeTo(Encoder* enc) const;
-  static bool DecodeFrom(Decoder* dec, PrepareMsg* out);
+  template <class IO, class Self>
+  static bool Fields(IO& io, Self& m) {
+    return io(m.view) && io(m.slot) && io(m.value_digest) && io(m.sig);
+  }
 };
 
 struct CommitMsg : Message {
@@ -121,8 +138,10 @@ struct CommitMsg : Message {
   Sha256Digest value_digest;
   Signature sig;
 
-  void EncodeTo(Encoder* enc) const;
-  static bool DecodeFrom(Decoder* dec, CommitMsg* out);
+  template <class IO, class Self>
+  static bool Fields(IO& io, Self& m) {
+    return io(m.view) && io(m.slot) && io(m.value_digest) && io(m.sig);
+  }
 };
 
 /// Prepared-slot evidence carried in a view change.
@@ -132,8 +151,10 @@ struct PreparedProof {
   ConsensusValue value;
   Sha256Digest value_digest;
 
-  void EncodeTo(Encoder* enc) const;
-  static bool DecodeFrom(Decoder* dec, PreparedProof* out);
+  template <class IO, class Self>
+  static bool Fields(IO& io, Self& m) {
+    return io(m.slot) && io(m.view) && io(m.value) && io(m.value_digest);
+  }
 };
 
 struct ViewChangeMsg : Message {
@@ -143,8 +164,11 @@ struct ViewChangeMsg : Message {
   std::vector<PreparedProof> prepared;
   Signature sig;
 
-  void EncodeTo(Encoder* enc) const;
-  static bool DecodeFrom(Decoder* dec, ViewChangeMsg* out);
+  template <class IO, class Self>
+  static bool Fields(IO& io, Self& m) {
+    return io(m.new_view) && io(m.last_delivered) && io.List16(m.prepared) &&
+           io(m.sig);
+  }
 };
 
 struct NewViewMsg : Message {
@@ -154,8 +178,10 @@ struct NewViewMsg : Message {
   std::vector<PreparedProof> reproposals;
   Signature sig;
 
-  void EncodeTo(Encoder* enc) const;
-  static bool DecodeFrom(Decoder* dec, NewViewMsg* out);
+  template <class IO, class Self>
+  static bool Fields(IO& io, Self& m) {
+    return io(m.new_view) && io.List16(m.reproposals) && io(m.sig);
+  }
 };
 
 // ---------------------------------------------------- Multi-Paxos (CFT)
@@ -169,8 +195,10 @@ struct PaxosAcceptMsg : Message {
   ConsensusValue value;
   Sha256Digest value_digest;
 
-  void EncodeTo(Encoder* enc) const;
-  static bool DecodeFrom(Decoder* dec, PaxosAcceptMsg* out);
+  template <class IO, class Self>
+  static bool Fields(IO& io, Self& m) {
+    return io(m.ballot) && io(m.slot) && io(m.value) && io(m.value_digest);
+  }
 };
 
 struct PaxosAcceptedMsg : Message {
@@ -181,8 +209,10 @@ struct PaxosAcceptedMsg : Message {
   uint64_t slot = 0;
   Sha256Digest value_digest;
 
-  void EncodeTo(Encoder* enc) const;
-  static bool DecodeFrom(Decoder* dec, PaxosAcceptedMsg* out);
+  template <class IO, class Self>
+  static bool Fields(IO& io, Self& m) {
+    return io(m.ballot) && io(m.slot) && io(m.value_digest);
+  }
 };
 
 struct PaxosLearnMsg : Message {
@@ -191,8 +221,10 @@ struct PaxosLearnMsg : Message {
   uint64_t slot = 0;
   Sha256Digest value_digest;
 
-  void EncodeTo(Encoder* enc) const;
-  static bool DecodeFrom(Decoder* dec, PaxosLearnMsg* out);
+  template <class IO, class Self>
+  static bool Fields(IO& io, Self& m) {
+    return io(m.ballot) && io(m.slot) && io(m.value_digest);
+  }
 };
 
 /// Phase-1a ballot takeover (classic Paxos prepare): a node claiming
@@ -205,8 +237,10 @@ struct PaxosPrepareMsg : Message {
   /// every slot above it, so the usurper can fill its own gaps too.
   uint64_t last_delivered = 0;
 
-  void EncodeTo(Encoder* enc) const;
-  static bool DecodeFrom(Decoder* dec, PaxosPrepareMsg* out);
+  template <class IO, class Self>
+  static bool Fields(IO& io, Self& m) {
+    return io(m.ballot) && io(m.last_delivered);
+  }
 };
 
 /// One slot of a promise's accepted history.
@@ -216,8 +250,10 @@ struct PaxosAcceptedSlot {
   ConsensusValue value;
   Sha256Digest digest;
 
-  void EncodeTo(Encoder* enc) const;
-  static bool DecodeFrom(Decoder* dec, PaxosAcceptedSlot* out);
+  template <class IO, class Self>
+  static bool Fields(IO& io, Self& m) {
+    return io(m.slot) && io(m.ballot) && io(m.value) && io(m.digest);
+  }
 };
 
 /// Phase-1b promise: the follower will never accept a ballot below
@@ -233,8 +269,10 @@ struct PaxosPromiseMsg : Message {
   std::vector<PaxosAcceptedSlot> accepted;
   CheckpointCertificate stable;  // empty when none
 
-  void EncodeTo(Encoder* enc) const;
-  static bool DecodeFrom(Decoder* dec, PaxosPromiseMsg* out);
+  template <class IO, class Self>
+  static bool Fields(IO& io, Self& m) {
+    return io(m.ballot) && io.List32(m.accepted) && io(m.stable);
+  }
 };
 
 /// Host-level state transfer request: a recovering (or gap-stuck) replica
@@ -248,18 +286,26 @@ struct StateRequestMsg : Message {
     CollectionId collection;
     ShardId shard = 0;
     SeqNo head = 0;
+
+    template <class IO, class Self>
+    static bool Fields(IO& io, Self& m) {
+      return io(m.collection) && io(m.shard) && io(m.head);
+    }
   };
   std::vector<ChainHead> heads;
   uint64_t frontier = 0;  // engine LastDelivered()
-  /// Originator of a pull-based transfer routed through the privacy
-  /// firewall: an execution node cannot be addressed by a serving
-  /// ordering node directly, so the reply carries this id back up and
-  /// the top filter row delivers it. kInvalidNode for the ordering-side
-  /// peer-to-peer path (the server just answers the sender).
+  /// The execution node that originated a pull-based transfer.
+  /// Executors pull from peer executors; behind a privacy firewall the
+  /// top filter row brokers the request to a serving peer, and the reply
+  /// carries this id back so the row can deliver it. kInvalidNode for
+  /// the ordering-side peer-to-peer path (the server just answers the
+  /// sender).
   NodeId requester = kInvalidNode;
 
-  void EncodeTo(Encoder* enc) const;
-  static bool DecodeFrom(Decoder* dec, StateRequestMsg* out);
+  template <class IO, class Self>
+  static bool Fields(IO& io, Self& m) {
+    return io.List32(m.heads) && io(m.frontier) && io(m.requester);
+  }
 };
 
 /// Host-level state transfer reply: the serving peer's stable checkpoint
@@ -275,16 +321,25 @@ struct StateReplyMsg : Message {
     CommitCertificate cert;
     LocalPart alpha;
     std::vector<GammaEntry> gamma;
+
+    /// Unlike other carriers, an entry always carries its block.
+    template <class IO, class Self>
+    static bool Fields(IO& io, Self& m) {
+      return io(m.block) && io.Check(m.block != nullptr) && io(m.cert) &&
+             io(m.alpha) && io.List16(m.gamma);
+    }
   };
   CheckpointCertificate ckpt;  // may be empty (no stable checkpoint yet)
   std::vector<Entry> entries;  // per chain, ascending sequence numbers
-  /// Echo of StateRequestMsg::requester: lets each filter row route the
-  /// reply up to the pulling execution node instead of flooding every
-  /// row (see ExecutionNode::SendPullRequest).
+  /// Echo of StateRequestMsg::requester: lets the top filter row, the
+  /// only row a transfer crosses, route the reply to the pulling
+  /// execution node (see ExecutionNode::SendPullRequest).
   NodeId requester = kInvalidNode;
 
-  void EncodeTo(Encoder* enc) const;
-  static bool DecodeFrom(Decoder* dec, StateReplyMsg* out);
+  template <class IO, class Self>
+  static bool Fields(IO& io, Self& m) {
+    return io(m.ckpt) && io.List32(m.entries) && io(m.requester);
+  }
 };
 
 /// Gap catch-up request: a replica whose delivery frontier is stuck —
@@ -302,8 +357,10 @@ struct FillRequestMsg : Message {
   uint64_t to_slot = 0;
   uint64_t want_view = 0;
 
-  void EncodeTo(Encoder* enc) const;
-  static bool DecodeFrom(Decoder* dec, FillRequestMsg* out);
+  template <class IO, class Self>
+  static bool Fields(IO& io, Self& m) {
+    return io(m.from_slot) && io(m.to_slot) && io(m.want_view);
+  }
 };
 
 /// Gap catch-up reply, one per slot: the decided value plus the COMMIT
@@ -316,8 +373,10 @@ struct FillReplyMsg : Message {
   ConsensusValue value;
   std::vector<Signature> commit_proof;
 
-  void EncodeTo(Encoder* enc) const;
-  static bool DecodeFrom(Decoder* dec, FillReplyMsg* out);
+  template <class IO, class Self>
+  static bool Fields(IO& io, Self& m) {
+    return io(m.slot) && io(m.view) && io(m.value) && io.List32(m.commit_proof);
+  }
 };
 
 // --------------------------- ordering -> firewall -> execution (§4.2)
@@ -332,8 +391,11 @@ struct ExecOrderMsg : Message {
   LocalPart alpha_here;
   std::vector<GammaEntry> gamma_here;
 
-  void EncodeTo(Encoder* enc) const;
-  static bool DecodeFrom(Decoder* dec, ExecOrderMsg* out);
+  template <class IO, class Self>
+  static bool Fields(IO& io, Self& m) {
+    return io(m.block) && io(m.cert) && io(m.alpha_here) &&
+           io.List16(m.gamma_here);
+  }
 };
 
 /// Signed execution reply flowing from execution nodes up through the
@@ -342,8 +404,9 @@ struct ExecReplyMsg : Message {
   ExecReplyMsg() : Message(MsgType::kExecReply) {}
   Sha256Digest block_digest;
   Sha256Digest result_digest;
-  // (client, client_ts, tx digest) per transaction so filters can route
-  // per-client certificates; kept aggregate here: one reply per block.
+  /// (client, timestamp) of every transaction in the block: one reply
+  /// per block, and the top filter row assembles g+1 matching shares
+  /// into one reply certificate per block.
   std::vector<std::pair<NodeId, uint64_t>> clients;
   Signature sig;  // share over Signable(block, result, clients)
 
@@ -356,8 +419,11 @@ struct ExecReplyMsg : Message {
       const Sha256Digest& block_digest, const Sha256Digest& result_digest,
       const std::vector<std::pair<NodeId, uint64_t>>& clients);
 
-  void EncodeTo(Encoder* enc) const;
-  static bool DecodeFrom(Decoder* dec, ExecReplyMsg* out);
+  template <class IO, class Self>
+  static bool Fields(IO& io, Self& m) {
+    return io(m.block_digest) && io(m.result_digest) &&
+           io.List32(m.clients) && io(m.sig);
+  }
 };
 
 }  // namespace qanaat

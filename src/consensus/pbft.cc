@@ -343,6 +343,14 @@ void PbftEngine::HandlePrePrepare(NodeId from, const PrePrepareMsg& m) {
     StartViewChange(view_ + 1, /*lone_suspicion=*/true);
     return;
   }
+  if (!m.value.CarriesItsBlock()) {
+    // The digest covers only (kind, block digest): a signed value whose
+    // block is missing or hashes elsewhere would commit a block no host
+    // can execute. Same remedy as a bad digest.
+    ctx_.env->metrics.Inc("pbft.bad_preprepare_block");
+    StartViewChange(view_ + 1, /*lone_suspicion=*/true);
+    return;
+  }
   bool created = it == slots_.end();
   if (created) it = slots_.try_emplace(m.slot).first;
   SlotState& st = it->second;
@@ -547,8 +555,12 @@ void PbftEngine::HandleFillRequest(NodeId from, const FillRequestMsg& m) {
     ck->sig_verify_ops = static_cast<uint16_t>(ck->cert.sigs.size());
     ctx_.send(from, ck);
   }
-  uint64_t to = std::min(m.to_slot, m.from_slot + 16);
-  for (uint64_t slot = m.from_slot; slot <= to; ++slot) {
+  // At most 17 slots per request, counted rather than bounded: a window
+  // ending at 2^64-1 must not wrap the slot counter.
+  if (m.to_slot < m.from_slot) return;
+  uint64_t count = std::min<uint64_t>(m.to_slot - m.from_slot, 16) + 1;
+  for (uint64_t i = 0; i < count; ++i) {
+    uint64_t slot = m.from_slot + i;
     auto it = slots_.find(slot);
     if (it == slots_.end() || !it->second.committed) continue;
     const SlotState& st = it->second;
@@ -569,6 +581,12 @@ void PbftEngine::HandleFillRequest(NodeId from, const FillRequestMsg& m) {
 void PbftEngine::HandleFillReply(NodeId from, const FillReplyMsg& m) {
   (void)from;
   if (m.slot <= last_delivered_) return;
+  // The proof, like a pre-prepare's signature, covers only (kind, block
+  // digest); it cannot vouch for a missing or mismatched block.
+  if (!m.value.CarriesItsBlock()) {
+    ctx_.env->metrics.Inc("pbft.bad_fill_block");
+    return;
+  }
   SlotState& st = slots_[m.slot];
   if (st.committed || st.delivered) return;
   // Self-certifying: the commit-quorum signatures prove the decision, so

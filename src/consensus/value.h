@@ -68,11 +68,23 @@ struct ConsensusValue {
     return v;
   }
 
-  /// Canonical wire form (consensus/messages.cc). The block travels by
-  /// value; DecodeFrom re-seals it and rejects a body whose digest does
-  /// not match the carried block_digest.
-  void EncodeTo(Encoder* enc) const;
-  static bool DecodeFrom(Decoder* dec, ConsensusValue* out);
+  /// Every kind but kNoop and kXAbort carries its block, and a carried
+  /// block hashes to block_digest. Digest() covers only (kind,
+  /// block_digest), so a valid signature over it does not vouch for the
+  /// block: the decoder checks this rule, and so do PBFT's pre-prepare
+  /// and fill paths.
+  bool CarriesItsBlock() const {
+    if (block == nullptr) return kind == Kind::kNoop || kind == Kind::kXAbort;
+    return CarriedBlockMatches(block, block_digest);
+  }
+
+  /// Wire layout. The block travels by value and re-seals on decode.
+  template <class IO, class Self>
+  static bool Fields(IO& io, Self& m) {
+    return io(m.kind) && io.Check(m.kind <= Kind::kXAbort) &&
+           io(m.block_digest) && io(m.batch_close) && io(m.block) &&
+           io.Check(m.CarriesItsBlock()) && io.List16(m.assignments);
+  }
 };
 
 }  // namespace qanaat

@@ -27,6 +27,12 @@ struct Sha256Digest {
 
   /// Lowercase hex string.
   std::string ToHex() const;
+
+  /// Wire layout (common/serde.h): the 32 raw bytes.
+  template <class IO, class Self>
+  static bool Fields(IO& io, Self& m) {
+    return io(m.bytes);
+  }
 };
 
 /// Incremental SHA-256 (FIPS 180-4), implemented from scratch.

@@ -68,22 +68,6 @@ Signature KeyStore::Forge(NodeId claimed_signer) const {
   return sig;
 }
 
-void ThresholdCert::EncodeTo(Encoder* enc) const {
-  enc->PutU32(static_cast<uint32_t>(shares.size()));
-  for (const auto& s : shares) s.EncodeTo(enc);
-}
-
-bool ThresholdCert::DecodeFrom(Decoder* dec, ThresholdCert* out) {
-  uint32_t n;
-  if (!dec->GetU32(&n)) return false;
-  if (n > 4096) return false;  // sanity bound
-  out->shares.resize(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    if (!Signature::DecodeFrom(dec, &out->shares[i])) return false;
-  }
-  return true;
-}
-
 bool ThresholdCert::Valid(const KeyStore& ks, const Sha256Digest& digest,
                           size_t threshold) const {
   std::vector<NodeId> distinct;

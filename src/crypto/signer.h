@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "common/serde.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "crypto/sha256.h"
@@ -28,14 +27,9 @@ struct Signature {
     return signer == o.signer && tag_lo == o.tag_lo && tag_hi == o.tag_hi;
   }
 
-  void EncodeTo(Encoder* enc) const {
-    enc->PutU32(signer);
-    enc->PutU64(tag_lo);
-    enc->PutU64(tag_hi);
-  }
-  static bool DecodeFrom(Decoder* dec, Signature* out) {
-    return dec->GetU32(&out->signer) && dec->GetU64(&out->tag_lo) &&
-           dec->GetU64(&out->tag_hi);
+  template <class IO, class Self>
+  static bool Fields(IO& io, Self& m) {
+    return io(m.signer) && io(m.tag_lo) && io(m.tag_hi);
   }
 };
 
@@ -88,8 +82,11 @@ inline void AddDistinctSigner(std::vector<NodeId>* distinct, NodeId signer) {
 struct ThresholdCert {
   std::vector<Signature> shares;
 
-  void EncodeTo(Encoder* enc) const;
-  static bool DecodeFrom(Decoder* dec, ThresholdCert* out);
+  /// At most 4096 shares decode: a sanity bound on any deployment.
+  template <class IO, class Self>
+  static bool Fields(IO& io, Self& m) {
+    return io.List32(m.shares) && io.Check(m.shares.size() <= 4096);
+  }
 
   /// Checks distinctness of signers and validity of every share.
   bool Valid(const KeyStore& ks, const Sha256Digest& digest,

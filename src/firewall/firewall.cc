@@ -132,8 +132,8 @@ void ExecutionNode::HandleStateReply(const StateReplyMsg& m) {
 
 void ExecutionNode::HandleExecOrder(const ExecOrderMsg& m) {
   // Verify the commit certificate: 2f+1 ordering-node signatures over
-  // the block digest.
-  if (m.cert.block_digest != m.block->Digest() ||
+  // the block digest. The wire admits a missing block.
+  if (m.block == nullptr || m.cert.block_digest != m.block->Digest() ||
       !m.cert.Valid(env()->keystore, dir_->params.CertQuorum())) {
     env()->metrics.Inc("exec.bad_cert");
     return;
@@ -231,8 +231,9 @@ void FilterNode::OnMessage(NodeId from, const MessageRef& msg) {
 void FilterNode::HandleExecOrder(NodeId /*from*/, const MessageRef& msg) {
   const auto& m = *msg->As<ExecOrderMsg>();
   // Filters check the request and commit certificate are valid (§4.2)
-  // before passing them toward the execution nodes.
-  if (m.cert.block_digest != m.block->Digest() ||
+  // before passing them toward the execution nodes. The wire admits a
+  // missing block, and any Byzantine ordering node can send one.
+  if (m.block == nullptr || m.cert.block_digest != m.block->Digest() ||
       !m.cert.Valid(env()->keystore, dir_->params.CertQuorum())) {
     ++filtered_;
     env()->metrics.Inc("firewall.filtered_bad_cert");

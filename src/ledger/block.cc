@@ -5,6 +5,7 @@
 #include <set>
 
 #include "common/rng.h"
+#include "common/serde.h"
 
 namespace qanaat {
 
@@ -34,9 +35,10 @@ Sha256Digest Block::RecomputeTxRoot() const {
 
 Sha256Digest Block::RecomputeDigest(const Sha256Digest& root) const {
   Encoder enc;
-  id.EncodeTo(&enc);
-  enc.PutU32(attempt);
-  enc.PutRaw(root.bytes.data(), root.bytes.size());
+  Writer w(&enc);
+  w(id);
+  w(attempt);
+  w(root);
   return Sha256::Hash(enc.buffer());
 }
 
@@ -44,29 +46,6 @@ uint32_t Block::WireSize() const {
   uint32_t sz = 96;  // id + root + framing
   for (const auto& tx : txs) sz += tx.WireSize();
   return sz;
-}
-
-void Block::EncodeTo(Encoder* enc) const {
-  id.EncodeTo(enc);
-  enc->PutU32(attempt);
-  enc->PutU32(static_cast<uint32_t>(txs.size()));
-  for (const auto& tx : txs) tx.EncodeTo(enc);
-}
-
-bool Block::DecodeFrom(Decoder* dec, Block* out) {
-  if (!TxId::DecodeFrom(dec, &out->id)) return false;
-  if (!dec->GetU32(&out->attempt)) return false;
-  uint32_t n;
-  if (!dec->GetU32(&n)) return false;
-  // Every encoded transaction occupies well over one byte; a count
-  // exceeding the remaining buffer is corruption, not a giant block.
-  if (n > dec->remaining()) return false;
-  out->txs.resize(n);
-  for (auto& tx : out->txs) {
-    if (!Transaction::DecodeFrom(dec, &tx)) return false;
-  }
-  out->Seal();
-  return true;
 }
 
 namespace {
@@ -136,46 +115,6 @@ bool CommitCertificate::ValidFrom(const KeyStore& ks, size_t quorum,
 
 bool ReplyCertificate::Valid(const KeyStore& ks, size_t quorum) const {
   return QuorumOfValidSigs(ks, reply_digest, sigs, quorum, nullptr);
-}
-
-namespace {
-bool DecodeSigList(Decoder* dec, std::vector<Signature>* out) {
-  uint32_t n;
-  if (!dec->GetU32(&n)) return false;
-  if (n > dec->remaining()) return false;  // each signature is 20 bytes
-  out->resize(n);
-  for (auto& s : *out) {
-    if (!Signature::DecodeFrom(dec, &s)) return false;
-  }
-  return true;
-}
-}  // namespace
-
-void CommitCertificate::EncodeTo(Encoder* enc) const {
-  EncodeDigestTo(enc, block_digest);
-  enc->PutU64(view);
-  enc->PutU64(slot);
-  enc->PutU8(value_kind);
-  enc->PutBool(direct);
-  enc->PutU32(static_cast<uint32_t>(sigs.size()));
-  for (const auto& s : sigs) s.EncodeTo(enc);
-}
-
-bool CommitCertificate::DecodeFrom(Decoder* dec, CommitCertificate* out) {
-  return DecodeDigestFrom(dec, &out->block_digest) && dec->GetU64(&out->view) &&
-         dec->GetU64(&out->slot) && dec->GetU8(&out->value_kind) &&
-         dec->GetBool(&out->direct) && DecodeSigList(dec, &out->sigs);
-}
-
-void ReplyCertificate::EncodeTo(Encoder* enc) const {
-  EncodeDigestTo(enc, reply_digest);
-  enc->PutU32(static_cast<uint32_t>(sigs.size()));
-  for (const auto& s : sigs) s.EncodeTo(enc);
-}
-
-bool ReplyCertificate::DecodeFrom(Decoder* dec, ReplyCertificate* out) {
-  return DecodeDigestFrom(dec, &out->reply_digest) &&
-         DecodeSigList(dec, &out->sigs);
 }
 
 }  // namespace qanaat

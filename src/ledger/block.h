@@ -12,14 +12,6 @@
 
 namespace qanaat {
 
-/// Fixed-width digest serde helpers shared by every message codec.
-inline void EncodeDigestTo(Encoder* enc, const Sha256Digest& d) {
-  enc->PutRaw(d.bytes.data(), d.bytes.size());
-}
-inline bool DecodeDigestFrom(Decoder* dec, Sha256Digest* d) {
-  return dec->GetRaw(d->bytes.data(), d->bytes.size());
-}
-
 /// A transaction block: the unit of ordering and of ledger append.
 ///
 /// The primary batches pending requests of one collection shard into a
@@ -63,11 +55,15 @@ struct Block {
   uint32_t WireSize() const;
   size_t tx_count() const { return txs.size(); }
 
-  /// Canonical wire form (id, attempt, transactions). tx_root is not
-  /// encoded: DecodeFrom re-Seals, so a tampered body cannot smuggle a
-  /// stale root past the digest check.
-  void EncodeTo(Encoder* enc) const;
-  static bool DecodeFrom(Decoder* dec, Block* out);
+  /// Wire layout (id, attempt, transactions). tx_root is not encoded: a
+  /// decoded block re-seals, so a tampered body cannot smuggle a stale
+  /// root past the digest check.
+  template <class IO, class Self>
+  static bool Fields(IO& io, Self& m) {
+    if (!(io(m.id) && io(m.attempt) && io.List32(m.txs))) return false;
+    if constexpr (IO::kDecoding) m.Seal();
+    return true;
+  }
 
  private:
   mutable Sha256Digest digest_cache_;
@@ -75,6 +71,14 @@ struct Block {
 };
 
 using BlockPtr = std::shared_ptr<const Block>;
+
+/// False iff `block` is present but does not hash to `digest`: the check
+/// every message that carries a block beside the digest it claims makes
+/// on decode.
+inline bool CarriedBlockMatches(const BlockPtr& block,
+                                const Sha256Digest& digest) {
+  return block == nullptr || block->Digest() == digest;
+}
 
 /// Derives a 256-bit digest from (salt, a, b, parent digest) with two
 /// lanes of chained SplitMix64 finalizers. The protocol-internal digest
@@ -139,8 +143,11 @@ struct CommitCertificate {
     return static_cast<uint32_t>(56 + sigs.size() * 20);
   }
 
-  void EncodeTo(Encoder* enc) const;
-  static bool DecodeFrom(Decoder* dec, CommitCertificate* out);
+  template <class IO, class Self>
+  static bool Fields(IO& io, Self& m) {
+    return io(m.block_digest) && io(m.view) && io(m.slot) &&
+           io(m.value_kind) && io(m.direct) && io.List32(m.sigs);
+  }
 
  private:
   Sha256Digest CoveredDigest() const;
@@ -155,8 +162,10 @@ struct ReplyCertificate {
 
   bool Valid(const KeyStore& ks, size_t quorum) const;
 
-  void EncodeTo(Encoder* enc) const;
-  static bool DecodeFrom(Decoder* dec, ReplyCertificate* out);
+  template <class IO, class Self>
+  static bool Fields(IO& io, Self& m) {
+    return io(m.reply_digest) && io.List32(m.sigs);
+  }
 };
 
 }  // namespace qanaat

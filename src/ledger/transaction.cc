@@ -1,37 +1,8 @@
 #include "ledger/transaction.h"
 
+#include "common/serde.h"
+
 namespace qanaat {
-
-void Transaction::EncodeBodyTo(Encoder* enc) const {
-  enc->PutU32(client);
-  enc->PutU64(client_ts);
-  collection.EncodeTo(enc);
-  enc->PutU16(static_cast<uint16_t>(shards.size()));
-  for (ShardId s : shards) enc->PutU16(s);
-  enc->PutU8(initiator);
-  enc->PutU16(static_cast<uint16_t>(ops.size()));
-  for (const auto& op : ops) op.EncodeTo(enc);
-}
-
-bool Transaction::DecodeFrom(Decoder* dec, Transaction* out) {
-  if (!dec->GetU32(&out->client)) return false;
-  if (!dec->GetU64(&out->client_ts)) return false;
-  if (!CollectionId::DecodeFrom(dec, &out->collection)) return false;
-  uint16_t ns;
-  if (!dec->GetU16(&ns)) return false;
-  out->shards.resize(ns);
-  for (auto& s : out->shards) {
-    if (!dec->GetU16(&s)) return false;
-  }
-  if (!dec->GetU8(&out->initiator)) return false;
-  uint16_t no;
-  if (!dec->GetU16(&no)) return false;
-  out->ops.resize(no);
-  for (auto& op : out->ops) {
-    if (!TxOp::DecodeFrom(dec, &op)) return false;
-  }
-  return Signature::DecodeFrom(dec, &out->client_sig);
-}
 
 Sha256Digest Transaction::Digest() const {
   if (!digest_valid_) {
@@ -43,7 +14,8 @@ Sha256Digest Transaction::Digest() const {
 
 Sha256Digest Transaction::RecomputeDigest() const {
   Encoder enc;
-  EncodeBodyTo(&enc);
+  Writer w(&enc);
+  BodyFields(w, *this);
   return Sha256::Hash(enc.buffer());
 }
 

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "collections/collection_id.h"
-#include "common/serde.h"
 #include "common/types.h"
 #include "crypto/sha256.h"
 #include "crypto/signer.h"
@@ -29,18 +28,9 @@ struct TxOp {
   int64_t value = 0;        // write value / add delta
   CollectionId dep;         // for kReadDep
 
-  void EncodeTo(Encoder* enc) const {
-    enc->PutU8(static_cast<uint8_t>(kind));
-    enc->PutU64(key);
-    enc->PutI64(value);
-    dep.EncodeTo(enc);
-  }
-  static bool DecodeFrom(Decoder* dec, TxOp* out) {
-    uint8_t k;
-    if (!dec->GetU8(&k)) return false;
-    out->kind = static_cast<Kind>(k);
-    return dec->GetU64(&out->key) && dec->GetI64(&out->value) &&
-           CollectionId::DecodeFrom(dec, &out->dep);
+  template <class IO, class Self>
+  static bool Fields(IO& io, Self& m) {
+    return io(m.kind) && io(m.key) && io(m.value) && io(m.dep);
   }
 };
 
@@ -59,12 +49,16 @@ struct Transaction {
   /// Cross-enterprise iff the target collection is shared (non-local).
   bool IsCrossEnterprise() const { return collection.members.size() > 1; }
 
-  /// Canonical encoding (excluding the signature).
-  void EncodeBodyTo(Encoder* enc) const;
-  static bool DecodeFrom(Decoder* dec, Transaction* out);
-  void EncodeTo(Encoder* enc) const {
-    EncodeBodyTo(enc);
-    client_sig.EncodeTo(enc);
+  /// The canonical body: what Digest() covers and the client signs.
+  template <class IO, class Self>
+  static bool BodyFields(IO& io, Self& m) {
+    return io(m.client) && io(m.client_ts) && io(m.collection) &&
+           io.List16(m.shards) && io(m.initiator) && io.List16(m.ops);
+  }
+  /// Wire layout: the body, then the client's signature.
+  template <class IO, class Self>
+  static bool Fields(IO& io, Self& m) {
+    return BodyFields(io, m) && io(m.client_sig);
   }
 
   /// Digest of the canonical body — what the client signs. Memoized:

@@ -50,8 +50,12 @@ struct XPrepareMsg : Message {
   Sha256Digest block_digest;
   CommitCertificate coord_cert;   // local-majority evidence
 
-  void EncodeTo(Encoder* enc) const;
-  static bool DecodeFrom(Decoder* dec, XPrepareMsg* out);
+  template <class IO, class Self>
+  static bool Fields(IO& io, Self& m) {
+    return io(m.coord_cluster) && io(m.block) && io(m.block_digest) &&
+           io.Check(CarriedBlockMatches(m.block, m.block_digest)) &&
+           io(m.coord_cert);
+  }
 };
 
 /// ⟨PREPARED, IDc, [IDi,] d⟩ — involved cluster → coordinator primary.
@@ -69,8 +73,14 @@ struct XPreparedMsg : Message {
   Signature sig;
   bool abort = false;             // involved cluster votes abort
 
-  void EncodeTo(Encoder* enc) const;
-  static bool DecodeFrom(Decoder* dec, XPreparedMsg* out);
+  template <class IO, class Self>
+  static bool Fields(IO& io, Self& m) {
+    return io(m.from_cluster) && io(m.block_digest) && io(m.has_assignment) &&
+           (!m.has_assignment || io(m.assignment)) &&
+           io(m.is_cluster_cert) &&
+           (!m.is_cluster_cert || io(m.cluster_cert)) && io(m.sig) &&
+           io(m.abort);
+  }
 };
 
 /// ⟨COMMIT, IDc, IDi, ..., d⟩_σPc — coordinator → every node of all
@@ -86,8 +96,12 @@ struct XCommitMsg : Message {
   std::vector<ShardAssignment> assignments;
   bool is_abort = false;
 
-  void EncodeTo(Encoder* enc) const;
-  static bool DecodeFrom(Decoder* dec, XCommitMsg* out);
+  template <class IO, class Self>
+  static bool Fields(IO& io, Self& m) {
+    return io(m.coord_cluster) && io(m.block) && io(m.block_digest) &&
+           io.Check(CarriedBlockMatches(m.block, m.block_digest)) &&
+           io(m.coord_cert) && io.List16(m.assignments) && io(m.is_abort);
+  }
 };
 
 /// ⟨PROPOSE, ID, d, m⟩_σπ(Pi) — flattened protocols (paper §4.4, Fig 6):
@@ -99,8 +113,12 @@ struct FProposeMsg : Message {
   Sha256Digest block_digest;
   Signature sig;                  // initiator primary's signature
 
-  void EncodeTo(Encoder* enc) const;
-  static bool DecodeFrom(Decoder* dec, FProposeMsg* out);
+  template <class IO, class Self>
+  static bool Fields(IO& io, Self& m) {
+    return io(m.initiator_cluster) && io(m.block) && io(m.block_digest) &&
+           io.Check(CarriedBlockMatches(m.block, m.block_digest)) &&
+           io(m.sig);
+  }
 };
 
 /// ⟨ACCEPT, IDi, [IDj,] d, r⟩_σr — flattened accept. From the primary of
@@ -121,8 +139,11 @@ struct FAcceptMsg : Message {
     return DeriveDigest(0x46414343u /* "FACC" */, 0xFA, 0, d);
   }
 
-  void EncodeTo(Encoder* enc) const;
-  static bool DecodeFrom(Decoder* dec, FAcceptMsg* out);
+  template <class IO, class Self>
+  static bool Fields(IO& io, Self& m) {
+    return io(m.from_cluster) && io(m.block_digest) && io(m.has_assignment) &&
+           (!m.has_assignment || io(m.assignment)) && io(m.sig);
+  }
 };
 
 /// ⟨COMMIT, IDi, IDj, ..., d, r⟩_σr — flattened commit vote. In the
@@ -137,8 +158,11 @@ struct FCommitMsg : Message {
   bool fast_path = false;
   std::vector<ShardAssignment> assignments;
 
-  void EncodeTo(Encoder* enc) const;
-  static bool DecodeFrom(Decoder* dec, FCommitMsg* out);
+  template <class IO, class Self>
+  static bool Fields(IO& io, Self& m) {
+    return io(m.from_cluster) && io(m.block_digest) && io(m.sig) &&
+           io(m.fast_path) && io.List16(m.assignments);
+  }
 };
 
 /// commit-query / prepared-query (§4.3.4): a node that timed out waiting
@@ -149,8 +173,10 @@ struct QueryMsg : Message {
   Sha256Digest block_digest;
   Signature sig;
 
-  void EncodeTo(Encoder* enc) const;
-  static bool DecodeFrom(Decoder* dec, QueryMsg* out);
+  template <class IO, class Self>
+  static bool Fields(IO& io, Self& m) {
+    return io(m.from_cluster) && io(m.block_digest) && io(m.sig);
+  }
 };
 
 }  // namespace qanaat

@@ -1,118 +1,81 @@
 #include "protocols/wire.h"
 
+#include <type_traits>
+#include <utility>
+
 namespace qanaat {
 
 namespace {
 
+using EncodeFn = void (*)(const Message&, Encoder*);
+using DecodeFn = std::shared_ptr<Message> (*)(MsgType, Decoder*);
+using Codec = std::pair<EncodeFn, DecodeFn>;
+
+/// Message type T's field list, both ways. A decoded message takes the
+/// envelope's tag, so XCommitMsg serves X_ABORT too and QueryMsg both
+/// query types.
 template <typename T>
-bool EncodeBody(const Message& m, Encoder* enc) {
-  static_cast<const T&>(m).EncodeTo(enc);
-  return true;
+Codec CodecOf() {
+  return {[](const Message& m, Encoder* enc) {
+            Encode(static_cast<const T&>(m), enc);
+          },
+          [](MsgType type, Decoder* dec) -> std::shared_ptr<Message> {
+            std::shared_ptr<T> m;
+            if constexpr (std::is_default_constructible_v<T>) {
+              m = std::make_shared<T>();
+              m->type = type;
+            } else {
+              m = std::make_shared<T>(type);
+            }
+            if (!Decode(dec, m.get())) return nullptr;
+            return m;
+          }};
 }
 
-template <typename T, typename... CtorArgs>
-MessageRef DecodeBody(Decoder* dec, uint32_t wire_bytes,
-                      uint16_t sig_verify_ops, CtorArgs... args) {
-  auto m = std::make_shared<T>(args...);
-  if (!T::DecodeFrom(dec, m.get())) return nullptr;
-  m->wire_bytes = wire_bytes;
-  m->sig_verify_ops = sig_verify_ops;
-  return m;
+/// The one MsgType -> codec mapping; {nullptr, nullptr} for the Fabric
+/// baseline's internal messages.
+Codec CodecFor(MsgType type) {
+  switch (type) {
+    case MsgType::kRequest: return CodecOf<RequestMsg>();
+    case MsgType::kReply: return CodecOf<ReplyMsg>();
+    case MsgType::kReplyCert: return CodecOf<ReplyCertMsg>();
+    case MsgType::kPrePrepare: return CodecOf<PrePrepareMsg>();
+    case MsgType::kPrepare: return CodecOf<PrepareMsg>();
+    case MsgType::kCommit: return CodecOf<CommitMsg>();
+    case MsgType::kCheckpoint: return CodecOf<CheckpointMsg>();
+    case MsgType::kViewChange: return CodecOf<ViewChangeMsg>();
+    case MsgType::kNewView: return CodecOf<NewViewMsg>();
+    case MsgType::kPaxosAccept: return CodecOf<PaxosAcceptMsg>();
+    case MsgType::kPaxosAccepted: return CodecOf<PaxosAcceptedMsg>();
+    case MsgType::kPaxosLearn: return CodecOf<PaxosLearnMsg>();
+    case MsgType::kPaxosPrepare: return CodecOf<PaxosPrepareMsg>();
+    case MsgType::kPaxosPromise: return CodecOf<PaxosPromiseMsg>();
+    case MsgType::kFillRequest: return CodecOf<FillRequestMsg>();
+    case MsgType::kFillReply: return CodecOf<FillReplyMsg>();
+    case MsgType::kStateRequest: return CodecOf<StateRequestMsg>();
+    case MsgType::kStateReply: return CodecOf<StateReplyMsg>();
+    case MsgType::kXPrepare: return CodecOf<XPrepareMsg>();
+    case MsgType::kXPrepared: return CodecOf<XPreparedMsg>();
+    case MsgType::kXCommit:
+    case MsgType::kXAbort: return CodecOf<XCommitMsg>();
+    case MsgType::kFPropose: return CodecOf<FProposeMsg>();
+    case MsgType::kFAccept: return CodecOf<FAcceptMsg>();
+    case MsgType::kFCommit: return CodecOf<FCommitMsg>();
+    case MsgType::kCommitQuery:
+    case MsgType::kPreparedQuery: return CodecOf<QueryMsg>();
+    case MsgType::kExecOrder: return CodecOf<ExecOrderMsg>();
+    case MsgType::kExecReply: return CodecOf<ExecReplyMsg>();
+    default: return {nullptr, nullptr};
+  }
 }
 
 }  // namespace
 
 bool EncodeMessage(const Message& m, Encoder* enc) {
+  EncodeFn encode = CodecFor(m.type).first;
+  if (encode == nullptr) return false;
   Encoder body;
-  bool ok = false;
-  switch (m.type) {
-    case MsgType::kRequest:
-      ok = EncodeBody<RequestMsg>(m, &body);
-      break;
-    case MsgType::kReply:
-      ok = EncodeBody<ReplyMsg>(m, &body);
-      break;
-    case MsgType::kReplyCert:
-      ok = EncodeBody<ReplyCertMsg>(m, &body);
-      break;
-    case MsgType::kPrePrepare:
-      ok = EncodeBody<PrePrepareMsg>(m, &body);
-      break;
-    case MsgType::kPrepare:
-      ok = EncodeBody<PrepareMsg>(m, &body);
-      break;
-    case MsgType::kCommit:
-      ok = EncodeBody<CommitMsg>(m, &body);
-      break;
-    case MsgType::kViewChange:
-      ok = EncodeBody<ViewChangeMsg>(m, &body);
-      break;
-    case MsgType::kNewView:
-      ok = EncodeBody<NewViewMsg>(m, &body);
-      break;
-    case MsgType::kPaxosAccept:
-      ok = EncodeBody<PaxosAcceptMsg>(m, &body);
-      break;
-    case MsgType::kPaxosAccepted:
-      ok = EncodeBody<PaxosAcceptedMsg>(m, &body);
-      break;
-    case MsgType::kPaxosLearn:
-      ok = EncodeBody<PaxosLearnMsg>(m, &body);
-      break;
-    case MsgType::kPaxosPrepare:
-      ok = EncodeBody<PaxosPrepareMsg>(m, &body);
-      break;
-    case MsgType::kPaxosPromise:
-      ok = EncodeBody<PaxosPromiseMsg>(m, &body);
-      break;
-    case MsgType::kFillRequest:
-      ok = EncodeBody<FillRequestMsg>(m, &body);
-      break;
-    case MsgType::kFillReply:
-      ok = EncodeBody<FillReplyMsg>(m, &body);
-      break;
-    case MsgType::kCheckpoint:
-      ok = EncodeBody<CheckpointMsg>(m, &body);
-      break;
-    case MsgType::kStateRequest:
-      ok = EncodeBody<StateRequestMsg>(m, &body);
-      break;
-    case MsgType::kStateReply:
-      ok = EncodeBody<StateReplyMsg>(m, &body);
-      break;
-    case MsgType::kXPrepare:
-      ok = EncodeBody<XPrepareMsg>(m, &body);
-      break;
-    case MsgType::kXPrepared:
-      ok = EncodeBody<XPreparedMsg>(m, &body);
-      break;
-    case MsgType::kXCommit:
-    case MsgType::kXAbort:
-      ok = EncodeBody<XCommitMsg>(m, &body);
-      break;
-    case MsgType::kFPropose:
-      ok = EncodeBody<FProposeMsg>(m, &body);
-      break;
-    case MsgType::kFAccept:
-      ok = EncodeBody<FAcceptMsg>(m, &body);
-      break;
-    case MsgType::kFCommit:
-      ok = EncodeBody<FCommitMsg>(m, &body);
-      break;
-    case MsgType::kCommitQuery:
-    case MsgType::kPreparedQuery:
-      ok = EncodeBody<QueryMsg>(m, &body);
-      break;
-    case MsgType::kExecOrder:
-      ok = EncodeBody<ExecOrderMsg>(m, &body);
-      break;
-    case MsgType::kExecReply:
-      ok = EncodeBody<ExecReplyMsg>(m, &body);
-      break;
-    default:
-      return false;
-  }
-  if (!ok) return false;
+  encode(m, &body);
   enc->PutU8(static_cast<uint8_t>(m.type));
   enc->PutU32(m.wire_bytes);
   enc->PutU16(m.sig_verify_ops);
@@ -122,116 +85,26 @@ bool EncodeMessage(const Message& m, Encoder* enc) {
 }
 
 MessageRef DecodeMessage(Decoder* dec) {
-  uint8_t tag;
-  uint32_t wire_bytes;
-  uint16_t sig_ops;
-  uint32_t body_len;
+  uint8_t tag = 0;
+  uint32_t wire_bytes = 0;
+  uint16_t sig_ops = 0;
+  uint32_t body_len = 0;
   if (!dec->GetU8(&tag) || !dec->GetU32(&wire_bytes) ||
       !dec->GetU16(&sig_ops) || !dec->GetU32(&body_len)) {
     return nullptr;
   }
   if (body_len > dec->remaining()) return nullptr;
+  DecodeFn decode = CodecFor(static_cast<MsgType>(tag)).second;
+  if (decode == nullptr) return nullptr;
   // Decode the body inside its declared frame: the decoder must consume
   // exactly body_len bytes, so a corrupted length field can neither leak
   // into the next frame nor leave trailing garbage undetected.
   Decoder body(dec->cursor(), body_len);
-  Decoder* outer = dec;
-  dec = &body;
-  MessageRef out;
-  switch (static_cast<MsgType>(tag)) {
-    case MsgType::kRequest:
-      out = DecodeBody<RequestMsg>(dec, wire_bytes, sig_ops);
-      break;
-    case MsgType::kReply:
-      out = DecodeBody<ReplyMsg>(dec, wire_bytes, sig_ops);
-      break;
-    case MsgType::kReplyCert:
-      out = DecodeBody<ReplyCertMsg>(dec, wire_bytes, sig_ops);
-      break;
-    case MsgType::kPrePrepare:
-      out = DecodeBody<PrePrepareMsg>(dec, wire_bytes, sig_ops);
-      break;
-    case MsgType::kPrepare:
-      out = DecodeBody<PrepareMsg>(dec, wire_bytes, sig_ops);
-      break;
-    case MsgType::kCommit:
-      out = DecodeBody<CommitMsg>(dec, wire_bytes, sig_ops);
-      break;
-    case MsgType::kViewChange:
-      out = DecodeBody<ViewChangeMsg>(dec, wire_bytes, sig_ops);
-      break;
-    case MsgType::kNewView:
-      out = DecodeBody<NewViewMsg>(dec, wire_bytes, sig_ops);
-      break;
-    case MsgType::kPaxosAccept:
-      out = DecodeBody<PaxosAcceptMsg>(dec, wire_bytes, sig_ops);
-      break;
-    case MsgType::kPaxosAccepted:
-      out = DecodeBody<PaxosAcceptedMsg>(dec, wire_bytes, sig_ops);
-      break;
-    case MsgType::kPaxosLearn:
-      out = DecodeBody<PaxosLearnMsg>(dec, wire_bytes, sig_ops);
-      break;
-    case MsgType::kPaxosPrepare:
-      out = DecodeBody<PaxosPrepareMsg>(dec, wire_bytes, sig_ops);
-      break;
-    case MsgType::kPaxosPromise:
-      out = DecodeBody<PaxosPromiseMsg>(dec, wire_bytes, sig_ops);
-      break;
-    case MsgType::kFillRequest:
-      out = DecodeBody<FillRequestMsg>(dec, wire_bytes, sig_ops);
-      break;
-    case MsgType::kFillReply:
-      out = DecodeBody<FillReplyMsg>(dec, wire_bytes, sig_ops);
-      break;
-    case MsgType::kCheckpoint:
-      out = DecodeBody<CheckpointMsg>(dec, wire_bytes, sig_ops);
-      break;
-    case MsgType::kStateRequest:
-      out = DecodeBody<StateRequestMsg>(dec, wire_bytes, sig_ops);
-      break;
-    case MsgType::kStateReply:
-      out = DecodeBody<StateReplyMsg>(dec, wire_bytes, sig_ops);
-      break;
-    case MsgType::kXPrepare:
-      out = DecodeBody<XPrepareMsg>(dec, wire_bytes, sig_ops);
-      break;
-    case MsgType::kXPrepared:
-      out = DecodeBody<XPreparedMsg>(dec, wire_bytes, sig_ops);
-      break;
-    case MsgType::kXCommit:
-    case MsgType::kXAbort: {
-      out = DecodeBody<XCommitMsg>(dec, wire_bytes, sig_ops);
-      if (out != nullptr && static_cast<MsgType>(tag) == MsgType::kXAbort) {
-        std::const_pointer_cast<Message>(out)->type = MsgType::kXAbort;
-      }
-      break;
-    }
-    case MsgType::kFPropose:
-      out = DecodeBody<FProposeMsg>(dec, wire_bytes, sig_ops);
-      break;
-    case MsgType::kFAccept:
-      out = DecodeBody<FAcceptMsg>(dec, wire_bytes, sig_ops);
-      break;
-    case MsgType::kFCommit:
-      out = DecodeBody<FCommitMsg>(dec, wire_bytes, sig_ops);
-      break;
-    case MsgType::kCommitQuery:
-    case MsgType::kPreparedQuery:
-      out = DecodeBody<QueryMsg>(dec, wire_bytes, sig_ops,
-                                 static_cast<MsgType>(tag));
-      break;
-    case MsgType::kExecOrder:
-      out = DecodeBody<ExecOrderMsg>(dec, wire_bytes, sig_ops);
-      break;
-    case MsgType::kExecReply:
-      out = DecodeBody<ExecReplyMsg>(dec, wire_bytes, sig_ops);
-      break;
-    default:
-      return nullptr;
-  }
+  std::shared_ptr<Message> out = decode(static_cast<MsgType>(tag), &body);
   if (out == nullptr || !body.Done()) return nullptr;
-  outer->Skip(body_len);
+  out->wire_bytes = wire_bytes;
+  out->sig_verify_ops = sig_ops;
+  dec->Skip(body_len);
   return out;
 }
 

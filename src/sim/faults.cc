@@ -420,46 +420,19 @@ FaultPlan MakeRandomPlan(uint64_t seed, const std::vector<CrashGroup>& groups,
 
 namespace {
 
-// Doubles are encoded as their IEEE-754 bit pattern: the round trip is
-// exact, which the replay guarantee requires (a re-expanded plan must
-// flip the same coins).
-uint64_t DoubleBits(double d) {
-  uint64_t u;
-  static_assert(sizeof(u) == sizeof(d), "double must be 64-bit");
-  std::memcpy(&u, &d, sizeof(u));
-  return u;
-}
-
-double BitsDouble(uint64_t u) {
-  double d;
-  std::memcpy(&d, &u, sizeof(d));
-  return d;
-}
-
 constexpr uint32_t kPlanMagic = 0x51504c4e;  // "QPLN"
 constexpr uint8_t kPlanVersion = 1;
 
 }  // namespace
 
+// Doubles travel as their IEEE-754 bits (common/serde.h): the round trip
+// is exact, which the replay guarantee requires (a re-expanded plan must
+// flip the same coins).
 std::vector<uint8_t> EncodePlan(const FaultPlan& plan) {
   Encoder enc;
   enc.PutU32(kPlanMagic);
   enc.PutU8(kPlanVersion);
-  enc.PutU32(static_cast<uint32_t>(plan.events.size()));
-  for (const FaultEvent& ev : plan.events) {
-    enc.PutI64(ev.at);
-    enc.PutU8(static_cast<uint8_t>(ev.action.kind));
-    enc.PutU32(ev.action.a);
-    enc.PutU32(ev.action.b);
-    enc.PutU64(DoubleBits(ev.action.fault.drop));
-    enc.PutU64(DoubleBits(ev.action.fault.duplicate));
-    enc.PutU64(DoubleBits(ev.action.fault.reorder));
-    enc.PutI64(ev.action.fault.reorder_delay_us);
-    enc.PutI64(ev.action.fault.extra_delay_us);
-    enc.PutU64(ev.action.fault.silence_mask);
-    enc.PutU64(DoubleBits(ev.action.drop_rate));
-    enc.PutU64(DoubleBits(ev.action.factor));
-  }
+  Writer{&enc}.List32(plan.events);
   return std::move(enc).Take();
 }
 
@@ -467,41 +440,15 @@ Status DecodePlan(const std::vector<uint8_t>& buf, FaultPlan* out) {
   Decoder dec(buf);
   uint32_t magic = 0;
   uint8_t version = 0;
-  uint32_t count = 0;
   if (!dec.GetU32(&magic) || magic != kPlanMagic) {
     return Status::Corruption("fault plan: bad magic");
   }
   if (!dec.GetU8(&version) || version != kPlanVersion) {
     return Status::Corruption("fault plan: unsupported version");
   }
-  if (!dec.GetU32(&count)) return Status::Corruption("fault plan: truncated");
   FaultPlan plan;
-  plan.events.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    FaultEvent ev;
-    uint8_t kind = 0;
-    uint64_t drop = 0, dup = 0, reorder = 0, silence = 0, rate = 0,
-             factor = 0;
-    if (!dec.GetI64(&ev.at) || !dec.GetU8(&kind) ||
-        !dec.GetU32(&ev.action.a) || !dec.GetU32(&ev.action.b) ||
-        !dec.GetU64(&drop) || !dec.GetU64(&dup) || !dec.GetU64(&reorder) ||
-        !dec.GetI64(&ev.action.fault.reorder_delay_us) ||
-        !dec.GetI64(&ev.action.fault.extra_delay_us) ||
-        !dec.GetU64(&silence) || !dec.GetU64(&rate) ||
-        !dec.GetU64(&factor)) {
-      return Status::Corruption("fault plan: truncated event");
-    }
-    if (kind > static_cast<uint8_t>(FaultAction::Kind::kClearEquivocate)) {
-      return Status::Corruption("fault plan: unknown action kind");
-    }
-    ev.action.kind = static_cast<FaultAction::Kind>(kind);
-    ev.action.fault.drop = BitsDouble(drop);
-    ev.action.fault.duplicate = BitsDouble(dup);
-    ev.action.fault.reorder = BitsDouble(reorder);
-    ev.action.fault.silence_mask = silence;
-    ev.action.drop_rate = BitsDouble(rate);
-    ev.action.factor = BitsDouble(factor);
-    plan.events.push_back(std::move(ev));
+  if (!Reader{&dec}.List32(plan.events)) {
+    return Status::Corruption("fault plan: truncated or unknown event");
   }
   if (!dec.Done()) return Status::Corruption("fault plan: trailing bytes");
   *out = std::move(plan);

@@ -40,11 +40,23 @@ struct FaultAction {
   double factor = 1.0;
 
   std::string ToString() const;
+
+  template <class IO, class Self>
+  static bool Fields(IO& io, Self& m) {
+    return io(m.kind) && io.Check(m.kind <= Kind::kClearEquivocate) &&
+           io(m.a) && io(m.b) && io(m.fault) && io(m.drop_rate) &&
+           io(m.factor);
+  }
 };
 
 struct FaultEvent {
   SimTime at = 0;
   FaultAction action;
+
+  template <class IO, class Self>
+  static bool Fields(IO& io, Self& m) {
+    return io(m.at) && io(m.action);
+  }
 };
 
 /// A declarative, time-ordered fault schedule. Built by hand for targeted

@@ -78,6 +78,14 @@ class Network {
       return drop > 0.0 || duplicate > 0.0 || reorder > 0.0 ||
              extra_delay_us > 0 || silence_mask != 0;
     }
+
+    /// Layout inside an encoded FaultPlan (sim/faults.h).
+    template <class IO, class Self>
+    static bool Fields(IO& io, Self& m) {
+      return io(m.drop) && io(m.duplicate) && io(m.reorder) &&
+             io(m.reorder_delay_us) && io(m.extra_delay_us) &&
+             io(m.silence_mask);
+    }
   };
 
   explicit Network(Env* env);

@@ -2,6 +2,7 @@
 
 #include "collections/data_model.h"
 #include "collections/tx_id.h"
+#include "common/serde.h"
 
 namespace qanaat {
 namespace {
@@ -54,10 +55,10 @@ TEST(CollectionIdTest, LabelNotation) {
 
 TEST(CollectionIdTest, SerializationRoundTrip) {
   Encoder enc;
-  Coll({0, 3}).EncodeTo(&enc);
+  Encode(Coll({0, 3}), &enc);
   Decoder dec(enc.buffer());
   CollectionId out;
-  ASSERT_TRUE(CollectionId::DecodeFrom(&dec, &out));
+  ASSERT_TRUE(Decode(&dec, &out));
   EXPECT_EQ(out, Coll({0, 3}));
 }
 
@@ -133,10 +134,10 @@ TEST(TxIdTest, SerializationRoundTrip) {
                   {{Coll({0, 1, 2}), 5}, {Coll({1, 2, 3}), 7}});
   t.extra_alphas.push_back({Coll({1, 2}), 1, 17});
   Encoder enc;
-  t.EncodeTo(&enc);
+  Encode(t, &enc);
   Decoder dec(enc.buffer());
   TxId out;
-  ASSERT_TRUE(TxId::DecodeFrom(&dec, &out));
+  ASSERT_TRUE(Decode(&dec, &out));
   EXPECT_EQ(out, t);
 }
 

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <map>
+#include <memory>
+#include <utility>
+#include <vector>
 
 #include "common/enterprise_set.h"
 #include "common/histogram.h"
@@ -109,32 +113,24 @@ TEST(SerdeTest, RoundTripScalars) {
   enc.PutU16(0x1234);
   enc.PutU32(0xdeadbeef);
   enc.PutU64(0x0123456789abcdefULL);
-  enc.PutI64(-77);
   enc.PutBool(true);
-  enc.PutBytes("hello");
 
   Decoder dec(enc.buffer());
   uint8_t u8;
   uint16_t u16;
   uint32_t u32;
   uint64_t u64;
-  int64_t i64;
   bool b;
-  std::string s;
   ASSERT_TRUE(dec.GetU8(&u8));
   ASSERT_TRUE(dec.GetU16(&u16));
   ASSERT_TRUE(dec.GetU32(&u32));
   ASSERT_TRUE(dec.GetU64(&u64));
-  ASSERT_TRUE(dec.GetI64(&i64));
   ASSERT_TRUE(dec.GetBool(&b));
-  ASSERT_TRUE(dec.GetBytes(&s));
   EXPECT_EQ(u8, 0xab);
   EXPECT_EQ(u16, 0x1234);
   EXPECT_EQ(u32, 0xdeadbeefu);
   EXPECT_EQ(u64, 0x0123456789abcdefULL);
-  EXPECT_EQ(i64, -77);
   EXPECT_TRUE(b);
-  EXPECT_EQ(s, "hello");
   EXPECT_TRUE(dec.Done());
 }
 
@@ -148,10 +144,68 @@ TEST(SerdeTest, UnderflowDetected) {
 
 TEST(SerdeTest, TruncatedBytesDetected) {
   Encoder enc;
-  enc.PutU32(100);  // claims 100 bytes follow, but none do
+  enc.PutU32(100);  // claims 100 list elements follow, but none do
   Decoder dec(enc.buffer());
-  std::string s;
-  EXPECT_FALSE(dec.GetBytes(&s));
+  std::vector<uint8_t> v;
+  EXPECT_FALSE(Reader{&dec}.List32(v));
+  EXPECT_TRUE(v.empty());  // refused before any allocation
+}
+
+/// One field of every walker rule (see common/serde.h).
+struct WalkerSample {
+  enum class Kind : uint8_t { kLow = 1, kHigh = 2 };
+  Kind kind = Kind::kLow;
+  int32_t delta = 0;
+  double rate = 0.0;
+  std::array<uint8_t, 3> raw{};
+  std::pair<uint16_t, bool> tagged{};
+  std::shared_ptr<const WalkerSample> child;
+  std::vector<uint64_t> list;
+
+  template <class IO, class Self>
+  static bool Fields(IO& io, Self& m) {
+    return io(m.kind) && io.Check(m.kind <= Kind::kHigh) && io(m.delta) &&
+           io(m.rate) && io(m.raw) && io(m.tagged) && io(m.child) &&
+           io.List16(m.list);
+  }
+};
+
+TEST(SerdeTest, WalkerRulesRoundTripAtTheirWidths) {
+  auto child = std::make_shared<WalkerSample>();
+  child->kind = WalkerSample::Kind::kHigh;
+  WalkerSample v;
+  v.delta = -77;
+  v.rate = 0.1;
+  v.raw = {1, 2, 3};
+  v.tagged = {0xbeef, true};
+  v.child = child;
+  v.list = {5, 6};
+
+  Encoder enc;
+  Encode(v, &enc);
+  // The parent's 1+4+8+3+(2+1)+1+(2+2*8) bytes, and inside them, after
+  // the presence flag, the child's 1+4+8+3+(2+1)+1+2.
+  EXPECT_EQ(enc.size(), 38u + 22u);
+  EXPECT_EQ(enc.buffer()[1], 0xb3);  // -77 in two's complement, LE
+
+  Decoder dec(enc.buffer());
+  WalkerSample out;
+  ASSERT_TRUE(Decode(&dec, &out));
+  EXPECT_TRUE(dec.Done());
+  EXPECT_EQ(out.delta, -77);
+  EXPECT_EQ(out.rate, 0.1);  // exact: the IEEE-754 bits travel
+  EXPECT_EQ(out.raw, v.raw);
+  EXPECT_EQ(out.tagged, v.tagged);
+  ASSERT_NE(out.child, nullptr);
+  EXPECT_EQ(out.child->kind, WalkerSample::Kind::kHigh);
+  EXPECT_EQ(out.child->child, nullptr);
+  EXPECT_EQ(out.list, v.list);
+
+  // A failed Check fails the decode.
+  std::vector<uint8_t> bad = enc.buffer();
+  bad[0] = 3;
+  Decoder bad_dec(bad);
+  EXPECT_FALSE(Decode(&bad_dec, &out));
 }
 
 // -------------------------------------------------------------------- Rng

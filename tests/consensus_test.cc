@@ -221,6 +221,76 @@ TEST(PbftTest, EquivocatedDigestNeverCommits) {
   }
 }
 
+TEST(PbftTest, PrePrepareMustCarryItsBlock) {
+  // The value digest covers only (kind, block digest), so the primary's
+  // valid signature does not vouch for the block. A Byzantine primary
+  // sends a kBlock pre-prepare without its block, or with a block that
+  // hashes elsewhere. Committing it would crash a host delivering the
+  // missing block, or mark transactions committed whose block the ledger
+  // refuses. Backups must start a view change instead, and the slot is
+  // filled with a no-op.
+  for (bool drop_block : {true, false}) {
+    SCOPED_TRACE(drop_block ? "no block" : "block hashing elsewhere");
+    EngineFixture f(true, 4, 1);
+    ConsensusValue evil = f.MakeValue("claimed");
+    evil.block = drop_block ? nullptr : f.MakeValue("carried").block;
+    auto pp = std::make_shared<PrePrepareMsg>();
+    pp->view = 0;
+    pp->slot = 1;
+    pp->value = evil;
+    pp->value_digest = evil.Digest();
+    pp->sig = f.env.keystore.Sign(f.hosts[0]->id(),
+                                  ConsensusSignable(0, 1, pp->value_digest));
+    for (size_t i = 1; i < f.hosts.size(); ++i) {
+      f.net.Send(f.hosts[0]->id(), f.hosts[i]->id(), pp);
+    }
+    f.env.sim.Run(3000000);
+    EXPECT_GE(f.env.metrics.Get("pbft.bad_preprepare_block"), 3u);
+    EXPECT_GE(f.env.metrics.Get("pbft.view_installed"), 1u);
+    for (const auto& h : f.hosts) {
+      for (const auto& [slot, digest] : h->delivered) {
+        EXPECT_NE(digest, evil.block_digest) << "replica " << h->id();
+      }
+    }
+  }
+}
+
+TEST(PbftTest, FillReplyMustCarryItsBlock) {
+  // A fill's commit proof, like a pre-prepare's signature, covers only
+  // (kind, block digest): a quorum-signed kBlock value without its block
+  // is dropped instead of delivered.
+  EngineFixture f(true, 4, 1);
+  ConsensusValue v = f.MakeValue("filled");
+  v.block = nullptr;
+  auto fr = std::make_shared<FillReplyMsg>();
+  fr->slot = 1;
+  fr->view = 0;
+  fr->value = v;
+  for (size_t i = 0; i < 3; ++i) {
+    fr->commit_proof.push_back(f.env.keystore.Sign(
+        f.hosts[i]->id(), ConsensusSignable(0, 1, v.Digest())));
+  }
+  f.net.Send(f.hosts[1]->id(), f.hosts[3]->id(), fr);
+  f.env.sim.RunAll();
+  EXPECT_TRUE(f.hosts[3]->delivered.empty());
+  EXPECT_EQ(f.env.metrics.Get("pbft.slot_filled"), 0u);
+}
+
+TEST(PbftTest, FillWindowEndingAtTheLastSlotTerminates) {
+  // Any sender may ask for a fill. A window ending at 2^64-1 must not
+  // wrap the slot counter: the replica serves at most 17 slots per
+  // request and stays live.
+  EngineFixture f(true, 4, 1);
+  auto req = std::make_shared<FillRequestMsg>();
+  req->from_slot = UINT64_MAX - 16;
+  req->to_slot = UINT64_MAX;
+  f.net.Send(f.hosts[1]->id(), f.hosts[0]->id(), req);
+  f.env.sim.RunAll();
+  f.hosts[0]->engine->Propose(f.MakeValue("after"));
+  f.env.sim.RunAll();
+  f.ExpectAgreement(1);
+}
+
 TEST(PbftTest, CommitProofFormsValidCertificate) {
   EngineFixture f(true, 4, 1);
   ConsensusValue v = f.MakeValue("cert");

@@ -334,6 +334,15 @@ TEST(PlanSerde, RejectsCorruptBuffers) {
   EXPECT_FALSE(DecodePlan(trailing, &out).ok());
 
   EXPECT_FALSE(DecodePlan({}, &out).ok());
+
+  // Magic, version 1, then a count of 2^32-1 events and no event bytes:
+  // the count exceeds the bytes left, so the decode must fail before
+  // anything is allocated for it.
+  const std::vector<uint8_t> huge_count = {0x4e, 0x4c, 0x50, 0x51, 1,
+                                           0xff, 0xff, 0xff, 0xff};
+  Status st;
+  EXPECT_NO_THROW(st = DecodePlan(huge_count, &out));
+  EXPECT_FALSE(st.ok());
 }
 
 TEST(ResultSerde, TsvRoundTripsEveryReportField) {

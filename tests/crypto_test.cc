@@ -2,6 +2,7 @@
 
 #include <string>
 
+#include "common/serde.h"
 #include "crypto/merkle.h"
 #include "crypto/sha256.h"
 #include "crypto/signer.h"
@@ -128,10 +129,10 @@ TEST(SignerTest, SerializationRoundTrip) {
   auto d = Sha256::Hash("x");
   Signature sig = ks.Sign(12, d);
   Encoder enc;
-  sig.EncodeTo(&enc);
+  Encode(sig, &enc);
   Decoder dec(enc.buffer());
   Signature out;
-  ASSERT_TRUE(Signature::DecodeFrom(&dec, &out));
+  ASSERT_TRUE(Decode(&dec, &out));
   EXPECT_EQ(out, sig);
   EXPECT_TRUE(ks.Verify(out, d));
 }
@@ -173,10 +174,10 @@ TEST(ThresholdCertTest, SerializationRoundTrip) {
   ThresholdCert cert;
   for (NodeId i = 0; i < 4; ++i) cert.shares.push_back(ks.SignShare(i, d));
   Encoder enc;
-  cert.EncodeTo(&enc);
+  Encode(cert, &enc);
   Decoder dec(enc.buffer());
   ThresholdCert out;
-  ASSERT_TRUE(ThresholdCert::DecodeFrom(&dec, &out));
+  ASSERT_TRUE(Decode(&dec, &out));
   EXPECT_TRUE(out.Valid(ks, d, 4));
 }
 

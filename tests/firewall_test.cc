@@ -149,6 +149,25 @@ TEST_F(PfFixture, ForgedExecOrderRejectedByFilters) {
   EXPECT_GE(sys->env().metrics.Get("firewall.filtered_bad_cert"), 1u);
 }
 
+TEST_F(PfFixture, BlocklessExecOrderRejected) {
+  // The wire admits an EXEC-ORDER without a block, and any Byzantine
+  // ordering node can send one. The bottom filter row and the execution
+  // nodes must drop it as a bad certificate, not dereference the block.
+  Build();
+  auto eo = std::make_shared<ExecOrderMsg>();
+  eo->cert.direct = true;
+  eo->cert.sigs.push_back(sys->env().keystore.Forge(3));
+
+  const ClusterConfig& c0 = sys->directory().Cluster(0);
+  sys->net().Send(c0.ordering[0], c0.filter_rows.front()[0], eo);
+  sys->net().Send(c0.filter_rows.back()[0], sys->execution_node(0, 0)->id(),
+                  eo);
+  sys->env().sim.RunAll();
+  EXPECT_GE(sys->env().metrics.Get("firewall.filtered_bad_cert"), 1u);
+  EXPECT_GE(sys->env().metrics.Get("exec.bad_cert"), 1u);
+  EXPECT_EQ(sys->execution_node(0, 0)->core().executed_blocks(), 0u);
+}
+
 TEST_F(PfFixture, ReplyCertificatesVerifiableByClients) {
   Build();
   uint64_t commits = RunLoad(200);

@@ -5,11 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "collections/tx_id.h"
 #include "common/rng.h"
+#include "common/serde.h"
 #include "crypto/signer.h"
 #include "ledger/transaction.h"
 #include "protocols/wire.h"
+#include "sim/faults.h"
 
 namespace qanaat {
 namespace {
@@ -40,39 +44,40 @@ Transaction SampleTx() {
 
 TEST(SerdeRobustness, TxIdEveryTruncationDetected) {
   Encoder enc;
-  SampleTxId().EncodeTo(&enc);
+  Encode(SampleTxId(), &enc);
   const auto& buf = enc.buffer();
   for (size_t len = 0; len < buf.size(); ++len) {
     Decoder dec(buf.data(), len);
     TxId out;
-    EXPECT_FALSE(TxId::DecodeFrom(&dec, &out)) << "len=" << len;
+    EXPECT_FALSE(Decode(&dec, &out)) << "len=" << len;
   }
   // The full buffer round-trips.
   Decoder dec(buf);
   TxId out;
-  ASSERT_TRUE(TxId::DecodeFrom(&dec, &out));
+  ASSERT_TRUE(Decode(&dec, &out));
   EXPECT_EQ(out, SampleTxId());
 }
 
 TEST(SerdeRobustness, TransactionEveryTruncationDetected) {
   Encoder enc;
-  SampleTx().EncodeTo(&enc);
+  Encode(SampleTx(), &enc);
   const auto& buf = enc.buffer();
   for (size_t len = 0; len < buf.size(); ++len) {
     Decoder dec(buf.data(), len);
     Transaction out;
-    EXPECT_FALSE(Transaction::DecodeFrom(&dec, &out)) << "len=" << len;
+    EXPECT_FALSE(Decode(&dec, &out)) << "len=" << len;
   }
   Decoder dec(buf);
   Transaction out;
-  ASSERT_TRUE(Transaction::DecodeFrom(&dec, &out));
+  ASSERT_TRUE(Decode(&dec, &out));
   EXPECT_EQ(out.Digest(), SampleTx().Digest());
 }
 
 TEST(SerdeRobustness, BitFlipsNeverPreserveTransactionDigest) {
   Transaction tx = SampleTx();
   Encoder enc;
-  tx.EncodeBodyTo(&enc);
+  Writer w(&enc);
+  Transaction::BodyFields(w, tx);
   auto buf = enc.buffer();
   Sha256Digest original = Sha256::Hash(buf);
   Rng rng(5);
@@ -93,17 +98,17 @@ TEST(SerdeRobustness, RandomGarbageNeverCrashesDecoders) {
     {
       Decoder dec(garbage);
       TxId out;
-      (void)TxId::DecodeFrom(&dec, &out);  // must not crash / overflow
+      (void)Decode(&dec, &out);  // must not crash / overflow
     }
     {
       Decoder dec(garbage);
       Transaction out;
-      (void)Transaction::DecodeFrom(&dec, &out);
+      (void)Decode(&dec, &out);
     }
     {
       Decoder dec(garbage);
       ThresholdCert out;
-      (void)ThresholdCert::DecodeFrom(&dec, &out);
+      (void)Decode(&dec, &out);
     }
   }
 }
@@ -114,7 +119,7 @@ TEST(SerdeRobustness, ThresholdCertRejectsAbsurdCounts) {
   enc.PutU32(0x7fffffff);
   Decoder dec(enc.buffer());
   ThresholdCert out;
-  EXPECT_FALSE(ThresholdCert::DecodeFrom(&dec, &out));
+  EXPECT_FALSE(Decode(&dec, &out));
 }
 
 // -------------------------------- protocol message envelope round-trips
@@ -343,6 +348,19 @@ std::vector<MessageRef> SampleMessages() {
     out.push_back(m);
   }
   {
+    // An abort shares the COMMIT layout under its own tag, and may travel
+    // without its block.
+    auto m = std::make_shared<XCommitMsg>();
+    m->type = MsgType::kXAbort;
+    m->coord_cluster = 1;
+    m->block_digest = d;
+    m->coord_cert = SampleCert(d);
+    m->assignments.push_back(
+        ShardAssignment{2, {CollectionId{EnterpriseSet{0, 1}}, 1, 7}, {}});
+    m->is_abort = true;
+    out.push_back(m);
+  }
+  {
     auto m = std::make_shared<FProposeMsg>();
     m->initiator_cluster = 0;
     m->block = blk;
@@ -477,6 +495,124 @@ TEST(MessageSerde, CarriedBlockMustMatchClaimedDigest) {
   ASSERT_TRUE(EncodeMessage(*m, &enc));
   Decoder dec(enc.buffer());
   EXPECT_EQ(DecodeMessage(&dec), nullptr);
+}
+
+// ---------------------------------------------------------- pinned bytes
+
+template <class T>
+std::vector<uint8_t> BytesOf(const T& v) {
+  Encoder enc;
+  Encode(v, &enc);
+  return enc.buffer();
+}
+
+/// First 8 bytes of a digest, in hex.
+std::string Pin(const Sha256Digest& d) { return d.ToHex().substr(0, 16); }
+std::string Pin(const std::vector<uint8_t>& bytes) {
+  return Pin(Sha256::Hash(bytes));
+}
+
+TEST(MessageSerde, EncodingsMatchPinnedBytes) {
+  // Every content digest, and through the digests every signature and
+  // the §4.3.5 digest-priority arbitration, rests on these encodings. A
+  // layout change made on both sides at once passes every round-trip test
+  // above; only these pins see it. They move only with a stated reason.
+  std::vector<std::pair<std::string, std::string>> got;
+  for (const MessageRef& m : SampleMessages()) {
+    Encoder enc;
+    ASSERT_TRUE(EncodeMessage(*m, &enc)) << MsgTypeName(m->type);
+    got.emplace_back(MsgTypeName(m->type), Pin(enc.buffer()));
+  }
+  got.emplace_back("TxId", Pin(BytesOf(SampleTxId())));
+  got.emplace_back("Transaction", Pin(BytesOf(SampleTx())));
+  got.emplace_back("Block", Pin(BytesOf(*SampleBlock())));
+  got.emplace_back("Transaction::Digest", Pin(SampleTx().Digest()));
+  got.emplace_back("Block::Digest", Pin(SampleBlock()->Digest()));
+  {
+    KeyStore ks(3);
+    Sha256Digest d = Sha256::Hash("threshold");
+    ThresholdCert cert;
+    cert.shares = {ks.SignShare(1, d), ks.SignShare(2, d)};
+    got.emplace_back("ThresholdCert", Pin(BytesOf(cert)));
+  }
+  got.emplace_back("ExecReplyMsg::Signable",
+                   Pin(ExecReplyMsg::Signable(Sha256::Hash("block"),
+                                              Sha256::Hash("result"),
+                                              {{9, 1}, {10, 7}})));
+  CrashGroup group;
+  group.crashable = {1, 2, 3, 4};
+  group.max_faulty = 2;
+  AdversaryTargets targets;
+  targets.primaries.push_back(1);
+  for (AdversaryKind k :
+       {AdversaryKind::kNone, AdversaryKind::kGrayFailure,
+        AdversaryKind::kEquivocation, AdversaryKind::kSelectiveSilence,
+        AdversaryKind::kCrossConflict}) {
+    ChaosProfile p;
+    p.dup = 0.03;
+    p.reorder = 0.05;
+    p.loss = 0.02;
+    p.adversary = k;
+    if (k == AdversaryKind::kSelectiveSilence) {
+      p.silence_types = Network::LinkFault::TypeBit(MsgType::kViewChange);
+    }
+    got.emplace_back(std::string("plan/") + AdversaryName(k),
+                     Pin(EncodePlan(MakeRandomPlan(21, {group}, 800000, p,
+                                                   targets))));
+  }
+
+  const std::map<std::string, std::string> want = {
+      {"REQUEST", "e143e6e585bffa60"},
+      {"REPLY", "b02ed33f953ad981"},
+      {"REPLY_CERT", "5bd426028c1119fb"},
+      {"PRE_PREPARE", "065875ea875ec5b6"},
+      {"PREPARE", "3a3816d2e87ad239"},
+      {"COMMIT", "fe4e8f0378d2a38a"},
+      {"VIEW_CHANGE", "49e36c8148c2d808"},
+      {"NEW_VIEW", "df6b24f6c406fb2b"},
+      {"PAXOS_ACCEPT", "be9f9b8f60032ca7"},
+      {"PAXOS_ACCEPTED", "a8fc864f53d1bde5"},
+      {"PAXOS_LEARN", "e6171851c53c2f22"},
+      {"PAXOS_PREPARE", "8e5f1b949cd84ff6"},
+      {"PAXOS_PROMISE", "34815d4989cb96da"},
+      {"FILL_REQUEST", "7097c41c6262857b"},
+      {"FILL_REPLY", "5e100ee1a06f9bab"},
+      {"CHECKPOINT", "e32b14134fa18672"},
+      {"STATE_REQUEST", "078cb8dae5c46c96"},
+      {"STATE_REPLY", "860328648f782fe5"},
+      {"X_PREPARE", "299e8b179c33c095"},
+      {"X_PREPARED", "4eb44708a0d6dd7a"},
+      {"X_COMMIT", "cabee01f639046e5"},
+      {"X_ABORT", "d14e0c05302e9f19"},
+      {"F_PROPOSE", "d258b43ccf120179"},
+      {"F_ACCEPT", "4eef899e3bda265c"},
+      {"F_COMMIT", "349fdc3118650946"},
+      {"COMMIT_QUERY", "ea2470f2c937bd79"},
+      {"PREPARED_QUERY", "0252815185155eac"},
+      {"EXEC_ORDER", "ea8cda2e7ccc0fce"},
+      {"EXEC_REPLY", "e79d53e1d2cf9a6b"},
+      {"TxId", "f82c29defe995a49"},
+      {"Transaction", "250edd47bd0def91"},
+      {"Block", "9ec1fe9765f66f25"},
+      {"Transaction::Digest", "268edb090d99b473"},
+      {"Block::Digest", "afc961ab765ecaa9"},
+      {"ThresholdCert", "f23d99add27e92e9"},
+      {"ExecReplyMsg::Signable", "26244f6ca9086d1d"},
+      {"plan/none", "2668c1b741c77bbb"},
+      {"plan/gray", "fc0b1156ee349126"},
+      {"plan/equivocation", "2a928fde13d0f877"},
+      {"plan/silence", "05d7a6e7b13bbeb0"},
+      {"plan/conflict", "4676995b0e8fd13a"},
+  };
+  EXPECT_EQ(got.size(), want.size());
+  for (const auto& [name, pin] : got) {
+    auto it = want.find(name);
+    if (it == want.end()) {
+      ADD_FAILURE() << "no pin for " << name << " (" << pin << ")";
+      continue;
+    }
+    EXPECT_EQ(pin, it->second) << name;
+  }
 }
 
 }  // namespace
