@@ -23,9 +23,6 @@ struct EndorsedTx {
   std::vector<ReadSetEntry> read_set;
   std::vector<std::pair<uint64_t, int64_t>> write_set;
   std::vector<Signature> endorsements;
-  bool IsPrivate(int enterprises) const {
-    return static_cast<int>(tx.collection.members.size()) < enterprises;
-  }
 };
 
 /// Client -> endorsing peer.

@@ -46,10 +46,6 @@ Status DataModel::AddIntermediateCollection(EnterpriseSet members,
   return Status::Ok();
 }
 
-void DataModel::SetShardCount(const CollectionId& c, int shards) {
-  collections_[c] = shards;
-}
-
 int DataModel::ShardCountOf(const CollectionId& c) const {
   auto it = collections_.find(c);
   if (it == collections_.end() || it->second == 0) return default_shards_;

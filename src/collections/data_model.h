@@ -36,16 +36,12 @@ class DataModel {
   /// enterprises (§3.6); 0 means "use the deployment default".
   Status AddIntermediateCollection(EnterpriseSet members, int shard_count = 0);
 
-  /// Sets/gets the sharding schema of a collection.
-  void SetShardCount(const CollectionId& c, int shards);
+  /// The sharding schema of a collection.
   int ShardCountOf(const CollectionId& c) const;
   void set_default_shard_count(int s) { default_shards_ = s; }
 
   bool HasCollection(const CollectionId& c) const;
   std::vector<CollectionId> Collections() const;
-  std::vector<EnterpriseSet> Workflows() const {
-    return {workflows_.begin(), workflows_.end()};
-  }
 
   /// All collections enterprise `e` maintains: its local collection, every
   /// root it participates in, and every intermediate containing it (§3.2:

@@ -59,14 +59,6 @@ struct ConsensusValue {
     v.block = std::move(b);
     return v;
   }
-  static ConsensusValue Decision(Kind k, BlockPtr b,
-                                 const Sha256Digest& digest) {
-    ConsensusValue v;
-    v.kind = k;
-    v.block = std::move(b);
-    v.block_digest = digest;
-    return v;
-  }
 
   /// Every kind but kNoop and kXAbort carries its block, and a carried
   /// block hashes to block_digest. Digest() covers only (kind,

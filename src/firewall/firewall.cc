@@ -43,14 +43,13 @@ void ExecutionNode::OnTimer(uint64_t tag, uint64_t /*payload*/) {
 }
 
 void ExecutionNode::OnRecover() {
-  if (!dir_->params.state_transfer) return;
   env()->metrics.Inc("exec.pull_on_recover");
   SendPullRequest();
   ArmPullWatchdog();
 }
 
 void ExecutionNode::ArmPullWatchdog() {
-  if (!dir_->params.state_transfer || pull_armed_) return;
+  if (pull_armed_) return;
   pull_armed_ = true;
   pull_ledger_mark_ = core_.ledger().size();
   StartTimer(dir_->params.consensus_timeout_us, kTagPull);
@@ -83,7 +82,6 @@ void ExecutionNode::SendPullRequest() {
 
 void ExecutionNode::HandleStateRequest(NodeId from,
                                        const StateRequestMsg& m) {
-  if (!dir_->params.state_transfer) return;
   if (!cfg_.IsExecutionNode(m.requester)) {
     return;  // filters validate this too; defense in depth
   }
@@ -98,7 +96,6 @@ void ExecutionNode::HandleStateRequest(NodeId from,
 }
 
 void ExecutionNode::HandleStateReply(const StateReplyMsg& m) {
-  if (!dir_->params.state_transfer) return;
   size_t installed = 0;
   for (const auto& e : m.entries) {
     ShardRef ref{e.alpha.collection, e.alpha.shard};

@@ -20,6 +20,24 @@ LoadPoint PickKnee(const std::vector<LoadPoint>& curve) {
   }
   return best_ok != nullptr ? *best_ok : *best_any;
 }
+
+// Runs a loaded system (Qanaat or Fabric) until its clients stop plus
+// the drain, then reads the point off its measurement window.
+template <class System>
+LoadPoint Measure(System& sys, double offered_tps, SimTime duration,
+                  SimTime measure_from, SimTime measure_to) {
+  LoadPoint p;
+  p.offered_tps = offered_tps;
+  p.events = sys.env().sim.Run(duration + kPointDrain);
+  p.run_wall_s = sys.env().sim.wall_seconds_in_run();
+  double window_s =
+      static_cast<double>(measure_to - measure_from) / kSecond;
+  p.measured_tps = static_cast<double>(sys.TotalMeasuredCommits()) / window_s;
+  Histogram lat = sys.MergedLatencies();
+  p.avg_latency_ms = lat.Mean() / 1000.0;
+  p.p99_latency_ms = static_cast<double>(lat.Percentile(0.99)) / 1000.0;
+  return p;
+}
 }  // namespace
 
 LoadPoint RunQanaatPoint(const QanaatRunConfig& cfg, double offered_tps) {
@@ -92,17 +110,7 @@ LoadPoint RunQanaatPoint(const QanaatRunConfig& cfg, double offered_tps) {
     }
     c->Start(0, cfg.duration, measure_from, measure_to);
   }
-  sys.env().sim.Run(cfg.duration + 500 * kMillisecond);
-
-  LoadPoint p;
-  p.offered_tps = offered_tps;
-  double window_s =
-      static_cast<double>(measure_to - measure_from) / kSecond;
-  p.measured_tps = static_cast<double>(sys.TotalMeasuredCommits()) / window_s;
-  Histogram lat = sys.MergedLatencies();
-  p.avg_latency_ms = lat.Mean() / 1000.0;
-  p.p99_latency_ms = static_cast<double>(lat.Percentile(0.99)) / 1000.0;
-  return p;
+  return Measure(sys, offered_tps, cfg.duration, measure_from, measure_to);
 }
 
 SweepResult SmartSweep(const std::function<LoadPoint(double)>& run_point,
@@ -197,17 +205,7 @@ LoadPoint RunFabricPoint(const FabricRunConfig& cfg, double offered_tps) {
       }
     }
   }
-  sys.env().sim.Run(cfg.duration + 500 * kMillisecond);
-
-  LoadPoint p;
-  p.offered_tps = offered_tps;
-  double window_s =
-      static_cast<double>(measure_to - measure_from) / kSecond;
-  p.measured_tps = static_cast<double>(sys.TotalMeasuredCommits()) / window_s;
-  Histogram lat = sys.MergedLatencies();
-  p.avg_latency_ms = lat.Mean() / 1000.0;
-  p.p99_latency_ms = static_cast<double>(lat.Percentile(0.99)) / 1000.0;
-  return p;
+  return Measure(sys, offered_tps, cfg.duration, measure_from, measure_to);
 }
 
 void PrintCurveHeader(const std::string& series_name) {

@@ -18,7 +18,15 @@ struct LoadPoint {
   double measured_tps = 0;
   double avg_latency_ms = 0;
   double p99_latency_ms = 0;
+  /// Host cost of the point: the events Simulator::Run executed and the
+  /// wall time spent inside it (system setup excluded).
+  uint64_t events = 0;
+  double run_wall_s = 0;
 };
+
+/// Simulated time a point keeps running after its clients stop, so
+/// in-flight transactions settle before the counters are read.
+constexpr SimTime kPointDrain = 500 * kMillisecond;
 
 /// Result of a saturation sweep: the full curve plus the knee — the
 /// point "just below saturation" the paper reports in its tables.
@@ -41,9 +49,8 @@ struct QanaatRunConfig {
   int faulty_ordering_nodes = 0;
   /// Crash-and-recover scenario (checkpoint/state-transfer overhead
   /// bench): one non-primary ordering node per cluster crashes at
-  /// `crash_at` and recovers at `recover_at` (both 0 disables). Combined
-  /// with SystemParams::state_transfer / checkpoint_interval this
-  /// measures what certified checkpoints buy a recovering replica.
+  /// `crash_at` and recovers at `recover_at` (both 0 disables); the
+  /// replica catches up through certified checkpoints and state transfer.
   SimTime crash_at = 0;
   SimTime recover_at = 0;
   /// Uniform message-loss probability on every link (§5 failure runs).

@@ -45,7 +45,6 @@ struct Transaction {
   std::vector<TxOp> ops;
   Signature client_sig;             // over Digest()
 
-  bool IsCrossShard() const { return shards.size() > 1; }
   /// Cross-enterprise iff the target collection is shared (non-local).
   bool IsCrossEnterprise() const { return collection.members.size() > 1; }
 

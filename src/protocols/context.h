@@ -83,12 +83,6 @@ struct SystemParams {
   /// collecting per-slot consensus state and bounding the fill window.
   /// <= 0 disables checkpointing.
   int checkpoint_interval = 64;
-  /// Ledger state transfer for recovering / gap-stuck replicas: fetch
-  /// missing blocks (self-certified by their commit certificates) plus
-  /// the stable checkpoint certificate from a peer, verify, install, and
-  /// resume normal catch-up for the tail. Disable to measure the
-  /// recovery cost it saves (bench_faults crash+recover scenarios).
-  bool state_transfer = true;
 
   /// When true (default), each shared collection shard has a designated
   /// coordinator cluster (the option §4.3.5 describes for avoiding

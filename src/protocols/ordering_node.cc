@@ -55,13 +55,11 @@ OrderingNode::OrderingNode(Env* env, const Directory* dir,
       dir_->params.checkpoint_interval < 0
           ? 0
           : dir_->params.checkpoint_interval);
-  if (dir_->params.state_transfer) {
-    ctx.request_state_transfer = [this](const CheckpointCertificate&) {
-      // The peer's StateReply carries its own certificate; all the host
-      // needs to know is that per-slot catch-up cannot work.
-      ScheduleStateSync(dir_->params.consensus_timeout_us / 4);
-    };
-  }
+  ctx.request_state_transfer = [this](const CheckpointCertificate&) {
+    // The peer's StateReply carries its own certificate; all the host
+    // needs to know is that per-slot catch-up cannot work.
+    ScheduleStateSync(dir_->params.consensus_timeout_us / 4);
+  };
   ctx.on_view_change = [this](ViewNo, NodeId new_primary) {
     if (new_primary == id()) ReplayExecPushes();
   };
@@ -104,7 +102,7 @@ void OrderingNode::OnCrash() {
 }
 
 void OrderingNode::MaybeWatchExecWedge() {
-  if (!dir_->params.state_transfer || exec_wedge_armed_) return;
+  if (exec_wedge_armed_) return;
   if (exec_.pending_blocks() == 0) return;
   exec_wedge_armed_ = true;
   exec_ledger_at_arm_ = exec_.ledger().size();
@@ -118,7 +116,6 @@ void OrderingNode::OnRecover() {
   // cross-cluster commits nothing will ever retransmit (completed
   // instances stop re-driving). Proactively fetch the gap from a peer;
   // the tail still catches up through the normal fill protocols.
-  if (!dir_->params.state_transfer) return;
   ScheduleStateSync(dir_->params.consensus_timeout_us / 2);
 }
 
@@ -448,9 +445,7 @@ bool OrderingNode::IntakeGated() const {
   // one chain are routine there — so gated requests are parked and
   // replayed when it clears instead of waiting for the client's
   // retransmission timeout.
-  return dir_->params.state_transfer &&
-         (state_sync_pending_ || exec_wedged_ ||
-          exec_.pending_blocks() > 0);
+  return state_sync_pending_ || exec_wedged_ || exec_.pending_blocks() > 0;
 }
 
 void OrderingNode::ParkRequest(const RequestMsg& m) {
@@ -1173,7 +1168,7 @@ void OrderingNode::HandleQuery(NodeId from, const QueryMsg& m) {
 // ------------------------------------- checkpointed state transfer
 
 void OrderingNode::ScheduleStateSync(SimTime delay) {
-  if (!dir_->params.state_transfer || state_sync_pending_) return;
+  if (state_sync_pending_) return;
   state_sync_pending_ = true;
   StartTimer(delay, kTagStateSync, 0);
 }
@@ -1197,7 +1192,6 @@ void OrderingNode::SendStateRequest() {
 }
 
 void OrderingNode::HandleStateRequest(NodeId from, const StateRequestMsg& m) {
-  if (!dir_->params.state_transfer) return;
   // The stable checkpoint travels (and is charged) even when empty.
   auto rep = BuildStateReply(exec_, m, &engine_->stable_checkpoint());
   if (rep == nullptr) return;
@@ -1234,7 +1228,6 @@ bool OrderingNode::InstallTransferredBlock(const StateReplyMsg::Entry& e) {
 }
 
 void OrderingNode::HandleStateReply(NodeId /*from*/, const StateReplyMsg& m) {
-  if (!dir_->params.state_transfer) return;
   size_t installed = 0;
   for (const auto& e : m.entries) {
     ShardRef ref{e.alpha.collection, e.alpha.shard};

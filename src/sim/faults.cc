@@ -158,11 +158,6 @@ void FaultPlan::DropRateWindow(SimTime from, SimTime to, double rate) {
   Add(to, off);
 }
 
-void FaultPlan::RegionOutage(SimTime from, SimTime to,
-                             const std::vector<NodeId>& region_nodes) {
-  for (NodeId n : region_nodes) CrashWindow(from, to, n);
-}
-
 void FaultPlan::HealEverything(SimTime at,
                                const std::vector<NodeId>& crashed_nodes) {
   for (NodeId n : crashed_nodes) {

@@ -78,9 +78,6 @@ struct FaultPlan {
   void GlobalFaultWindow(SimTime from, SimTime to,
                          const Network::LinkFault& f);
   void DropRateWindow(SimTime from, SimTime to, double rate);
-  /// Crashes every node of a region for [from, to) — a datacenter outage.
-  void RegionOutage(SimTime from, SimTime to,
-                    const std::vector<NodeId>& region_nodes);
   /// Appends recover-everything / heal-everything events at `at`.
   void HealEverything(SimTime at, const std::vector<NodeId>& crashed_nodes);
 

@@ -104,7 +104,7 @@ class Simulator {
 
   /// Total events executed since construction, and the wall-clock meter
   /// over time spent inside Run/RunAll — the sim-core throughput gauge
-  /// bench_simcore records (see README "Profiling the simulator core").
+  /// bench_protocol records (see README "Profiling the simulator core").
   uint64_t events_executed() const { return events_executed_; }
   double wall_seconds_in_run() const { return wall_seconds_; }
   double events_per_second() const {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "harness/sweep.h"
 #include "qanaat/system.h"
 
 namespace qanaat {
@@ -245,6 +246,26 @@ TEST(SystemInvariants, ExecutionReplicasAgreeWithFirewall) {
                             e2.executed_blocks()}),
               2u);
   }
+}
+
+// ------------------------------------------------------- figure harness
+
+// RunQanaatPoint runs every paper figure and bench_protocol's e2e points.
+// This is bench_protocol's 2x2 point, pinned to its committed
+// BENCH_protocol.json figures, so the figure harness and the host-speed
+// bench stay one simulation.
+TEST(SystemHarness, RunQanaatPointMatchesBenchProtocol2x2) {
+  QanaatRunConfig cfg;
+  cfg.params = Byz(ProtocolFamily::kCoordinator, /*firewall=*/false);
+  cfg.workload = Mix(CrossKind::kIntraShardCrossEnterprise, 0.1);
+  cfg.client_machines = 4;
+  cfg.duration = 900 * kMillisecond;
+  cfg.warmup = 200 * kMillisecond;
+  LoadPoint p = RunQanaatPoint(cfg, 7500);
+  EXPECT_EQ(p.events, 141157u);
+  EXPECT_NEAR(p.measured_tps, 7476, 0.5);
+  EXPECT_NEAR(p.avg_latency_ms, 3.87, 0.005);
+  EXPECT_GT(p.run_wall_s, 0);
 }
 
 }  // namespace

@@ -7,9 +7,11 @@ Usage: check_bench_regression.py BASELINE.json FRESH.json
 Matches series entries by metric (plus enterprises/shards for e2e
 points) and compares their throughput field (events_per_sec or
 slots_per_sec). A drop beyond --fail-pct fails the job; a drop between
---warn-pct and --fail-pct prints an advisory warning only. Speedups and
-new metrics never fail — baselines are refreshed by committing a new
-JSON, not by loosening this check.
+--warn-pct and --fail-pct prints an advisory warning only. A committed
+series missing from the fresh run fails too, so a lever that is dropped
+or renamed cannot fall out of the gate unnoticed. Speedups and series
+only the fresh run has never fail — baselines are refreshed by
+committing a new JSON, not by loosening this check.
 
 CI runs the fresh side in --quick mode (1 repetition, reduced event
 counts): rates stay comparable to the full-mode baselines, the extra
@@ -64,7 +66,8 @@ def main():
     failures = []
     for key, base_rate in sorted(base.items()):
         if key not in fresh:
-            print(f"?? {key}: missing from fresh run (skipped)")
+            print(f"FAIL {key}: missing from fresh run")
+            failures.append(key)
             continue
         fresh_rate = fresh[key]
         drop_pct = (1.0 - fresh_rate / base_rate) * 100.0
@@ -81,7 +84,7 @@ def main():
     if failures:
         print(f"\n{len(failures)} metric(s) regressed more than "
               f"{args.fail_pct:.0f}% vs the committed baseline "
-              f"({args.baseline}).")
+              f"({args.baseline}) or are missing from the fresh run.")
         print("If the slowdown is intended, regenerate and commit the "
               "baseline JSON with the full-mode bench.")
         return 1

@@ -3,7 +3,7 @@
 
 Exercises the CI gate's four interesting behaviors: clean pass, advisory
 warning inside the (warn, fail] band, hard failure past --fail-pct, and
-a series missing from the fresh run (skipped, never failed).
+a committed series missing from the fresh run (a failure).
 """
 
 import json
@@ -78,13 +78,21 @@ class CheckBenchRegressionTest(unittest.TestCase):
         code, out = self.run_tool(base, fresh, extra=("--fail-pct", "12"))
         self.assertEqual(code, 1, out)
 
-    def test_missing_series_is_skipped_not_failed(self):
+    def test_missing_series_fails(self):
+        # A lever dropped or renamed must not silently leave the gate.
         base = bench_doc({"sim_events": (100000.0,),
                           "paxos_slots": (50000.0,)})
         fresh = bench_doc({"sim_events": (100000.0,)})
         code, out = self.run_tool(base, fresh)
+        self.assertEqual(code, 1, out)
+        self.assertIn("FAIL paxos_slots: missing", out)
+
+    def test_series_only_in_fresh_run_passes(self):
+        base = bench_doc({"sim_events": (100000.0,)})
+        fresh = bench_doc({"sim_events": (100000.0,),
+                           "paxos_slots": (50000.0,)})
+        code, out = self.run_tool(base, fresh)
         self.assertEqual(code, 0, out)
-        self.assertIn("?? paxos_slots: missing", out)
 
     def test_series_key_includes_topology(self):
         # Same metric at different enterprise counts are distinct series:
