@@ -79,9 +79,9 @@ static void GammaCaptureAblation() {
     const DagLedger& lg = sys.ordering_node(cl, 0)->exec_core().ledger();
     for (size_t i = 0; i < lg.size(); ++i) {
       const auto& e = lg.entry(i);
-      if (e.gamma.empty()) continue;
+      if (e.gamma().empty()) continue;
       dep_blocks++;
-      for (const auto& ge : e.gamma) {
+      for (const auto& ge : e.gamma()) {
         if (lg.StateOf(ge.collection) > ge.m) {
           stale_at_commit++;
           break;

@@ -66,7 +66,7 @@ int main() {
   for (size_t i = 0; i < show; ++i) {
     const auto& e = ledger.entry(i);
     std::printf("  block %-28s txs=%-3zu cert_sigs=%zu\n",
-                TxId{e.alpha, {}, e.gamma}.ToString().c_str(),
+                TxId{e.alpha, {}, e.gamma()}.ToString().c_str(),
                 e.block->tx_count(), e.cert.sigs.size());
   }
 

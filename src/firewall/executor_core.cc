@@ -18,16 +18,17 @@ MvStore* ExecutorCore::MutableStoreOf(const CollectionId& c) {
   return &stores_[c];
 }
 
-bool ExecutorCore::Ready(const Pending& p) const {
+bool ExecutorCore::Ready(const LocalPart& alpha,
+                         const std::vector<GammaEntry>& gamma) const {
   // In-order per chain.
-  ShardRef ref{p.alpha.collection, p.alpha.shard};
-  if (p.alpha.n != ledger_.HeadOf(ref) + 1) return false;
+  ShardRef ref{alpha.collection, alpha.shard};
+  if (alpha.n != ledger_.HeadOf(ref) + 1) return false;
   // γ dependencies: for entries captured on our shard index, the
   // referenced state must be locally committed so the snapshot read is
   // resolvable (paper §4.2 — nodes execute "if all transactions ... with
   // lower sequence numbers have been executed", and read the captured
   // state of order-dependent collections).
-  for (const auto& ge : p.gamma) {
+  for (const auto& ge : gamma) {
     if (ledger_.StateOf(ge.collection) < ge.m) return false;
   }
   return true;
@@ -107,19 +108,22 @@ uint64_t ExecutorCore::ExecuteTx(const Transaction& tx,
   return acc;
 }
 
-void ExecutorCore::ExecuteNow(Pending& p) {
-  Status st = ledger_.AppendFor(p.block, p.cert, env_->sim.now(), p.alpha,
-                                p.gamma);
+void ExecutorCore::ExecuteNow(const BlockPtr& block, CommitCertificate cert,
+                              const LocalPart& alpha,
+                              const std::vector<GammaEntry>& gamma,
+                              const ExecCallback& on_done) {
+  Status st = ledger_.AppendFor(block, std::move(cert), env_->sim.now(),
+                                alpha, gamma);
   if (!st.ok()) {
     env_->metrics.Inc("exec.append_error");
     return;
   }
   ExecResult res;
-  res.block = p.block;
-  res.tx_count = p.block->tx_count();
-  uint64_t acc = p.block->Digest().Prefix64();
-  for (const auto& tx : p.block->txs) {
-    acc ^= ExecuteTx(tx, p.gamma, p.alpha.n) * 0x9e3779b97f4a7c15ULL;
+  res.block = block;
+  res.tx_count = block->tx_count();
+  uint64_t acc = block->Digest().Prefix64();
+  for (const auto& tx : block->txs) {
+    acc ^= ExecuteTx(tx, gamma, alpha.n) * 0x9e3779b97f4a7c15ULL;
     res.clients.emplace_back(tx.client, tx.client_ts);
   }
   // The result digest authenticates the 64-bit execution fold `acc`
@@ -128,13 +132,12 @@ void ExecutorCore::ExecuteNow(Pending& p) {
   // chain rooted in SHA-256 while dropping a full SHA per block
   // execution per replica (see DeriveDigest in ledger/block.h).
   res.result_digest =
-      DeriveDigest(0x52534c54u /* "RSLT" */, acc, p.alpha.n,
-                   p.block->Digest());
+      DeriveDigest(0x52534c54u /* "RSLT" */, acc, alpha.n, block->Digest());
   res.cpu_cost =
       static_cast<SimTime>(res.tx_count) * env_->costs.exec_tx_us;
   executed_blocks_++;
   executed_txs_ += res.tx_count;
-  if (p.on_done) p.on_done(res);
+  if (on_done) on_done(res);
 }
 
 void ExecutorCore::DrainReady() {
@@ -142,10 +145,10 @@ void ExecutorCore::DrainReady() {
   while (progressed) {
     progressed = false;
     for (auto it = waiting_.begin(); it != waiting_.end(); ++it) {
-      if (Ready(*it)) {
+      if (Ready(it->alpha, it->gamma)) {
         Pending p = std::move(*it);
         waiting_.erase(it);
-        ExecuteNow(p);
+        ExecuteNow(p.block, std::move(p.cert), p.alpha, p.gamma, p.on_done);
         progressed = true;
         break;
       }
@@ -165,7 +168,7 @@ void ExecutorCore::DrainReady() {
 
 Status ExecutorCore::Submit(BlockPtr block, CommitCertificate cert,
                             const LocalPart& alpha_here,
-                            std::vector<GammaEntry> gamma,
+                            const std::vector<GammaEntry>& gamma,
                             ExecCallback on_done) {
   ShardRef ref{alpha_here.collection, alpha_here.shard};
   if (alpha_here.n <= ledger_.HeadOf(ref)) {
@@ -179,14 +182,13 @@ Status ExecutorCore::Submit(BlockPtr block, CommitCertificate cert,
                                    std::to_string(alpha_here.n));
     }
   }
-  Pending p{std::move(block), std::move(cert), alpha_here, std::move(gamma),
-            std::move(on_done)};
-  if (Ready(p)) {
-    ExecuteNow(p);
+  if (Ready(alpha_here, gamma)) {
+    ExecuteNow(block, std::move(cert), alpha_here, gamma, on_done);
     DrainReady();
   } else {
     env_->metrics.Inc("exec.deferred");
-    waiting_.push_back(std::move(p));
+    waiting_.push_back(Pending{std::move(block), std::move(cert), alpha_here,
+                               gamma, std::move(on_done)});
   }
   return Status::Ok();
 }

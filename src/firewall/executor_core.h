@@ -44,10 +44,12 @@ class ExecutorCore {
   /// once its chain predecessor has run and every γ dependency on a
   /// matching shard is locally committed; otherwise it waits. `on_done`
   /// fires synchronously when the block executes (possibly during a later
-  /// Submit that unblocks it).
+  /// Submit that unblocks it). A block that runs at once copies neither
+  /// ⟨α, γ⟩ nor `cert`; a deferred one keeps its own copy of ⟨α, γ⟩.
+  /// When `gamma` is the block's own γ, the ledger entry stores none.
   Status Submit(BlockPtr block, CommitCertificate cert,
-                const LocalPart& alpha_here, std::vector<GammaEntry> gamma,
-                ExecCallback on_done);
+                const LocalPart& alpha_here,
+                const std::vector<GammaEntry>& gamma, ExecCallback on_done);
 
   const DagLedger& ledger() const { return ledger_; }
   const MvStore& StoreOf(const CollectionId& c) const;
@@ -82,8 +84,11 @@ class ExecutorCore {
 
  private:
 
-  bool Ready(const Pending& p) const;
-  void ExecuteNow(Pending& p);
+  bool Ready(const LocalPart& alpha,
+             const std::vector<GammaEntry>& gamma) const;
+  void ExecuteNow(const BlockPtr& block, CommitCertificate cert,
+                  const LocalPart& alpha, const std::vector<GammaEntry>& gamma,
+                  const ExecCallback& on_done);
   void DrainReady();
   /// Executes one transaction; returns a digest contribution.
   uint64_t ExecuteTx(const Transaction& tx,

@@ -36,22 +36,22 @@ Status DagLedger::CheckAppend(const LocalPart& alpha,
   auto chain_it = chains_.find(ref);
   if (chain_it != chains_.end() && !chain_it->second.empty()) {
     const Entry& prev = entries_[chain_it->second.back()];
-    QANAAT_RETURN_IF_ERROR(CheckGammaMonotone(prev.gamma, gamma));
+    QANAAT_RETURN_IF_ERROR(CheckGammaMonotone(prev.gamma(), gamma));
   }
   return Status::Ok();
 }
 
 Status DagLedger::Append(BlockPtr block, CommitCertificate cert,
                          SimTime when) {
-  LocalPart alpha = block->id.alpha;
-  std::vector<GammaEntry> gamma = block->id.gamma;
-  return AppendFor(std::move(block), std::move(cert), when, alpha,
-                   std::move(gamma));
+  // The references stay valid: moving the pointer does not move the
+  // block it owns.
+  const TxId& id = block->id;
+  return AppendFor(std::move(block), std::move(cert), when, id.alpha, id.gamma);
 }
 
 Status DagLedger::AppendFor(BlockPtr block, CommitCertificate cert,
                             SimTime when, const LocalPart& alpha_here,
-                            std::vector<GammaEntry> gamma_here) {
+                            const std::vector<GammaEntry>& gamma_here) {
   QANAAT_RETURN_IF_ERROR(CheckAppend(alpha_here, gamma_here));
   if (cert.block_digest != block->Digest()) {
     return Status::Corruption("commit certificate does not cover block");
@@ -63,8 +63,12 @@ Status DagLedger::AppendFor(BlockPtr block, CommitCertificate cert,
   auto& st = collection_state_[ref.collection];
   st = std::max(st, alpha_here.n);
   chains_[ref].push_back(idx);
+  std::unique_ptr<const std::vector<GammaEntry>> gamma_override;
+  if (gamma_here != block->id.gamma) {
+    gamma_override = std::make_unique<std::vector<GammaEntry>>(gamma_here);
+  }
   entries_.push_back(Entry{std::move(block), std::move(cert), alpha_here,
-                           std::move(gamma_here), when});
+                           when, std::move(gamma_override)});
   return Status::Ok();
 }
 
@@ -112,7 +116,7 @@ Status DagLedger::VerifyChain(const KeyStore& ks, size_t cert_quorum) const {
                                   e.block->id.ToString());
       }
       if (prev != nullptr) {
-        QANAAT_RETURN_IF_ERROR(CheckGammaMonotone(prev->gamma, e.gamma));
+        QANAAT_RETURN_IF_ERROR(CheckGammaMonotone(prev->gamma(), e.gamma()));
       }
       prev = &e;
       ++expect;

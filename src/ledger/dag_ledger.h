@@ -3,6 +3,7 @@
 
 #include <deque>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "collections/collection_id.h"
@@ -34,9 +35,18 @@ class DagLedger {
   struct Entry {
     BlockPtr block;
     CommitCertificate cert;
-    LocalPart alpha;                // this cluster's α for the block
-    std::vector<GammaEntry> gamma;  // this cluster's γ capture
+    LocalPart alpha;  // this cluster's α for the block
     SimTime commit_time = 0;
+    // This cluster's γ when it differs from the block's own: a
+    // cross-cluster block appended under another cluster's assignment.
+    // Null for the common case, a block appended under its own ID, which
+    // then stores no second copy of block->id.gamma.
+    std::unique_ptr<const std::vector<GammaEntry>> gamma_override;
+
+    /// This cluster's γ capture for the block.
+    const std::vector<GammaEntry>& gamma() const {
+      return gamma_override != nullptr ? *gamma_override : block->id.gamma;
+    }
   };
 
   DagLedger() = default;
@@ -44,10 +54,11 @@ class DagLedger {
   /// Appends a block ordered by this cluster (α/γ = block->id).
   Status Append(BlockPtr block, CommitCertificate cert, SimTime when);
 
-  /// Appends a cross-cluster block under this cluster's own ID parts.
+  /// Appends a cross-cluster block under this cluster's own ID parts. A
+  /// γ equal to the block's own is not copied.
   Status AppendFor(BlockPtr block, CommitCertificate cert, SimTime when,
                    const LocalPart& alpha_here,
-                   std::vector<GammaEntry> gamma_here);
+                   const std::vector<GammaEntry>& gamma_here);
 
   /// Head sequence number (last committed α.n) of a collection shard;
   /// 0 if nothing committed yet.
@@ -82,6 +93,7 @@ class DagLedger {
   // Append-only and read by index. A deque grows a block at a time, so
   // the ledger never carries a vector's doubling slack or holds two
   // copies of itself mid-growth, and references to entries stay valid.
+  // A 128-byte Entry fills libstdc++'s 512-byte deque nodes exactly.
   std::deque<Entry> entries_;
   std::map<ShardRef, std::vector<size_t>> chains_;  // per collection shard
   // Hot per-commit lookups: flat sorted-vector maps (see common/flat_map.h).

@@ -87,7 +87,7 @@ std::shared_ptr<StateReplyMsg> BuildStateReply(
       }
       const DagLedger::Entry& e = led.entry((*chain)[i++]);
       rep->entries.push_back(
-          StateReplyMsg::Entry{e.block, e.cert, e.alpha, e.gamma});
+          StateReplyMsg::Entry{e.block, e.cert, e.alpha, e.gamma()});
       any = true;
     }
   }

@@ -582,6 +582,9 @@ BlockPtr OrderingNode::MakeBlock(const FlowKey& key,
   block->attempt = attempt;
   block->id.alpha = NextAlpha(key.collection);
   block->id.gamma = CaptureGamma(key.collection);
+  // Sealed blocks stay in every replica's ledger for the whole run, so
+  // they keep no growth slack from the batch they were collected in.
+  txs.shrink_to_fit();
   block->txs = std::move(txs);
   block->Seal();
   // Batching cost: hashing/assembling the block.
@@ -668,7 +671,7 @@ void OrderingNode::OnDecide(uint64_t slot, const ConsensusValue& v) {
 
 void OrderingNode::CommitBlock(const BlockPtr& block, CommitCertificate cert,
                                const LocalPart& alpha,
-                               std::vector<GammaEntry> gamma,
+                               const std::vector<GammaEntry>& gamma,
                                bool reply_from_here) {
   for (const Transaction& tx : block->txs) {
     committed_requests_.Insert({tx.client, tx.client_ts});
@@ -692,7 +695,7 @@ void OrderingNode::CommitBlock(const BlockPtr& block, CommitCertificate cert,
     eo->block = block;
     eo->cert = std::move(cert);
     eo->alpha_here = alpha;
-    eo->gamma_here = std::move(gamma);
+    eo->gamma_here = gamma;
     eo->wire_bytes = 128 + block->WireSize() + eo->cert.WireSize();
     eo->sig_verify_ops = static_cast<uint16_t>(eo->cert.sigs.size());
     if (engine_->IsPrimary()) {
@@ -708,7 +711,7 @@ void OrderingNode::CommitBlock(const BlockPtr& block, CommitCertificate cert,
   // Co-located execution (crash clusters; Byzantine without separation):
   // every ordering node executes.
   Status st2 = exec_.Submit(
-      block, std::move(cert), alpha, std::move(gamma),
+      block, std::move(cert), alpha, gamma,
       [this, reply_from_here](const ExecutorCore::ExecResult& res) {
         ChargeCpu(res.cpu_cost);
         if (!reply_from_here) return;

@@ -213,7 +213,7 @@ class OrderingNode : public Actor {
 
   // ---- commit & execution path (shared by all protocols)
   void CommitBlock(const BlockPtr& block, CommitCertificate cert,
-                   const LocalPart& alpha, std::vector<GammaEntry> gamma,
+                   const LocalPart& alpha, const std::vector<GammaEntry>& gamma,
                    bool reply_from_here);
   void OnExecutedReply(const ExecutorCore::ExecResult& res);
   void ForwardReplyCert(const MessageRef& msg);

@@ -7,7 +7,7 @@ namespace qanaat {
 size_t MvStore::BucketOf(Key key) const {
   size_t mask = index_.size() - 1;
   size_t i = HashKey(key) & mask;
-  while (index_[i] != kEmptyBucket && latest_[index_[i]].key != key) {
+  while (index_[i] != kEmptyBucket && At(index_[i]).key != key) {
     i = (i + 1) & mask;
   }
   return i;
@@ -18,7 +18,7 @@ void MvStore::GrowIndex() {
   size_t mask = bigger.size() - 1;
   for (uint32_t pos : index_) {
     if (pos == kEmptyBucket) continue;
-    size_t i = HashKey(latest_[pos].key) & mask;
+    size_t i = HashKey(At(pos).key) & mask;
     while (bigger[i] != kEmptyBucket) i = (i + 1) & mask;
     bigger[i] = pos;
   }
@@ -28,12 +28,15 @@ void MvStore::GrowIndex() {
 Status MvStore::Put(Key key, Value value, SeqNo version) {
   uint32_t& pos = index_[BucketOf(key)];
   if (pos == kEmptyBucket) {
-    pos = static_cast<uint32_t>(latest_.size());
-    latest_.push_back({key, version, value});
+    pos = key_count_++;
+    if ((pos & (kChunk - 1)) == 0) {
+      chunks_.push_back(std::make_unique<Latest[]>(kChunk));
+    }
+    At(pos) = {key, version, value};
     // Keep the load factor under 1/2 so probe runs stay short.
-    if (latest_.size() * 2 > index_.size()) GrowIndex();
+    if (size_t{key_count_} * 2 > index_.size()) GrowIndex();
   } else {
-    Latest& cur = latest_[pos];
+    Latest& cur = At(pos);
     if (cur.version > version) {
       return Status::FailedPrecondition(
           "version regression on key " + std::to_string(key) + ": " +
@@ -60,7 +63,8 @@ StatusOr<MvStore::Value> MvStore::GetAt(Key key, SeqNo max_version) const {
   if (pos == kEmptyBucket) {
     return Status::NotFound("key " + std::to_string(key));
   }
-  if (latest_[pos].version <= max_version) return latest_[pos].value;
+  const Latest& cur = At(pos);
+  if (cur.version <= max_version) return cur.value;
   auto older = superseded_.find(key);
   if (older != superseded_.end()) {
     const auto& chain = older->second;
@@ -82,12 +86,13 @@ size_t MvStore::VersionCountOf(Key key) const {
 }
 
 uint64_t MvStore::Fingerprint() const {
-  // Commutative accumulation (sum of mixed per-key words): key order in
-  // latest_ follows insertion history, which differs between a replica
-  // that executed live and one rebuilt by state transfer, and must not
-  // affect the result.
+  // Commutative accumulation (sum of mixed per-key words): key order
+  // follows insertion history, which differs between a replica that
+  // executed live and one rebuilt by state transfer, and must not affect
+  // the result.
   uint64_t acc = 0;
-  for (const Latest& e : latest_) {
+  for (uint32_t pos = 0; pos < key_count_; ++pos) {
+    const Latest& e = At(pos);
     uint64_t w = Mix64(e.key + 0x9e3779b97f4a7c15ULL);
     w ^= Mix64(e.version + 0x51ed270b9f652295ULL);
     w ^= Mix64(static_cast<uint64_t>(e.value));

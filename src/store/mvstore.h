@@ -2,6 +2,7 @@
 #define QANAAT_STORE_MVSTORE_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -53,7 +54,7 @@ class MvStore {
   /// of reads per run.
   const Value* Find(Key key) const {
     uint32_t pos = index_[BucketOf(key)];
-    return pos == kEmptyBucket ? nullptr : &latest_[pos].value;
+    return pos == kEmptyBucket ? nullptr : &At(pos).value;
   }
 
   /// Snapshot read: the value as of version <= max_version (the γ-capture
@@ -63,7 +64,7 @@ class MvStore {
   /// Highest version ever written to this store.
   SeqNo latest_version() const { return latest_version_; }
 
-  size_t key_count() const { return latest_.size(); }
+  size_t key_count() const { return key_count_; }
 
   /// Number of versions retained for `key` (0 if absent).
   size_t VersionCountOf(Key key) const;
@@ -101,13 +102,29 @@ class MvStore {
   size_t BucketOf(Key key) const;
   void GrowIndex();
 
-  // Newest version of every key, in first-write order.
-  std::vector<Latest> latest_;
-  // Linear-probed open addressing over positions in latest_: the key is
-  // compared in place there, so it is stored once.
+  // The newest versions are kept in chunks of kChunk records, 768 bytes:
+  // the array grows one chunk at a time, so it never carries a vector's
+  // doubling slack or holds two copies of itself mid-growth, and a
+  // position resolves with a shift and a mask.
+  static constexpr unsigned kChunkBits = 5;
+  static constexpr uint32_t kChunk = uint32_t{1} << kChunkBits;
+
+  Latest& At(uint32_t pos) {
+    return chunks_[pos >> kChunkBits][pos & (kChunk - 1)];
+  }
+  const Latest& At(uint32_t pos) const {
+    return chunks_[pos >> kChunkBits][pos & (kChunk - 1)];
+  }
+
+  // Newest version of every key, in first-write order: position p is
+  // At(p), for p below key_count_.
+  std::vector<std::unique_ptr<Latest[]>> chunks_;
+  uint32_t key_count_ = 0;
+  // Linear-probed open addressing over positions in the chunks: the key
+  // is compared in place there, so it is stored once.
   std::vector<uint32_t> index_;
   // Older versions of keys written more than once, ascending and all
-  // below the key's entry in latest_. Off the hot path: only a key's
+  // below the key's newest entry. Off the hot path: only a key's
   // second and later versions, and snapshot reads older than its newest
   // version, reach it.
   std::unordered_map<Key, std::vector<VersionedValue>> superseded_;
@@ -115,7 +132,7 @@ class MvStore {
 };
 
 /// A buffered set of writes produced by executing one transaction, applied
-/// atomically at commit version.
+/// at its commit version.
 class WriteBatch {
  public:
   // Transactions write a handful of keys; one reservation avoids the
@@ -128,7 +145,10 @@ class WriteBatch {
   size_t size() const { return writes_.size(); }
   bool empty() const { return writes_.empty(); }
 
-  /// Applies every write at `version`.
+  /// Applies the writes at `version` in order. Not atomic: it stops at
+  /// the first failing Put and keeps the writes before it. A failure is
+  /// a version regression, which only a ledger-order bug can cause; the
+  /// executor counts it as `exec.apply_error`.
   Status ApplyTo(MvStore* store, SeqNo version) const;
 
   const std::vector<std::pair<MvStore::Key, MvStore::Value>>& writes() const {

@@ -575,7 +575,8 @@ TEST(CrossRetireTest, LateFlattenedMessagesCreateNoInstance) {
   // they would re-vote, query its outcome and commit the block again.
   DrainedCrossRun run(ProtocolFamily::kFlattened);
   ASSERT_NE(run.CrossEntry(), nullptr);
-  const DagLedger::Entry e = *run.CrossEntry();  // the ledger may grow
+  // A deque-backed ledger keeps this reference valid while it grows.
+  const DagLedger::Entry& e = *run.CrossEntry();
   const Sha256Digest d = e.block->Digest();
   const uint64_t committed = run.node()->committed_blocks();
   KeyStore& ks = run.sys().env().keystore;
@@ -599,7 +600,7 @@ TEST(CrossRetireTest, LateFlattenedMessagesCreateNoInstance) {
   cm->from_cluster = 0;
   cm->block_digest = d;
   cm->sig = ks.Sign(run.peer(), d);
-  cm->assignments.push_back(ShardAssignment{0, e.alpha, e.gamma});
+  cm->assignments.push_back(ShardAssignment{0, e.alpha, e.gamma()});
   run.Deliver(run.peer(), cm);
   EXPECT_EQ(run.node()->live_cross_instances(), 0u) << "FCommit";
 
@@ -614,7 +615,8 @@ TEST(CrossRetireTest, LateCoordinatorMessagesCreateNoInstance) {
   // PREPARED vote and a late COMMIT for a finished block.
   DrainedCrossRun run(ProtocolFamily::kCoordinator);
   ASSERT_NE(run.CrossEntry(), nullptr);
-  const DagLedger::Entry e = *run.CrossEntry();  // the ledger may grow
+  // A deque-backed ledger keeps this reference valid while it grows.
+  const DagLedger::Entry& e = *run.CrossEntry();
   const Sha256Digest d = e.block->Digest();
   const uint64_t committed = run.node()->committed_blocks();
   // The entry's certificate is the coordinator cluster's: a valid
@@ -643,7 +645,7 @@ TEST(CrossRetireTest, LateCoordinatorMessagesCreateNoInstance) {
   cm->block = e.block;
   cm->block_digest = d;
   cm->coord_cert = e.cert;
-  cm->assignments.push_back(ShardAssignment{0, e.alpha, e.gamma});
+  cm->assignments.push_back(ShardAssignment{0, e.alpha, e.gamma()});
   run.Deliver(coord_node, cm);
   EXPECT_EQ(run.node()->live_cross_instances(), 0u) << "XCommit";
 
@@ -659,7 +661,8 @@ TEST(CrossRetireTest, CommitQueryForARetiredInstanceIsAnswered) {
   // peer's answer now comes from the outcome record.
   DrainedCrossRun run(ProtocolFamily::kFlattened);
   ASSERT_NE(run.CrossEntry(), nullptr);
-  const DagLedger::Entry e = *run.CrossEntry();  // the ledger may grow
+  // A deque-backed ledger keeps this reference valid while it grows.
+  const DagLedger::Entry& e = *run.CrossEntry();
   const Sha256Digest d = e.block->Digest();
   const uint64_t answered = run.Metric("cross.query_answered");
 
@@ -681,7 +684,7 @@ TEST(CrossRetireTest, CommitQueryForARetiredInstanceIsAnswered) {
   EXPECT_EQ(ans.coord_cert.sigs, e.cert.sigs);
   bool has_ours = false;
   for (const ShardAssignment& a : ans.assignments) {
-    has_ours |= a.alpha == e.alpha && a.gamma == e.gamma;
+    has_ours |= a.alpha == e.alpha && a.gamma == e.gamma();
   }
   EXPECT_TRUE(has_ours) << "the answer lacks this shard's assignment";
   EXPECT_EQ(ans.assignments.size(), e.block->txs.front().shards.size());

@@ -233,7 +233,7 @@ TEST_F(PfFixture, ForgedReplyClientListNeverReachesACertificate) {
   const DagLedger& ledger = honest->core().ledger();
   for (size_t i = 0; i < ledger.size(); ++i) {
     const DagLedger::Entry& e = ledger.entry(i);
-    mirror.Submit(e.block, e.cert, e.alpha, e.gamma,
+    mirror.Submit(e.block, e.cert, e.alpha, e.gamma(),
                   [&real](const ExecutorCore::ExecResult& r) { real = r; });
   }
   const Sha256Digest block = real.block->Digest();

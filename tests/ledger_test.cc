@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include "collections/data_model.h"
+#include "firewall/executor_core.h"
 #include "ledger/dag_ledger.h"
+#include "protocols/cross_messages.h"
+#include "sim/env.h"
 
 namespace qanaat {
 namespace {
@@ -48,6 +52,12 @@ struct LedgerFixture : ::testing::Test {
   Status Append(BlockPtr b, SimTime t = 0) {
     CommitCertificate cert = CertFor(ks, *b);
     return ledger.Append(std::move(b), std::move(cert), t);
+  }
+  /// Appends `b` under this cluster's assignment ⟨alpha, gamma⟩.
+  Status AppendAs(BlockPtr b, const LocalPart& alpha,
+                  const std::vector<GammaEntry>& gamma) {
+    CommitCertificate cert = CertFor(ks, *b);
+    return ledger.AppendFor(std::move(b), std::move(cert), 0, alpha, gamma);
   }
 };
 
@@ -154,6 +164,122 @@ TEST_F(LedgerFixture, VerifyChainDetectsShortCertificate) {
   ASSERT_TRUE(ledger.Append(b, cert, 0).ok());
   EXPECT_TRUE(ledger.VerifyChain(ks, 1).ok());
   EXPECT_EQ(ledger.VerifyChain(ks, 3).code(), StatusCode::kCorruption);
+}
+
+// -------------------------------------------- an entry's effective γ
+
+// One chain, d_AB shard 1, mixing both kinds of entry. own1 and own3 are
+// blocks this cluster ordered, appended under their own ID. cross is a
+// cross-cluster block sealed under shard 0's ID ⟨d_AB/0:7, root:5⟩ and
+// appended here under this shard's assignment ⟨d_AB/1:2, root:4⟩. own3
+// captured root:4, below the cross block's own γ but not below the
+// assignment's, so only a check against the effective γ accepts it.
+struct MixedChain {
+  CollectionId ab = Coll({0, 1});
+  CollectionId root = Coll({0, 1, 2, 3});
+  BlockPtr own1 = MakeBlock(ab, 1, 1, {{root, 3}});
+  BlockPtr cross = MakeBlock(ab, 0, 7, {{root, 5}});
+  LocalPart cross_alpha{ab, 1, 2};
+  std::vector<GammaEntry> cross_gamma{{root, 4}};
+  BlockPtr own3 = MakeBlock(ab, 1, 3, {{root, 4}});
+};
+
+TEST_F(LedgerFixture, EntryReadsItsBlockGammaUnlessAssignedAnother) {
+  MixedChain m;
+  ASSERT_TRUE(Append(m.own1).ok());
+  ASSERT_TRUE(AppendAs(m.cross, m.cross_alpha, m.cross_gamma).ok());
+  ASSERT_TRUE(Append(m.own3).ok());
+  ASSERT_EQ(ledger.ChainOf({m.ab, 1}).size(), 3u);
+
+  const DagLedger::Entry& own = ledger.entry(0);
+  EXPECT_EQ(own.gamma_override, nullptr);
+  EXPECT_EQ(&own.gamma(), &own.block->id.gamma) << "a second copy of γ";
+  const DagLedger::Entry& cross = ledger.entry(1);
+  EXPECT_EQ(cross.alpha, m.cross_alpha);
+  ASSERT_NE(cross.gamma_override, nullptr);
+  EXPECT_EQ(cross.gamma(), m.cross_gamma);
+  EXPECT_EQ(cross.block->id.gamma, (std::vector<GammaEntry>{{m.root, 5}}));
+  EXPECT_EQ(ledger.entry(2).gamma_override, nullptr);
+  EXPECT_TRUE(ledger.VerifyChain(ks, 3).ok());
+
+  // Another cluster's α with the block's own γ stores no copy either.
+  auto other = MakeBlock(Coll({0, 2}), 0, 4, {{m.root, 1}});
+  LocalPart other_alpha{Coll({0, 2}), 1, 1};
+  ASSERT_TRUE(AppendAs(other, other_alpha, other->id.gamma).ok());
+  EXPECT_EQ(ledger.entry(3).gamma_override, nullptr);
+}
+
+TEST_F(LedgerFixture, RegressingGammaOverrideIsRejected) {
+  MixedChain m;
+  ASSERT_TRUE(Append(m.own1).ok());  // root:3
+  // The cross block's own γ (root:5) would pass; the assignment's does
+  // not.
+  EXPECT_EQ(AppendAs(m.cross, m.cross_alpha, {{m.root, 2}}).code(),
+            StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(AppendAs(m.cross, m.cross_alpha, m.cross_gamma).ok());
+  // The next block is checked against the override (root:4), not
+  // against the cross block's own γ.
+  EXPECT_EQ(Append(MakeBlock(m.ab, 1, 3, {{m.root, 3}})).code(),
+            StatusCode::kFailedPrecondition);
+  ASSERT_TRUE(Append(m.own3).ok());
+  ASSERT_TRUE(ledger.VerifyChain(ks, 3).ok());
+
+  // The audit re-checks the effective γ: an override edited in place to
+  // regress below its predecessor (root:3) is caught. (The ledger
+  // allocates the override non-const, so the edit is well defined.)
+  const DagLedger::Entry& cross = ledger.entry(1);
+  const_cast<std::vector<GammaEntry>&>(*cross.gamma_override)[0].m = 2;
+  EXPECT_EQ(ledger.VerifyChain(ks, 3).code(),
+            StatusCode::kFailedPrecondition);
+}
+
+TEST(DagLedgerTest, StateReplyShipsEffectiveGamma) {
+  // A fresh replica rebuilt from the state-transfer server's reply holds
+  // the same entries: the override travels with its block.
+  Env env(7);
+  DataModel model(4);
+  MixedChain m;
+  auto submit = [&env](ExecutorCore& core, const BlockPtr& b,
+                       const LocalPart& alpha,
+                       const std::vector<GammaEntry>& gamma) {
+    return core.Submit(b, CertFor(env.keystore, *b), alpha, gamma, nullptr);
+  };
+  ExecutorCore server(&env, &model, 0, 1);
+  for (SeqNo n = 1; n <= 4; ++n) {  // the root state the γs capture
+    auto r = MakeBlock(m.root, 1, n);
+    ASSERT_TRUE(submit(server, r, r->id.alpha, r->id.gamma).ok());
+  }
+  ASSERT_TRUE(submit(server, m.own1, m.own1->id.alpha, m.own1->id.gamma).ok());
+  ASSERT_TRUE(submit(server, m.cross, m.cross_alpha, m.cross_gamma).ok());
+  ASSERT_TRUE(submit(server, m.own3, m.own3->id.alpha, m.own3->id.gamma).ok());
+  ASSERT_EQ(server.ledger().size(), 7u);
+  ASSERT_EQ(server.pending_blocks(), 0u);
+
+  auto rep = BuildStateReply(server, StateRequestMsg{}, nullptr);
+  ASSERT_NE(rep, nullptr);
+  ASSERT_EQ(rep->entries.size(), 7u);
+  ExecutorCore replica(&env, &model, 0, 1);
+  for (const StateReplyMsg::Entry& e : rep->entries) {
+    if (e.block == m.cross) {
+      EXPECT_EQ(e.gamma, m.cross_gamma);
+    }
+    Status st = replica.Submit(e.block, e.cert, e.alpha, e.gamma, nullptr);
+    ASSERT_TRUE(st.ok());
+  }
+  ASSERT_EQ(replica.pending_blocks(), 0u);
+  ASSERT_EQ(replica.ledger().chains().size(), 2u);
+  for (const auto& [ref, chain] : server.ledger().chains()) {
+    const std::vector<size_t>& mirror = replica.ledger().ChainOf(ref);
+    ASSERT_EQ(mirror.size(), chain.size()) << ref.Label();
+    for (size_t i = 0; i < chain.size(); ++i) {
+      const DagLedger::Entry& a = server.ledger().entry(chain[i]);
+      const DagLedger::Entry& b = replica.ledger().entry(mirror[i]);
+      EXPECT_EQ(a.block, b.block);
+      EXPECT_EQ(a.alpha, b.alpha);
+      EXPECT_EQ(a.gamma(), b.gamma());
+      EXPECT_EQ(a.gamma_override == nullptr, b.gamma_override == nullptr);
+    }
+  }
 }
 
 // ------------------------------------------- certificates stand alone

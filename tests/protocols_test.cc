@@ -81,7 +81,7 @@ TEST(OrderingTest, GammaCapturesOrderDependentState) {
   const auto& entry = lg.entry(lg.ChainOf(local_ref)[0]);
   // γ includes root at sequence 1 (the committed shared block).
   bool found = false;
-  for (const auto& g : entry.gamma) {
+  for (const auto& g : entry.gamma()) {
     if (g.collection == root) {
       EXPECT_EQ(g.m, 1u);
       found = true;

@@ -76,6 +76,46 @@ TEST(MvStoreTest, WriteBatchAtomicVersion) {
   EXPECT_EQ(s.latest_version(), 7u);
 }
 
+TEST(MvStoreTest, ApplyToKeepsWritesBeforeAFailingPut) {
+  MvStore s;
+  ASSERT_TRUE(s.Put(2, 20, 9).ok());
+  WriteBatch b;
+  b.Put(1, 100);
+  b.Put(2, 200);  // regresses key 2 from version 9
+  b.Put(3, 300);
+  EXPECT_FALSE(b.ApplyTo(&s, 5).ok());
+  EXPECT_EQ(*s.GetAt(1, 5), 100);
+  EXPECT_EQ(*s.Get(2), 20);
+  EXPECT_EQ(s.Find(3), nullptr);
+}
+
+TEST(MvStoreTest, ManyKeysAcrossChunksAndIndexGrowth) {
+  // 1,000 keys span many record chunks and several index doublings;
+  // every third key gets a second version.
+  constexpr MvStore::Key kKeys = 1000;
+  MvStore forward;
+  MvStore backward;
+  for (MvStore::Key k = 0; k < kKeys; ++k) {
+    ASSERT_TRUE(forward.Put(k, int64_t(k), 1).ok());
+    ASSERT_TRUE(backward.Put(kKeys - 1 - k, int64_t(kKeys - 1 - k), 1).ok());
+  }
+  for (MvStore::Key k = 0; k < kKeys; k += 3) {
+    ASSERT_TRUE(forward.Put(k, -int64_t(k), 2).ok());
+    ASSERT_TRUE(backward.Put(k, -int64_t(k), 2).ok());
+  }
+  EXPECT_EQ(forward.key_count(), kKeys);
+  for (MvStore::Key k = 0; k < kKeys; ++k) {
+    bool rewritten = k % 3 == 0;
+    ASSERT_NE(forward.Find(k), nullptr) << k;
+    EXPECT_EQ(*forward.Find(k), rewritten ? -int64_t(k) : int64_t(k)) << k;
+    EXPECT_EQ(*forward.GetAt(k, 1), int64_t(k)) << k;
+    EXPECT_EQ(forward.VersionCountOf(k), rewritten ? 2u : 1u) << k;
+  }
+  EXPECT_EQ(forward.Find(kKeys), nullptr);
+  // Insertion order differs; the fingerprint must not.
+  EXPECT_EQ(forward.Fingerprint(), backward.Fingerprint());
+}
+
 TEST(MvStoreTest, ManyVersionsBinarySearch) {
   MvStore s;
   for (SeqNo v = 1; v <= 1000; ++v) {
