@@ -13,10 +13,20 @@
 //     tolerate g Byzantine ones).
 
 #include <cstdio>
+#include <vector>
 
 #include "qanaat/system.h"
 
 using namespace qanaat;
+
+/// What a compromised executor would like to send out: raw ledger bytes.
+struct LeakMsg : WireMessage<LeakMsg> {
+  LeakMsg() : WireMessage(MsgType::kReply) {}
+  std::vector<uint8_t> stolen = std::vector<uint8_t>(4096);  // the ledger
+
+  template <class IO, class Self>
+  static bool Fields(IO& io, Self& m) { return io.List32(m.stolen); }
+};
 
 int main() {
   QanaatSystem::Options opts;
@@ -49,8 +59,7 @@ int main() {
   // ---- attempt 1: direct exfiltration ------------------------------------
   std::printf("-- attempt 1: direct messages out of the enclave --\n");
   uint64_t blocked0 = sys.net().blocked_sends();
-  auto leak = std::make_shared<Message>(MsgType::kReply);
-  leak->wire_bytes = 4096;  // "the stolen ledger"
+  auto leak = std::make_shared<LeakMsg>();
   sys.net().Send(evil->id(), client->id(), leak);
   sys.net().Send(evil->id(), cluster_a.ordering[0], leak);
   sys.net().Send(evil->id(), sys.directory().Cluster(1).execution[0], leak);

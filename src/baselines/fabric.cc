@@ -156,9 +156,6 @@ void FabricPeer::HandleEndorse(NodeId from, const EndorseReqMsg& m) {
     }
   }
   resp->sig = env()->keystore.Sign(id(), resp->tx_digest);
-  resp->wire_bytes =
-      96 + static_cast<uint32_t>(resp->read_set.size() * 16 +
-                                 resp->write_set.size() * 16);
   Send(from, resp);
 }
 
@@ -300,12 +297,10 @@ void FabricPeer::ApplyBlock(const OrderedBlockMsg& m) {
     // Only the client's own enterprise peer notifies it (one
     // notification per transaction).
     if (etx.tx.initiator == enterprise_) {
-      done->outcomes.emplace_back(etx.tx.client, etx.tx.client_ts, valid);
+      done->outcomes.push_back({etx.tx.client, etx.tx.client_ts, valid});
     }
   }
   if (!done->outcomes.empty()) {
-    done->wire_bytes =
-        64 + static_cast<uint32_t>(done->outcomes.size() * 16);
     std::set<NodeId> machines;
     for (const auto& [c, ts, ok] : done->outcomes) machines.insert(c);
     for (NodeId c : machines) Send(c, done);
@@ -409,9 +404,6 @@ void FabricOrderer::OnMessage(NodeId from, const MessageRef& msg) {
         auto blk = std::make_shared<OrderedBlockMsg>();
         blk->block_no = m.index;
         blk->txs = inflight_[m.index];
-        uint32_t bytes = 128;
-        for (const auto& etx : *blk->txs) bytes += etx.tx.WireSize() + 64;
-        blk->wire_bytes = bytes;
         ordered_txs_ += blk->txs->size();
         block_store_[m.index] = blk->txs;
         for (NodeId p : sys_->peer_ids()) Send(p, blk);
@@ -449,9 +441,6 @@ void FabricOrderer::HandleBlockFetch(NodeId from, const BlockFetchReqMsg& m) {
     auto blk = std::make_shared<OrderedBlockMsg>();
     blk->block_no = it->first;
     blk->txs = it->second;
-    uint32_t bytes = 128;
-    for (const auto& etx : *blk->txs) bytes += etx.tx.WireSize() + 64;
-    blk->wire_bytes = bytes;
     Send(from, blk);
   }
   if (sent > 0) env()->metrics.Inc("fabric.blocks_refetched", sent);
@@ -477,9 +466,6 @@ void FabricOrderer::SendAppend(uint64_t index) {
   append->term = 1;
   append->index = index;
   append->txs = it->second;
-  uint32_t bytes = 64;
-  for (const auto& etx : *append->txs) bytes += etx.tx.WireSize() + 64;
-  append->wire_bytes = bytes;
   for (int i = 0; i < sys_->config().orderers; ++i) {
     if (i != index_) Send(sys_->orderer(i)->id(), append);
   }
@@ -558,7 +544,6 @@ void FabricClient::IssueNext() {
 
   auto req = std::make_shared<EndorseReqMsg>();
   req->tx = tx;
-  req->wire_bytes = 64 + tx.WireSize();
   for (EnterpriseId e : members) {
     Send(sys_->peer(e)->id(), req);
   }
@@ -591,12 +576,6 @@ void FabricClient::OnMessage(NodeId /*from*/, const MessageRef& msg) {
         submit->etx = p.etx;
         submit->hash_only =
             sys_->config().variant == FabricVariant::kFastFabric;
-        submit->wire_bytes =
-            submit->hash_only
-                ? 96
-                : 128 + p.etx.tx.WireSize() +
-                      static_cast<uint32_t>(p.etx.read_set.size() * 16 +
-                                            p.etx.write_set.size() * 16);
         Send(sys_->leader_id(), submit);
       }
       break;

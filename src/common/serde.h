@@ -21,6 +21,13 @@ class Encoder {
   // sim hot path (several reallocations per encoded message).
   Encoder() { buf_.reserve(128); }
 
+  /// Any unsigned integer, little-endian at its own width.
+  template <typename T>
+  void PutLE(T v) {
+    for (size_t i = 0; i < sizeof(T); ++i) {
+      buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
+    }
+  }
   void PutU8(uint8_t v) { buf_.push_back(v); }
   void PutU16(uint16_t v) { PutLE(v); }
   void PutU32(uint32_t v) { PutLE(v); }
@@ -36,13 +43,6 @@ class Encoder {
   size_t size() const { return buf_.size(); }
 
  private:
-  template <typename T>
-  void PutLE(T v) {
-    for (size_t i = 0; i < sizeof(T); ++i) {
-      buf_.push_back(static_cast<uint8_t>(v >> (8 * i)));
-    }
-  }
-
   std::vector<uint8_t> buf_;
 };
 
@@ -55,6 +55,18 @@ class Decoder {
   explicit Decoder(const std::vector<uint8_t>& buf)
       : Decoder(buf.data(), buf.size()) {}
 
+  /// Any unsigned integer, little-endian at its own width.
+  template <typename T>
+  bool GetLE(T* v) {
+    if (pos_ + sizeof(T) > size_) return false;
+    T out = 0;
+    for (size_t i = 0; i < sizeof(T); ++i) {
+      out |= static_cast<T>(static_cast<T>(data_[pos_ + i]) << (8 * i));
+    }
+    pos_ += sizeof(T);
+    *v = out;
+    return true;
+  }
   bool GetU8(uint8_t* v) { return GetLE(v); }
   bool GetU16(uint16_t* v) { return GetLE(v); }
   bool GetU32(uint32_t* v) { return GetLE(v); }
@@ -84,21 +96,23 @@ class Decoder {
   }
 
  private:
-  template <typename T>
-  bool GetLE(T* v) {
-    if (pos_ + sizeof(T) > size_) return false;
-    T out = 0;
-    for (size_t i = 0; i < sizeof(T); ++i) {
-      out |= static_cast<T>(static_cast<T>(data_[pos_ + i]) << (8 * i));
-    }
-    pos_ += sizeof(T);
-    *v = out;
-    return true;
-  }
-
   const uint8_t* data_;
   size_t size_;
   size_t pos_;
+};
+
+/// A sink that keeps only the count of what an Encoder would append: a
+/// Writer over it measures an encoding without building it.
+class ByteCounter {
+ public:
+  template <typename T>
+  void PutLE(T) { n_ += sizeof(T); }
+  void PutRaw(const void*, size_t n) { n_ += n; }
+
+  size_t size() const { return n_; }
+
+ private:
+  size_t n_ = 0;
 };
 
 // Every wire type declares its layout once, as a field list that two
@@ -109,9 +123,9 @@ class Decoder {
 //     return io(m.view) && io(m.slot) && io.List16(m.proofs) && ...;
 //   }
 //
-// A Writer appends the fields to an Encoder (Self is const); a Reader
-// fills them from a Decoder and fails on the first malformed one. The
-// walker rules are the whole codec:
+// A Writer appends the fields to an Encoder (Self is const), or counts
+// them into a ByteCounter; a Reader fills them from a Decoder and fails
+// on the first malformed one. The walker rules are the whole codec:
 //  * integers, bools and enums travel little-endian at their own width
 //    (so an int cluster id travels as u32);
 //  * a std::array<uint8_t, N> (Sha256Digest) travels as its raw bytes;
@@ -124,26 +138,28 @@ class Decoder {
 //    not reach an allocation;
 //  * io.Check(ok) states a decode-time invariant; writing ignores it.
 
-/// Appends a value's canonical bytes by walking its field list.
+/// Appends a value's canonical bytes to a Sink (an Encoder, or a
+/// ByteCounter) by walking its field list.
+template <class Sink>
 class Writer {
  public:
   /// Lets a field list act after a decode only (a Block re-seals).
   static constexpr bool kDecoding = false;
 
-  explicit Writer(Encoder* enc) : enc_(enc) {}
+  explicit Writer(Sink* enc) : enc_(enc) {}
 
   template <class T>
   bool operator()(const T& v) {
     if constexpr (std::is_same_v<T, bool>) {
-      enc_->PutBool(v);
+      enc_->PutLE(static_cast<uint8_t>(v));
     } else if constexpr (std::is_enum_v<T>) {
       (*this)(static_cast<std::underlying_type_t<T>>(v));
     } else if constexpr (std::is_integral_v<T>) {
-      PutUnsigned(static_cast<std::make_unsigned_t<T>>(v));
+      enc_->PutLE(static_cast<std::make_unsigned_t<T>>(v));
     } else if constexpr (std::is_same_v<T, double>) {
       uint64_t bits = 0;
       std::memcpy(&bits, &v, sizeof(bits));
-      enc_->PutU64(bits);
+      enc_->PutLE(bits);
     } else {
       return T::Fields(*this, v);
     }
@@ -160,7 +176,7 @@ class Writer {
   }
   template <class T>
   bool operator()(const std::shared_ptr<T>& p) {
-    enc_->PutBool(p != nullptr);
+    (*this)(p != nullptr);
     return p == nullptr || (*this)(*p);
   }
 
@@ -178,26 +194,12 @@ class Writer {
  private:
   template <class N, class T>
   bool List(const std::vector<T>& v) {
-    PutUnsigned(static_cast<N>(v.size()));
+    enc_->PutLE(static_cast<N>(v.size()));
     for (const T& x : v) (*this)(x);
     return true;
   }
-  template <class U>
-  void PutUnsigned(U u) {
-    static_assert(sizeof(U) == 1 || sizeof(U) == 2 || sizeof(U) == 4 ||
-                  sizeof(U) == 8);
-    if constexpr (sizeof(U) == 1) {
-      enc_->PutU8(u);
-    } else if constexpr (sizeof(U) == 2) {
-      enc_->PutU16(u);
-    } else if constexpr (sizeof(U) == 4) {
-      enc_->PutU32(u);
-    } else {
-      enc_->PutU64(u);
-    }
-  }
 
-  Encoder* enc_;
+  Sink* enc_;
 };
 
 /// Fills a value from a Decoder by walking its field list. False on
@@ -220,7 +222,7 @@ class Reader {
       return true;
     } else if constexpr (std::is_integral_v<T>) {
       std::make_unsigned_t<T> u = 0;
-      if (!GetUnsigned(&u)) return false;
+      if (!dec_->GetLE(&u)) return false;
       v = static_cast<T>(u);
       return true;
     } else if constexpr (std::is_same_v<T, double>) {
@@ -267,26 +269,12 @@ class Reader {
   template <class N, class T>
   bool List(std::vector<T>& v) {
     N n = 0;
-    if (!GetUnsigned(&n) || n > dec_->remaining()) return false;
+    if (!dec_->GetLE(&n) || n > dec_->remaining()) return false;
     v.resize(n);
     for (T& x : v) {
       if (!(*this)(x)) return false;
     }
     return true;
-  }
-  template <class U>
-  bool GetUnsigned(U* u) {
-    static_assert(sizeof(U) == 1 || sizeof(U) == 2 || sizeof(U) == 4 ||
-                  sizeof(U) == 8);
-    if constexpr (sizeof(U) == 1) {
-      return dec_->GetU8(u);
-    } else if constexpr (sizeof(U) == 2) {
-      return dec_->GetU16(u);
-    } else if constexpr (sizeof(U) == 4) {
-      return dec_->GetU32(u);
-    } else {
-      return dec_->GetU64(u);
-    }
   }
 
   Decoder* dec_;
@@ -296,6 +284,14 @@ class Reader {
 template <class T>
 void Encode(const T& v, Encoder* enc) {
   Writer{enc}(v);
+}
+
+/// The length of `v`'s canonical encoding, counted without building it.
+template <class T>
+size_t EncodedSize(const T& v) {
+  ByteCounter counter;
+  Writer{&counter}(v);
+  return counter.size();
 }
 
 /// Decodes `v` from `dec`; false on any malformation.

@@ -47,7 +47,6 @@ void InternalConsensus::NoteDelivered(uint64_t slot,
   m->digest = ckpt_history_;
   m->sig = ctx_.env->keystore.Sign(ctx_.self,
                                    CkptSignableFor(slot, ckpt_history_));
-  m->wire_bytes = 72;
   m->sig_verify_ops = CheapCheckpointAuth() ? 0 : 1;
   ctx_.broadcast(m);
   RecordCheckpointVote(slot, ckpt_history_, m->sig);

@@ -13,8 +13,8 @@
 namespace qanaat {
 
 /// ⟨REQUEST, op, tc, c⟩_σc — client request (paper §4.1).
-struct RequestMsg : Message {
-  RequestMsg() : Message(MsgType::kRequest) {}
+struct RequestMsg : WireMessage<RequestMsg> {
+  RequestMsg() : WireMessage(MsgType::kRequest) {}
   Transaction tx;
   bool is_retransmission = false;
 
@@ -28,8 +28,8 @@ struct RequestMsg : Message {
 /// no-firewall paths). Block-granular: carries the (client, timestamp)
 /// pairs of every transaction in the block so the client machine can
 /// settle each of its pending requests.
-struct ReplyMsg : Message {
-  ReplyMsg() : Message(MsgType::kReply) {}
+struct ReplyMsg : WireMessage<ReplyMsg> {
+  ReplyMsg() : WireMessage(MsgType::kReply) {}
   Sha256Digest block_digest;
   Sha256Digest result_digest;
   std::vector<std::pair<NodeId, uint64_t>> clients;
@@ -44,8 +44,8 @@ struct ReplyMsg : Message {
 
 /// Reply certificate assembled by the top filter row: g+1 matching signed
 /// replies from distinct execution nodes (paper §4.2).
-struct ReplyCertMsg : Message {
-  ReplyCertMsg() : Message(MsgType::kReplyCert) {}
+struct ReplyCertMsg : WireMessage<ReplyCertMsg> {
+  ReplyCertMsg() : WireMessage(MsgType::kReplyCert) {}
   Sha256Digest block_digest;
   Sha256Digest result_digest;
   std::vector<std::pair<NodeId, uint64_t>> clients;
@@ -74,9 +74,6 @@ struct CheckpointCertificate {
   /// Valid iff >= quorum distinct valid signatures over the signable.
   bool Valid(const KeyStore& ks, size_t quorum) const;
 
-  uint32_t WireSize() const {
-    return static_cast<uint32_t>(44 + sigs.size() * 20);
-  }
   template <class IO, class Self>
   static bool Fields(IO& io, Self& m) {
     return io(m.slot) && io(m.digest) && io.List16(m.sigs);
@@ -88,8 +85,8 @@ struct CheckpointCertificate {
 /// an already-stable certificate — sent to a replica whose fill request
 /// fell below the sender's garbage-collection floor, telling it to state-
 /// transfer rather than wait for per-slot fills that can never come.
-struct CheckpointMsg : Message {
-  CheckpointMsg() : Message(MsgType::kCheckpoint) {}
+struct CheckpointMsg : WireMessage<CheckpointMsg> {
+  CheckpointMsg() : WireMessage(MsgType::kCheckpoint) {}
   uint64_t slot = 0;
   Sha256Digest digest;
   Signature sig;
@@ -103,8 +100,8 @@ struct CheckpointMsg : Message {
 
 // --------------------------------------------------------- PBFT messages
 
-struct PrePrepareMsg : Message {
-  PrePrepareMsg() : Message(MsgType::kPrePrepare) {}
+struct PrePrepareMsg : WireMessage<PrePrepareMsg> {
+  PrePrepareMsg() : WireMessage(MsgType::kPrePrepare) {}
   ViewNo view = 0;
   uint64_t slot = 0;
   ConsensusValue value;
@@ -118,8 +115,8 @@ struct PrePrepareMsg : Message {
   }
 };
 
-struct PrepareMsg : Message {
-  PrepareMsg() : Message(MsgType::kPrepare) {}
+struct PrepareMsg : WireMessage<PrepareMsg> {
+  PrepareMsg() : WireMessage(MsgType::kPrepare) {}
   ViewNo view = 0;
   uint64_t slot = 0;
   Sha256Digest value_digest;
@@ -131,8 +128,8 @@ struct PrepareMsg : Message {
   }
 };
 
-struct CommitMsg : Message {
-  CommitMsg() : Message(MsgType::kCommit) {}
+struct CommitMsg : WireMessage<CommitMsg> {
+  CommitMsg() : WireMessage(MsgType::kCommit) {}
   ViewNo view = 0;
   uint64_t slot = 0;
   Sha256Digest value_digest;
@@ -157,8 +154,8 @@ struct PreparedProof {
   }
 };
 
-struct ViewChangeMsg : Message {
-  ViewChangeMsg() : Message(MsgType::kViewChange) {}
+struct ViewChangeMsg : WireMessage<ViewChangeMsg> {
+  ViewChangeMsg() : WireMessage(MsgType::kViewChange) {}
   ViewNo new_view = 0;
   uint64_t last_delivered = 0;
   std::vector<PreparedProof> prepared;
@@ -171,8 +168,8 @@ struct ViewChangeMsg : Message {
   }
 };
 
-struct NewViewMsg : Message {
-  NewViewMsg() : Message(MsgType::kNewView) {}
+struct NewViewMsg : WireMessage<NewViewMsg> {
+  NewViewMsg() : WireMessage(MsgType::kNewView) {}
   ViewNo new_view = 0;
   // Slots the new primary re-proposes (prepared in prior views).
   std::vector<PreparedProof> reproposals;
@@ -186,8 +183,8 @@ struct NewViewMsg : Message {
 
 // ---------------------------------------------------- Multi-Paxos (CFT)
 
-struct PaxosAcceptMsg : Message {
-  PaxosAcceptMsg() : Message(MsgType::kPaxosAccept) {
+struct PaxosAcceptMsg : WireMessage<PaxosAcceptMsg> {
+  PaxosAcceptMsg() : WireMessage(MsgType::kPaxosAccept) {
     sig_verify_ops = 0;  // CFT path authenticates with cheap MACs
   }
   uint64_t ballot = 0;
@@ -201,8 +198,8 @@ struct PaxosAcceptMsg : Message {
   }
 };
 
-struct PaxosAcceptedMsg : Message {
-  PaxosAcceptedMsg() : Message(MsgType::kPaxosAccepted) {
+struct PaxosAcceptedMsg : WireMessage<PaxosAcceptedMsg> {
+  PaxosAcceptedMsg() : WireMessage(MsgType::kPaxosAccepted) {
     sig_verify_ops = 0;
   }
   uint64_t ballot = 0;
@@ -215,8 +212,8 @@ struct PaxosAcceptedMsg : Message {
   }
 };
 
-struct PaxosLearnMsg : Message {
-  PaxosLearnMsg() : Message(MsgType::kPaxosLearn) { sig_verify_ops = 0; }
+struct PaxosLearnMsg : WireMessage<PaxosLearnMsg> {
+  PaxosLearnMsg() : WireMessage(MsgType::kPaxosLearn) { sig_verify_ops = 0; }
   uint64_t ballot = 0;
   uint64_t slot = 0;
   Sha256Digest value_digest;
@@ -230,8 +227,10 @@ struct PaxosLearnMsg : Message {
 /// Phase-1a ballot takeover (classic Paxos prepare): a node claiming
 /// leadership must learn what a quorum has already accepted before it may
 /// re-drive slots — without this, a takeover can overwrite a chosen value.
-struct PaxosPrepareMsg : Message {
-  PaxosPrepareMsg() : Message(MsgType::kPaxosPrepare) { sig_verify_ops = 0; }
+struct PaxosPrepareMsg : WireMessage<PaxosPrepareMsg> {
+  PaxosPrepareMsg() : WireMessage(MsgType::kPaxosPrepare) {
+    sig_verify_ops = 0;
+  }
   uint64_t ballot = 0;
   /// The usurper's delivery frontier: promises report accepted values for
   /// every slot above it, so the usurper can fill its own gaps too.
@@ -263,8 +262,10 @@ struct PaxosAcceptedSlot {
 /// garbage-collected those slots, so re-driving them with no-op fills
 /// would wedge the takeover (delivered replicas only re-ack the decided
 /// values, which the usurper no longer can learn per slot).
-struct PaxosPromiseMsg : Message {
-  PaxosPromiseMsg() : Message(MsgType::kPaxosPromise) { sig_verify_ops = 0; }
+struct PaxosPromiseMsg : WireMessage<PaxosPromiseMsg> {
+  PaxosPromiseMsg() : WireMessage(MsgType::kPaxosPromise) {
+    sig_verify_ops = 0;
+  }
   uint64_t ballot = 0;
   std::vector<PaxosAcceptedSlot> accepted;
   CheckpointCertificate stable;  // empty when none
@@ -278,8 +279,8 @@ struct PaxosPromiseMsg : Message {
 /// Host-level state transfer request: a recovering (or gap-stuck) replica
 /// reports its per-chain committed heads and its consensus delivery
 /// frontier; any peer of the cluster answers with what it is missing.
-struct StateRequestMsg : Message {
-  StateRequestMsg() : Message(MsgType::kStateRequest) {
+struct StateRequestMsg : WireMessage<StateRequestMsg> {
+  StateRequestMsg() : WireMessage(MsgType::kStateRequest) {
     sig_verify_ops = 0;
   }
   struct ChainHead {
@@ -314,8 +315,8 @@ struct StateRequestMsg : Message {
 /// digest recomputed from the transferred bytes — so a single faulty
 /// peer cannot inject a fake block, and the requester re-executes the
 /// blocks to rebuild its multi-versioned store deterministically.
-struct StateReplyMsg : Message {
-  StateReplyMsg() : Message(MsgType::kStateReply) {}
+struct StateReplyMsg : WireMessage<StateReplyMsg> {
+  StateReplyMsg() : WireMessage(MsgType::kStateReply) {}
   struct Entry {
     BlockPtr block;
     CommitCertificate cert;
@@ -351,8 +352,8 @@ struct StateReplyMsg : Message {
 /// (self-certifying — signed by that view's primary), un-wedging a
 /// recovered replica stuck in an old view that nothing else would ever
 /// tell about the change.
-struct FillRequestMsg : Message {
-  FillRequestMsg() : Message(MsgType::kFillRequest) { sig_verify_ops = 0; }
+struct FillRequestMsg : WireMessage<FillRequestMsg> {
+  FillRequestMsg() : WireMessage(MsgType::kFillRequest) { sig_verify_ops = 0; }
   uint64_t from_slot = 0;
   uint64_t to_slot = 0;
   uint64_t want_view = 0;
@@ -366,8 +367,8 @@ struct FillRequestMsg : Message {
 /// Gap catch-up reply, one per slot: the decided value plus the COMMIT
 /// quorum signatures proving the decision — self-certifying, so a fill
 /// from a single (possibly faulty) peer cannot inject a fake decision.
-struct FillReplyMsg : Message {
-  FillReplyMsg() : Message(MsgType::kFillReply) {}
+struct FillReplyMsg : WireMessage<FillReplyMsg> {
+  FillReplyMsg() : WireMessage(MsgType::kFillReply) {}
   uint64_t slot = 0;
   ViewNo view = 0;
   ConsensusValue value;
@@ -383,8 +384,8 @@ struct FillReplyMsg : Message {
 
 /// Request + commit certificate flowing from ordering nodes through the
 /// filters to the execution nodes.
-struct ExecOrderMsg : Message {
-  ExecOrderMsg() : Message(MsgType::kExecOrder) {}
+struct ExecOrderMsg : WireMessage<ExecOrderMsg> {
+  ExecOrderMsg() : WireMessage(MsgType::kExecOrder) {}
   BlockPtr block;
   CommitCertificate cert;
   /// The ⟨α, γ⟩ that applies on the receiving cluster's shard.
@@ -400,8 +401,8 @@ struct ExecOrderMsg : Message {
 
 /// Signed execution reply flowing from execution nodes up through the
 /// filters (top row aggregates g+1 into a ReplyCertMsg).
-struct ExecReplyMsg : Message {
-  ExecReplyMsg() : Message(MsgType::kExecReply) {}
+struct ExecReplyMsg : WireMessage<ExecReplyMsg> {
+  ExecReplyMsg() : WireMessage(MsgType::kExecReply) {}
   Sha256Digest block_digest;
   Sha256Digest result_digest;
   /// (client, timestamp) of every transaction in the block: one reply
@@ -409,6 +410,9 @@ struct ExecReplyMsg : Message {
   /// into one reply certificate per block.
   std::vector<std::pair<NodeId, uint64_t>> clients;
   Signature sig;  // share over Signable(block, result, clients)
+  /// A Byzantine executor's reply, charged for a payload it does not
+  /// carry (the stand-in table, sim/message.h). Not in the layout.
+  bool stuffed = false;
 
   /// The digest an execution share signs, and what the filter rows and
   /// the client re-verify a reply certificate against. It covers the

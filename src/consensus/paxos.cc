@@ -35,7 +35,6 @@ void PaxosEngine::BroadcastAccept(uint64_t slot, const SlotState& st) {
   acc->slot = slot;
   acc->value = st.value;
   acc->value_digest = st.digest;
-  acc->wire_bytes = 64 + st.value.WireSize();
   ctx_.broadcast(acc);
 }
 
@@ -388,7 +387,6 @@ void PaxosEngine::HandlePrepare(NodeId from, const PaxosPrepareMsg& m) {
   ObserveBallot(m.ballot);
   auto pr = std::make_shared<PaxosPromiseMsg>();
   pr->ballot = m.ballot;
-  uint32_t bytes = 32;
   // Gather accepted slots in ascending slot order: slots_ is a hash map,
   // but the emitted promise must keep the deterministic order the old
   // ordered map produced (message contents feed the replay trace).
@@ -408,13 +406,11 @@ void PaxosEngine::HandlePrepare(NodeId from, const PaxosPrepareMsg& m) {
     a.ballot = st.ballot;
     a.value = st.value;
     a.digest = st.digest;
-    bytes += 48 + st.value.WireSize();
     pr->accepted.push_back(std::move(a));
   }
   // Report our stable checkpoint: a usurper below it cannot learn the
   // GC'd slots per slot and must state-transfer before driving anything.
   pr->stable = stable_checkpoint();
-  pr->wire_bytes = bytes + pr->stable.WireSize();
   ctx_.send(from, pr);
 }
 

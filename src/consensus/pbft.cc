@@ -53,7 +53,6 @@ void PbftEngine::SendPrePrepare(uint64_t slot, SlotState& st) {
     pp->value_digest = st.digest;
     pp->sig = ctx_.env->keystore.Sign(
         ctx_.self, st.signable.Get(view_, slot, st.digest));
-    pp->wire_bytes = 96 + st.value.WireSize();
     // Backups re-verify the client signature of every transaction in the
     // batch before preparing (PBFT request authentication).
     if (st.value.block != nullptr &&
@@ -78,7 +77,6 @@ void PbftEngine::SendPrePrepare(uint64_t slot, SlotState& st) {
       pp->value_digest = d;
       pp->sig =
           ctx_.env->keystore.Sign(ctx_.self, SignableDigest(view_, slot, d));
-      pp->wire_bytes = 96 + st.value.WireSize();
       ctx_.send(peer, pp);
     }
   }
@@ -263,7 +261,6 @@ void PbftEngine::StartViewChange(ViewNo target, bool lone_suspicion) {
   }
   vc->sig = ctx_.env->keystore.Sign(
       ctx_.self, SignableDigest(target, 0, ViewChangeSalt()));
-  vc->wire_bytes = 128 + static_cast<uint32_t>(vc->prepared.size()) * 64;
   ctx_.broadcast(vc);
   // Count our own vote.
   HandleViewChange(ctx_.self, *vc);
@@ -551,7 +548,6 @@ void PbftEngine::HandleFillRequest(NodeId from, const FillRequestMsg& m) {
     ctx_.env->metrics.Inc("pbft.fill_below_gc");
     auto ck = std::make_shared<CheckpointMsg>();
     ck->cert = stable_checkpoint();
-    ck->wire_bytes = 48 + ck->cert.WireSize();
     ck->sig_verify_ops = static_cast<uint16_t>(ck->cert.sigs.size());
     ctx_.send(from, ck);
   }
@@ -571,8 +567,6 @@ void PbftEngine::HandleFillRequest(NodeId from, const FillRequestMsg& m) {
     for (const auto& [node, sig] : st.commits.entries()) {
       fr->commit_proof.push_back(sig);
     }
-    fr->wire_bytes = 96 + st.value.WireSize() +
-                     static_cast<uint32_t>(fr->commit_proof.size()) * 20;
     fr->sig_verify_ops = static_cast<uint16_t>(fr->commit_proof.size());
     ctx_.send(from, fr);
   }
@@ -668,7 +662,6 @@ void PbftEngine::HandleViewChange(NodeId from, const ViewChangeMsg& m) {
   for (auto& [slot, p] : merged) nv->reproposals.push_back(p);
   nv->sig = ctx_.env->keystore.Sign(
       ctx_.self, SignableDigest(m.new_view, 0, NewViewSalt()));
-  nv->wire_bytes = 128 + static_cast<uint32_t>(nv->reproposals.size()) * 96;
   ctx_.broadcast(nv);
   HandleNewView(ctx_.self, *nv);
 }

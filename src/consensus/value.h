@@ -46,12 +46,6 @@ struct ConsensusValue {
     return ValueDigestFor(static_cast<uint8_t>(kind), block_digest);
   }
 
-  uint32_t WireSize() const {
-    uint32_t base =
-        40 + static_cast<uint32_t>(assignments.size()) * 48;
-    return base + (kind == Kind::kBlock && block ? block->WireSize() : 0);
-  }
-
   static ConsensusValue ForBlock(BlockPtr b) {
     ConsensusValue v;
     v.kind = Kind::kBlock;

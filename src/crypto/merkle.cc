@@ -9,64 +9,29 @@ Sha256Digest MerkleTree::HashPair(const Sha256Digest& a,
   // Two child digests fill exactly one compression block, so the padded
   // second compression of a general-purpose hash adds nothing here: every
   // input has the same fixed length and the children are themselves
-  // collision-resistant digests. Seal, chain audits and proof
-  // verification all combine children through this one function.
+  // collision-resistant digests. Seal and chain audits both combine
+  // children through this one function.
   uint8_t block[64];
   std::memcpy(block, a.bytes.data(), 32);
   std::memcpy(block + 32, b.bytes.data(), 32);
   return Sha256::CompressBlock(block);
 }
 
-MerkleTree::MerkleTree(std::vector<Sha256Digest> leaves)
-    : leaf_count_(leaves.size()) {
-  if (leaves.empty()) {
-    levels_.push_back({Sha256::Hash("", 0)});
-    return;
-  }
-  levels_.push_back(std::move(leaves));
-  while (levels_.back().size() > 1) {
-    const auto& cur = levels_.back();
-    std::vector<Sha256Digest> next;
-    next.reserve((cur.size() + 1) / 2);
-    for (size_t i = 0; i < cur.size(); i += 2) {
-      const Sha256Digest& left = cur[i];
-      const Sha256Digest& right = (i + 1 < cur.size()) ? cur[i + 1] : cur[i];
-      next.push_back(HashPair(left, right));
+Sha256Digest MerkleTree::RootOf(std::vector<Sha256Digest> level) {
+  if (level.empty()) return Sha256::Hash("", 0);
+  // Each level overwrites the front of the one below it: node i reads
+  // children 2i and 2i+1, which no earlier node of the level overwrote.
+  while (level.size() > 1) {
+    size_t parents = (level.size() + 1) / 2;
+    for (size_t i = 0; i < parents; ++i) {
+      const Sha256Digest& left = level[2 * i];
+      const Sha256Digest& right =
+          2 * i + 1 < level.size() ? level[2 * i + 1] : left;
+      level[i] = HashPair(left, right);
     }
-    levels_.push_back(std::move(next));
+    level.resize(parents);
   }
-}
-
-std::vector<Sha256Digest> MerkleTree::Prove(size_t index) const {
-  std::vector<Sha256Digest> proof;
-  if (index >= leaf_count_) return proof;
-  for (size_t lvl = 0; lvl + 1 < levels_.size(); ++lvl) {
-    const auto& cur = levels_[lvl];
-    size_t sibling = index ^ 1;
-    if (sibling >= cur.size()) sibling = index;  // duplicated last node
-    proof.push_back(cur[sibling]);
-    index /= 2;
-  }
-  return proof;
-}
-
-bool MerkleTree::Verify(const Sha256Digest& leaf, size_t index,
-                        const std::vector<Sha256Digest>& proof,
-                        const Sha256Digest& root) {
-  Sha256Digest acc = leaf;
-  for (const auto& sib : proof) {
-    if (index % 2 == 0) {
-      acc = HashPair(acc, sib);
-    } else {
-      acc = HashPair(sib, acc);
-    }
-    index /= 2;
-  }
-  return acc == root;
-}
-
-Sha256Digest MerkleTree::RootOf(const std::vector<Sha256Digest>& leaves) {
-  return MerkleTree(leaves).Root();
+  return level[0];
 }
 
 }  // namespace qanaat

@@ -7,35 +7,18 @@
 
 namespace qanaat {
 
-/// Binary Merkle tree over a list of leaf digests. Blocks carry the root so
-/// a single commit certificate covers every transaction in the batch, and
-/// clients can be given O(log n) inclusion proofs.
+/// Binary Merkle tree over a list of leaf digests. Blocks carry only the
+/// root, so a single commit certificate covers every transaction in the
+/// batch.
 class MerkleTree {
  public:
-  /// Builds the tree; an empty leaf list yields the hash of the empty
-  /// string as root. Odd levels duplicate the last node (Bitcoin-style).
-  explicit MerkleTree(std::vector<Sha256Digest> leaves);
-
-  const Sha256Digest& Root() const { return levels_.back()[0]; }
-  size_t leaf_count() const { return leaf_count_; }
-
-  /// Sibling path from leaf `index` to the root.
-  std::vector<Sha256Digest> Prove(size_t index) const;
-
-  /// Verifies an inclusion proof produced by Prove().
-  static bool Verify(const Sha256Digest& leaf, size_t index,
-                     const std::vector<Sha256Digest>& proof,
-                     const Sha256Digest& root);
-
-  /// Convenience: root over leaves without keeping the tree.
-  static Sha256Digest RootOf(const std::vector<Sha256Digest>& leaves);
+  /// The root over the leaf digests `level`; an empty list yields the
+  /// hash of the empty string. Odd levels duplicate the last node
+  /// (Bitcoin-style).
+  static Sha256Digest RootOf(std::vector<Sha256Digest> level);
 
  private:
   static Sha256Digest HashPair(const Sha256Digest& a, const Sha256Digest& b);
-
-  size_t leaf_count_;
-  // levels_[0] = leaves (possibly padded), levels_.back() = {root}
-  std::vector<std::vector<Sha256Digest>> levels_;
 };
 
 }  // namespace qanaat

@@ -62,7 +62,6 @@ void ExecutionNode::SendPullRequest() {
   // checkpoint-only replies — it only ever wants ledger entries.
   req->frontier = UINT64_MAX;
   req->requester = id();
-  req->wire_bytes = 48 + static_cast<uint32_t>(req->heads.size()) * 16;
   env()->metrics.Inc("exec.pull_requested");
   if (cfg_.HasFirewall()) {
     // The top filter row brokers the transfer to a serving peer.
@@ -151,14 +150,13 @@ void ExecutionNode::HandleExecOrder(const ExecOrderMsg& m) {
           // match, so the top filter row can never assemble g+1 shares
           // around this value.
           reply->result_digest.bytes[0] ^= 0x5a;
-          reply->wire_bytes += 512;
+          reply->stuffed = true;
         }
         reply->clients = res.clients;
         reply->sig = env()->keystore.SignShare(
             id(), ExecReplyMsg::Signable(reply->block_digest,
                                          reply->result_digest,
                                          reply->clients));
-        reply->wire_bytes += static_cast<uint32_t>(res.clients.size() * 12);
 
         if (cfg_.HasFirewall()) {
           Multicast(cfg_.filter_rows.back(), reply);
@@ -283,11 +281,7 @@ void FilterNode::HandleExecReply(NodeId from, const ExecReplyMsg& m) {
   cert_msg->block_digest = m.block_digest;
   cert_msg->result_digest = tally.result_digest;
   cert_msg->clients = std::move(tally.clients);
-  cert_msg->cert.reply_digest = tally.result_digest;
   for (auto& [node, sig] : tally.shares) cert_msg->cert.sigs.push_back(sig);
-  cert_msg->wire_bytes =
-      96 + static_cast<uint32_t>(cert_msg->clients.size() * 12 +
-                                 cert_msg->cert.sigs.size() * 20);
   Multicast(Below(), cert_msg);
   reply_shares_.erase(m.block_digest);
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <set>
+#include <utility>
 
 #include "common/rng.h"
 #include "common/serde.h"
@@ -13,7 +14,7 @@ void Block::Seal() {
   std::vector<Sha256Digest> leaves;
   leaves.reserve(txs.size());
   for (const auto& tx : txs) leaves.push_back(tx.Digest());
-  tx_root = MerkleTree::RootOf(leaves);
+  tx_root = MerkleTree::RootOf(std::move(leaves));
   digest_valid_ = false;
   digest_cache_ = Digest();
 }
@@ -30,7 +31,7 @@ Sha256Digest Block::RecomputeTxRoot() const {
   std::vector<Sha256Digest> leaves;
   leaves.reserve(txs.size());
   for (const auto& tx : txs) leaves.push_back(tx.RecomputeDigest());
-  return MerkleTree::RootOf(leaves);
+  return MerkleTree::RootOf(std::move(leaves));
 }
 
 Sha256Digest Block::RecomputeDigest(const Sha256Digest& root) const {
@@ -40,12 +41,6 @@ Sha256Digest Block::RecomputeDigest(const Sha256Digest& root) const {
   w(attempt);
   w(root);
   return Sha256::Hash(enc.buffer());
-}
-
-uint32_t Block::WireSize() const {
-  uint32_t sz = 96;  // id + root + framing
-  for (const auto& tx : txs) sz += tx.WireSize();
-  return sz;
 }
 
 namespace {
@@ -111,10 +106,6 @@ bool CommitCertificate::Valid(const KeyStore& ks, size_t quorum) const {
 bool CommitCertificate::ValidFrom(const KeyStore& ks, size_t quorum,
                                   const std::vector<NodeId>& allowed) const {
   return QuorumOfValidSigs(ks, CoveredDigest(), sigs, quorum, &allowed);
-}
-
-bool ReplyCertificate::Valid(const KeyStore& ks, size_t quorum) const {
-  return QuorumOfValidSigs(ks, reply_digest, sigs, quorum, nullptr);
 }
 
 }  // namespace qanaat

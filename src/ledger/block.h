@@ -52,7 +52,6 @@ struct Block {
   /// models); the next Digest() recomputes from the current contents.
   void InvalidateDigest() const { digest_valid_ = false; }
 
-  uint32_t WireSize() const;
   size_t tx_count() const { return txs.size(); }
 
   /// Wire layout (id, attempt, transactions). tx_root is not encoded: a
@@ -139,10 +138,6 @@ struct CommitCertificate {
   bool ValidFrom(const KeyStore& ks, size_t quorum,
                  const std::vector<NodeId>& allowed) const;
 
-  uint32_t WireSize() const {
-    return static_cast<uint32_t>(56 + sigs.size() * 20);
-  }
-
   template <class IO, class Self>
   static bool Fields(IO& io, Self& m) {
     return io(m.block_digest) && io(m.view) && io(m.slot) &&
@@ -155,17 +150,13 @@ struct CommitCertificate {
 
 /// Reply certificate: g+1 matching signed replies from distinct execution
 /// nodes, assembled by the top filter row (paper §4.2). The client accepts
-/// a result only with a valid reply certificate.
+/// a result only with a valid reply certificate: each share must verify
+/// against ExecReplyMsg::Signable of the certified result and clients.
 struct ReplyCertificate {
-  Sha256Digest reply_digest;
   std::vector<Signature> sigs;
 
-  bool Valid(const KeyStore& ks, size_t quorum) const;
-
   template <class IO, class Self>
-  static bool Fields(IO& io, Self& m) {
-    return io(m.reply_digest) && io.List32(m.sigs);
-  }
+  static bool Fields(IO& io, Self& m) { return io.List32(m.sigs); }
 };
 
 }  // namespace qanaat

@@ -69,11 +69,6 @@ struct Transaction {
   Sha256Digest RecomputeDigest() const;
   void InvalidateDigest() const { digest_valid_ = false; }
 
-  /// Approximate wire size in bytes.
-  uint32_t WireSize() const {
-    return static_cast<uint32_t>(64 + ops.size() * 24);
-  }
-
  private:
   mutable Sha256Digest digest_cache_;
   mutable bool digest_valid_ = false;

@@ -62,11 +62,9 @@ std::shared_ptr<StateReplyMsg> BuildStateReply(
   // round installs nothing new.
   constexpr size_t kMaxEntries = 256;
   auto rep = std::make_shared<StateReplyMsg>();
-  uint64_t bytes = 64;
   size_t verify_ops = 0;
   if (ckpt != nullptr) {
     rep->ckpt = *ckpt;
-    bytes += ckpt->WireSize();
     verify_ops += ckpt->sigs.size();
   }
   const DagLedger& led = core.ledger();
@@ -111,12 +109,9 @@ std::shared_ptr<StateReplyMsg> BuildStateReply(
     return nullptr;
   }
   for (const auto& e : rep->entries) {
-    bytes += 64 + e.block->WireSize() + e.cert.WireSize();
     verify_ops += e.cert.sigs.size();
   }
   rep->requester = request.requester;  // echo for firewall-routed pulls
-  rep->wire_bytes =
-      static_cast<uint32_t>(std::min<uint64_t>(bytes, UINT32_MAX));
   rep->sig_verify_ops =
       static_cast<uint16_t>(std::min<size_t>(verify_ops, 65535));
   return rep;

@@ -43,8 +43,8 @@ std::shared_ptr<StateReplyMsg> BuildStateReply(
 /// (paper §4.3, Fig 5). Carries the block and the coordinator cluster's
 /// commit certificate from its internal consensus ("signed by
 /// local-majority of the cluster").
-struct XPrepareMsg : Message {
-  XPrepareMsg() : Message(MsgType::kXPrepare) {}
+struct XPrepareMsg : WireMessage<XPrepareMsg> {
+  XPrepareMsg() : WireMessage(MsgType::kXPrepare) {}
   int coord_cluster = 0;
   BlockPtr block;                 // with ID assigned by the coordinator
   Sha256Digest block_digest;
@@ -62,8 +62,8 @@ struct XPrepareMsg : Message {
 /// From a validating node it carries that node's signature; from a
 /// primary that ran internal consensus it carries the cluster's commit
 /// certificate and the locally assigned ID.
-struct XPreparedMsg : Message {
-  XPreparedMsg() : Message(MsgType::kXPrepared) {}
+struct XPreparedMsg : WireMessage<XPreparedMsg> {
+  XPreparedMsg() : WireMessage(MsgType::kXPrepared) {}
   int from_cluster = 0;
   Sha256Digest block_digest;
   bool has_assignment = false;
@@ -86,8 +86,8 @@ struct XPreparedMsg : Message {
 /// ⟨COMMIT, IDc, IDi, ..., d⟩_σPc — coordinator → every node of all
 /// involved clusters. full_id concatenates the per-cluster IDs; carries
 /// the prepared evidence for cross-enterprise transactions (§4.3.1).
-struct XCommitMsg : Message {
-  XCommitMsg() : Message(MsgType::kXCommit) {}
+struct XCommitMsg : WireMessage<XCommitMsg> {
+  XCommitMsg() : WireMessage(MsgType::kXCommit) {}
   int coord_cluster = 0;
   BlockPtr block;
   Sha256Digest block_digest;      // digest of the ordered block
@@ -106,8 +106,8 @@ struct XCommitMsg : Message {
 
 /// ⟨PROPOSE, ID, d, m⟩_σπ(Pi) — flattened protocols (paper §4.4, Fig 6):
 /// initiator primary → every node of all involved clusters.
-struct FProposeMsg : Message {
-  FProposeMsg() : Message(MsgType::kFPropose) {}
+struct FProposeMsg : WireMessage<FProposeMsg> {
+  FProposeMsg() : WireMessage(MsgType::kFPropose) {}
   int initiator_cluster = 0;
   BlockPtr block;
   Sha256Digest block_digest;
@@ -123,8 +123,8 @@ struct FProposeMsg : Message {
 
 /// ⟨ACCEPT, IDi, [IDj,] d, r⟩_σr — flattened accept. From the primary of
 /// an involved cluster it also announces IDj for that cluster's shard.
-struct FAcceptMsg : Message {
-  FAcceptMsg() : Message(MsgType::kFAccept) {}
+struct FAcceptMsg : WireMessage<FAcceptMsg> {
+  FAcceptMsg() : WireMessage(MsgType::kFAccept) {}
   int from_cluster = 0;
   Sha256Digest block_digest;
   bool has_assignment = false;
@@ -150,8 +150,8 @@ struct FAcceptMsg : Message {
 /// crash-only cross-shard intra-enterprise fast path (§4.4.2) this is
 /// instead the initiator primary's commit instruction and carries the
 /// collected per-shard assignments.
-struct FCommitMsg : Message {
-  FCommitMsg() : Message(MsgType::kFCommit) {}
+struct FCommitMsg : WireMessage<FCommitMsg> {
+  FCommitMsg() : WireMessage(MsgType::kFCommit) {}
   int from_cluster = 0;
   Sha256Digest block_digest;
   Signature sig;
@@ -167,8 +167,8 @@ struct FCommitMsg : Message {
 
 /// commit-query / prepared-query (§4.3.4): a node that timed out waiting
 /// for a coordinator/involved cluster asks all nodes of that cluster.
-struct QueryMsg : Message {
-  explicit QueryMsg(MsgType t) : Message(t) {}
+struct QueryMsg : WireMessage<QueryMsg> {
+  explicit QueryMsg(MsgType t) : WireMessage(t) {}
   int from_cluster = 0;
   Sha256Digest block_digest;
   Signature sig;

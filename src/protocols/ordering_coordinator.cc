@@ -30,7 +30,6 @@ void OrderingNode::SendXPrepare(const XState& xs) {
   prep->block = xs.block;
   prep->block_digest = xs.digest;
   prep->coord_cert = xs.order_cert;
-  prep->wire_bytes = 160 + xs.block->WireSize() + prep->coord_cert.WireSize();
   prep->sig_verify_ops = static_cast<uint16_t>(prep->coord_cert.sigs.size());
   for (int c : xs.involved) {
     if (c == cfg_.cluster_id) continue;
@@ -84,7 +83,6 @@ void OrderingNode::OnXOrderDecided(uint64_t slot, const ConsensusValue& v) {
   }
   pd->is_cluster_cert = true;
   pd->cluster_cert = xs.order_cert;
-  pd->wire_bytes = 160 + pd->cluster_cert.WireSize();
   pd->sig_verify_ops = static_cast<uint16_t>(pd->cluster_cert.sigs.size());
   Multicast(dir_->Cluster(coord).ordering, pd);
   if (xs.is_cross_enterprise && xs.is_cross_shard) {
@@ -186,7 +184,6 @@ void OrderingNode::HandleXPrepare(NodeId from, const XPrepareMsg& m) {
       pd->assignment = mine->second;
       pd->is_cluster_cert = true;
       pd->cluster_cert = xs.order_cert;
-      pd->wire_bytes = 160 + pd->cluster_cert.WireSize();
       pd->sig_verify_ops =
           static_cast<uint16_t>(pd->cluster_cert.sigs.size());
       Multicast(coord.ordering, pd);
@@ -327,16 +324,14 @@ void OrderingNode::OnXCommitDecided(uint64_t slot, const ConsensusValue& v,
     cm->coord_cert = cert;
     cm->is_abort = is_abort;
     for (const auto& a : v.assignments) cm->assignments.push_back(a);
-    cm->wire_bytes = 128 + cm->coord_cert.WireSize() +
-                     static_cast<uint32_t>(cm->assignments.size()) * 48;
     // §4.3.1: cross-enterprise COMMITs embed the prepared messages from
-    // a local-majority of every involved cluster as evidence; receivers
-    // verify them (charged via sig_verify_ops) and the wire grows.
+    // a local-majority of every involved cluster as evidence. Receivers
+    // verify them (charged via sig_verify_ops), and the stand-in table
+    // (sim/message.h) charges the bytes the model does not carry.
     size_t evidence = 0;
     if (xs.is_cross_enterprise) {
       evidence = dir_->params.LocalMajority() *
                  (xs.involved.size() > 0 ? xs.involved.size() - 1 : 0);
-      cm->wire_bytes += static_cast<uint32_t>(evidence) * 20;
     }
     cm->sig_verify_ops = static_cast<uint16_t>(
         cm->coord_cert.sigs.size() + evidence);

@@ -29,7 +29,6 @@ void OrderingNode::SendFPropose(const XState& xs) {
   prop->block = xs.block;
   prop->block_digest = xs.digest;
   prop->sig = env()->keystore.Sign(id(), xs.digest);
-  prop->wire_bytes = 128 + xs.block->WireSize();
   SendToInvolved(xs, prop);
 }
 
@@ -110,7 +109,6 @@ void OrderingNode::HandleFPropose(NodeId from, const FProposeMsg& m) {
     acc->assignment = mine;
     acc->sig =
         env()->keystore.Sign(id(), FAcceptMsg::Signable(m.block_digest));
-    acc->wire_bytes = 160;
     if (FlattenedCftFastPath(xs)) {
       // Fast path: announce to own cluster nodes; votes go to the whole
       // initiator cluster — leadership may have moved off the initial
@@ -244,7 +242,6 @@ void OrderingNode::ResendCrossVotes(XState& xs) {
       mine->second.cluster == cfg_.cluster_id && engine_->IsPrimary()) {
     acc->has_assignment = true;
     acc->assignment = mine->second;
-    acc->wire_bytes = 160;
   }
   if (FlattenedCftFastPath(xs)) {
     acc->sig_verify_ops = 0;
@@ -260,7 +257,6 @@ void OrderingNode::ResendCrossVotes(XState& xs) {
     cm->block_digest = xs.digest;
     cm->sig = env()->keystore.Sign(id(), xs.digest);
     for (const auto& [s2, a] : xs.assignments) cm->assignments.push_back(a);
-    cm->wire_bytes = 96 + static_cast<uint32_t>(cm->assignments.size()) * 48;
     SendToInvolved(xs, cm);
   }
 }
@@ -340,8 +336,6 @@ void OrderingNode::MaybeSendFCommit(XState& xs) {
     cm->fast_path = true;
     cm->sig_verify_ops = 1;
     for (const auto& [s, a] : xs.assignments) cm->assignments.push_back(a);
-    cm->wire_bytes =
-        96 + static_cast<uint32_t>(cm->assignments.size()) * 48;
     SendToInvolved(xs, cm);
     // Commit locally.
     CommitCertificate cert;
@@ -353,7 +347,6 @@ void OrderingNode::MaybeSendFCommit(XState& xs) {
   }
 
   for (const auto& [s2, a] : xs.assignments) cm->assignments.push_back(a);
-  cm->wire_bytes = 96 + static_cast<uint32_t>(cm->assignments.size()) * 48;
   SendToInvolved(xs, cm);
   xs.commit_votes[cfg_.cluster_id][id()] = cm->sig;
   for (const auto& [s2, a] : xs.assignments) {

@@ -696,7 +696,6 @@ void OrderingNode::CommitBlock(const BlockPtr& block, CommitCertificate cert,
     eo->cert = std::move(cert);
     eo->alpha_here = alpha;
     eo->gamma_here = gamma;
-    eo->wire_bytes = 128 + block->WireSize() + eo->cert.WireSize();
     eo->sig_verify_ops = static_cast<uint16_t>(eo->cert.sigs.size());
     if (engine_->IsPrimary()) {
       PushToExecution(eo);
@@ -737,7 +736,6 @@ void OrderingNode::OnExecutedReply(const ExecutorCore::ExecResult& res) {
   reply->result_digest = res.result_digest;
   reply->clients = res.clients;
   reply->sig = env()->keystore.Sign(id(), res.result_digest);
-  reply->wire_bytes = 96 + static_cast<uint32_t>(res.clients.size() * 12);
   SendToClients(res.clients, reply);
 }
 
@@ -886,7 +884,6 @@ void OrderingNode::StartCross(const BlockPtr& block) {
     for (const auto& tx : block->txs) {
       auto req = std::make_shared<RequestMsg>();
       req->tx = tx;
-      req->wire_bytes = 64 + tx.WireSize();
       Send(dir_->Cluster(initiator).InitialPrimary(), req);
     }
     return;
@@ -1156,8 +1153,6 @@ void OrderingNode::HandleQuery(NodeId from, const QueryMsg& m) {
     cm->is_abort = out.abort;
     if (out.abort) cm->type = MsgType::kXAbort;
     cm->assignments = out.assignments;
-    cm->wire_bytes = 128 + cm->coord_cert.WireSize() +
-                     static_cast<uint32_t>(cm->assignments.size()) * 48;
     cm->sig_verify_ops = static_cast<uint16_t>(cm->coord_cert.sigs.size());
     Send(from, cm);
     return;
@@ -1188,8 +1183,6 @@ void OrderingNode::SendStateRequest() {
   auto req = std::make_shared<StateRequestMsg>();
   req->heads = ChainHeadsOf(exec_);
   req->frontier = engine_->LastDelivered();
-  req->wire_bytes =
-      48 + static_cast<uint32_t>(req->heads.size()) * 16;
   env()->metrics.Inc("order.state_requested");
   Send(peer, req);
 }

@@ -77,7 +77,6 @@ bool EncodeMessage(const Message& m, Encoder* enc) {
   Encoder body;
   encode(m, &body);
   enc->PutU8(static_cast<uint8_t>(m.type));
-  enc->PutU32(m.wire_bytes);
   enc->PutU16(m.sig_verify_ops);
   enc->PutU32(static_cast<uint32_t>(body.size()));
   enc->PutRaw(body.buffer().data(), body.size());
@@ -86,11 +85,10 @@ bool EncodeMessage(const Message& m, Encoder* enc) {
 
 MessageRef DecodeMessage(Decoder* dec) {
   uint8_t tag = 0;
-  uint32_t wire_bytes = 0;
   uint16_t sig_ops = 0;
   uint32_t body_len = 0;
-  if (!dec->GetU8(&tag) || !dec->GetU32(&wire_bytes) ||
-      !dec->GetU16(&sig_ops) || !dec->GetU32(&body_len)) {
+  if (!dec->GetU8(&tag) || !dec->GetU16(&sig_ops) ||
+      !dec->GetU32(&body_len)) {
     return nullptr;
   }
   if (body_len > dec->remaining()) return nullptr;
@@ -102,7 +100,6 @@ MessageRef DecodeMessage(Decoder* dec) {
   Decoder body(dec->cursor(), body_len);
   std::shared_ptr<Message> out = decode(static_cast<MsgType>(tag), &body);
   if (out == nullptr || !body.Done()) return nullptr;
-  out->wire_bytes = wire_bytes;
   out->sig_verify_ops = sig_ops;
   dec->Skip(body_len);
   return out;

@@ -7,10 +7,11 @@
 
 namespace qanaat {
 
-/// Encodes a protocol message as a self-describing envelope: type tag,
-/// transport metadata (wire_bytes, sig_verify_ops) and the typed body.
-/// Returns false for message types without a wire codec (the Fabric
-/// baseline's internal messages).
+/// Encodes a protocol message as a self-describing envelope: type tag
+/// (u8), sig_verify_ops (u16), body length (u32) — kEnvelopeBytes in all —
+/// and the typed body. Message::WireBytes() counts the same bytes without
+/// building them. Returns false for message types without a wire codec
+/// (the Fabric baseline's internal messages).
 bool EncodeMessage(const Message& m, Encoder* enc);
 
 /// Decodes an envelope produced by EncodeMessage. Returns nullptr on any

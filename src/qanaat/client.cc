@@ -50,7 +50,6 @@ void ClientMachine::IssueNext() {
 
   auto req = std::make_shared<RequestMsg>();
   req->tx = tx;
-  req->wire_bytes = 64 + tx.WireSize();
 
   PendingTx p;
   p.sent_at = now();

@@ -201,8 +201,9 @@ void Network::Send(NodeId from, NodeId to, MessageRef msg) {
     return;
   }
 
+  size_t bytes = msg->WireBytes();
   SimTime wire = LatencyBetween(src->region(), dst->region());
-  SimTime xmit = static_cast<SimTime>(static_cast<double>(msg->wire_bytes) /
+  SimTime xmit = static_cast<SimTime>(static_cast<double>(bytes) /
                                       env_->costs.bandwidth_bytes_per_us);
   SimTime arrival = env_->sim.now() + wire + xmit;
   bool duplicate = false;
@@ -216,7 +217,7 @@ void Network::Send(NodeId from, NodeId to, MessageRef msg) {
     }
   }
   ++messages_sent_;
-  bytes_sent_ += msg->wire_bytes;
+  bytes_sent_ += bytes;
   if (duplicate) {
     // The copy trails the original by a bounded random gap (e.g. a
     // retransmission racing the original through another path).

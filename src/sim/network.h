@@ -106,9 +106,10 @@ class Network {
   void RestrictLinks(NodeId node, std::vector<NodeId> peers);
   bool LinkAllowed(NodeId from, NodeId to) const;
 
-  /// Unicast with latency + bandwidth + jitter. Silently drops if either
-  /// endpoint is crashed, the link is disallowed/partitioned, or a drop
-  /// coin fires.
+  /// Unicast with latency + jitter, plus the transmission time of the
+  /// message's WireBytes() at the configured bandwidth. Silently drops if
+  /// either endpoint is crashed, the link is disallowed/partitioned, or a
+  /// drop coin fires.
   void Send(NodeId from, NodeId to, MessageRef msg);
   void Multicast(NodeId from, const std::vector<NodeId>& to, MessageRef msg);
 

@@ -133,24 +133,31 @@ TEST(ChaosGolden, TraceHashesMatchPinnedSchedules) {
   // guard the ordering side of the firewall path — the push to
   // execution, cross-instance settling and the ordering-side state
   // server — which no benign row exercises.
+  // All twelve Qanaat pins re-pinned when the network began charging
+  // each message its encoded size (envelope + field-list body + stand-in
+  // row) instead of hand-kept estimates 1.3-1.8x larger. Transmission
+  // time counts whole microseconds (bytes / 1,250 B/us, truncated), and
+  // in every Qanaat run some block-carrying message lost one, so every
+  // Qanaat schedule moved; every audit still passes. No Fabric message
+  // in these runs changed its count, so the Fabric pins held.
   static const Golden kGolden[] = {
-      {ChaosStack::kQanaatPbft, 2u, 0xf18db696d67b8197ULL},
-      {ChaosStack::kQanaatPbft, 3u, 0x316cc6a6c2c8607bULL},
-      {ChaosStack::kQanaatPbft, 5u, 0x1604b96954b52803ULL},
-      {ChaosStack::kQanaatPbft, 7u, 0xd32a8532b02e4a5fULL},
-      {ChaosStack::kQanaatPbft, 12u, 0xa6fd4928bcfdfaafULL},
-      {ChaosStack::kQanaatPaxos, 2u, 0xaf40c3bef8e3c534ULL},
-      {ChaosStack::kQanaatPaxos, 3u, 0xfa11a2347c60167eULL},
-      {ChaosStack::kQanaatPaxos, 5u, 0xb38272d0005a8401ULL},
-      {ChaosStack::kQanaatPaxos, 7u, 0xdb676268e212d3a3ULL},
-      {ChaosStack::kQanaatPaxos, 12u, 0x4883af363e025f43ULL},
+      {ChaosStack::kQanaatPbft, 2u, 0xa91659ff04dcce8fULL},
+      {ChaosStack::kQanaatPbft, 3u, 0x9365ba9512b5fafbULL},
+      {ChaosStack::kQanaatPbft, 5u, 0x9e92c093abfb7906ULL},
+      {ChaosStack::kQanaatPbft, 7u, 0xb03f97ac06547e66ULL},
+      {ChaosStack::kQanaatPbft, 12u, 0x666b7de94b5cc806ULL},
+      {ChaosStack::kQanaatPaxos, 2u, 0x848d11563bcbceceULL},
+      {ChaosStack::kQanaatPaxos, 3u, 0x8aa74a8dcb68c512ULL},
+      {ChaosStack::kQanaatPaxos, 5u, 0x2cf414f76b00196fULL},
+      {ChaosStack::kQanaatPaxos, 7u, 0x4dc5598053ec436aULL},
+      {ChaosStack::kQanaatPaxos, 12u, 0x28785f227ca645eaULL},
       {ChaosStack::kFabric, 2u, 0x967a5df6743242b0ULL},
       {ChaosStack::kFabric, 3u, 0x70b03581c3ee88beULL},
       {ChaosStack::kFabric, 5u, 0xebc0767ebf79ecc1ULL},
       {ChaosStack::kFabric, 7u, 0x9c004389bab0a364ULL},
       {ChaosStack::kFabric, 12u, 0x1cb437fd7f974f07ULL},
-      {ChaosStack::kQanaatPbft, 11u, 0x4ba3255b43dab011ULL, true},
-      {ChaosStack::kQanaatPbft, 12u, 0x93d5d954e98bfb3bULL, true},
+      {ChaosStack::kQanaatPbft, 11u, 0xc426ab6f5dc034a4ULL, true},
+      {ChaosStack::kQanaatPbft, 12u, 0x9a04e3e887684039ULL, true},
   };
   for (const Golden& g : kGolden) {
     ChaosOptions o = CorpusOptions(g.stack, g.seed);

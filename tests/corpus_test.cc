@@ -402,18 +402,21 @@ struct AdversaryGolden {
 // a pre-prepare whose digest does not match its value, so the
 // equivocating primary's garbage digests no longer commit and the
 // cluster changes view instead. pbft/5 gray and Fabric did not move.
+// All seven Qanaat pins re-pinned when messages began to be charged their
+// encoded size rather than a hand-kept estimate (see the ChaosGolden
+// pin-table comment); the Fabric pin held.
 TEST(CorpusGolden, AdversaryTraceHashesMatchPinned) {
   const AdversaryGolden kGolden[] = {
       {ChaosStack::kQanaatPbft, 5, AdversaryKind::kGrayFailure,
-       0xb9cd34fd5bea5f6eULL},
+       0x122f6e41e0147113ULL},
       {ChaosStack::kQanaatPbft, 6, AdversaryKind::kEquivocation,
-       0x4b497e3c61ed5605ULL},
+       0x4942dd0c934e0c7dULL},
       {ChaosStack::kQanaatPbft, 7, AdversaryKind::kSelectiveSilence,
-       0xb0ea913341d07a8fULL},
+       0x90daef16c386faedULL},
       {ChaosStack::kQanaatPaxos, 5, AdversaryKind::kGrayFailure,
-       0x421cef501a043e31ULL},
+       0x3c62bf79a505ae78ULL},
       {ChaosStack::kQanaatPaxos, 7, AdversaryKind::kSelectiveSilence,
-       0xf0f167ba64167fe4ULL},
+       0x32524124d180a83cULL},
       {ChaosStack::kFabric, 6, AdversaryKind::kGrayFailure,
        0xebdbb98e6409da29ULL},
       // Cross-conflict profile pins (§4.3.5). pbft/1002 is the seed whose
@@ -421,9 +424,9 @@ TEST(CorpusGolden, AdversaryTraceHashesMatchPinned) {
       // tail hole in state transfer — its pin guards both the arbitration
       // machinery and that fix.
       {ChaosStack::kQanaatPbft, kConflictSeedBase + 2,
-       AdversaryKind::kCrossConflict, 0x2a0239241fdb6381ULL},
+       AdversaryKind::kCrossConflict, 0x1d2ebf695fc4b63fULL},
       {ChaosStack::kQanaatPaxos, kConflictSeedBase + 1,
-       AdversaryKind::kCrossConflict, 0xfe72386d57e3fb82ULL},
+       AdversaryKind::kCrossConflict, 0x3d89ec759513db7fULL},
   };
   for (const auto& g : kGolden) {
     CorpusEntry e{g.stack, g.seed, g.adversary};

@@ -10,7 +10,6 @@
 #include "common/enterprise_set.h"
 #include "common/rng.h"
 #include "consensus/batcher.h"
-#include "crypto/merkle.h"
 #include "crypto/sha256.h"
 #include "firewall/executor_core.h"
 #include "ledger/dag_ledger.h"
@@ -89,33 +88,6 @@ TEST_P(ShaChunking, IncrementalEqualsOneShotForAnyChunking) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ShaChunking,
                          ::testing::Range(100, 110));
-
-// ------------------------------------------------------ Merkle proofs
-
-class MerkleProperty : public ::testing::TestWithParam<int> {};
-
-TEST_P(MerkleProperty, ProofForWrongIndexFails) {
-  int n = GetParam();
-  std::vector<Sha256Digest> leaves;
-  for (int i = 0; i < n; ++i) {
-    leaves.push_back(Sha256::Hash("leaf" + std::to_string(i)));
-  }
-  MerkleTree t(leaves);
-  for (int i = 0; i < n; ++i) {
-    auto proof = t.Prove(i);
-    // The right (leaf, index) verifies; the same proof with another leaf
-    // or a different index does not (except the duplicated-node corner
-    // at the end of odd levels, which never changes the attested leaf).
-    EXPECT_TRUE(MerkleTree::Verify(leaves[i], i, proof, t.Root()));
-    int j = (i + 1) % n;
-    if (j != i) {
-      EXPECT_FALSE(MerkleTree::Verify(leaves[j], i, proof, t.Root()));
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, MerkleProperty,
-                         ::testing::Values(2, 3, 5, 8, 9, 16, 31, 33));
 
 // ------------------------------------------- MvStore snapshot semantics
 

@@ -16,6 +16,7 @@
 #include "consensus/pbft.h"
 #include "harness/chaos.h"
 #include "protocols/cross_messages.h"
+#include "protocols/wire.h"
 #include "sim/faults.h"
 
 namespace qanaat {
@@ -421,20 +422,28 @@ TEST(StateReplyTest, WireBytesChargeEntriesAndOnlyAPassedCheckpoint) {
   auto rep = BuildStateReply(fx.core, req, nullptr);
   ASSERT_NE(rep, nullptr);
   ASSERT_EQ(rep->entries.size(), 3u);
-  uint64_t bytes = 64;
   size_t verify_ops = 0;
-  for (const auto& e : rep->entries) {
-    bytes += 64 + e.block->WireSize() + e.cert.WireSize();
-    verify_ops += e.cert.sigs.size();
-  }
-  EXPECT_EQ(rep->wire_bytes, bytes);
+  for (const auto& e : rep->entries) verify_ops += e.cert.sigs.size();
   EXPECT_EQ(rep->sig_verify_ops, verify_ops);
   EXPECT_EQ(rep->requester, NodeId{42});
-  // An ordering node's stable checkpoint is charged even when empty.
-  CheckpointCertificate empty;
-  auto charged = BuildStateReply(fx.core, req, &empty);
+  // The network charges exactly the reply's envelope encoding.
+  auto encoded = [](const Message& m) {
+    Encoder enc;
+    EXPECT_TRUE(EncodeMessage(m, &enc));
+    return enc.size();
+  };
+  EXPECT_EQ(rep->WireBytes(), encoded(*rep));
+  // A passed checkpoint's signatures are verified and carried; without
+  // one the reply still carries an empty certificate.
+  KeyStore ks(9);
+  CheckpointCertificate ckpt;
+  ckpt.slot = 8;
+  ckpt.sigs = {ks.Sign(0, ckpt.digest), ks.Sign(1, ckpt.digest)};
+  auto charged = BuildStateReply(fx.core, req, &ckpt);
   ASSERT_NE(charged, nullptr);
-  EXPECT_EQ(charged->wire_bytes, bytes + empty.WireSize());
+  EXPECT_EQ(charged->sig_verify_ops, verify_ops + 2);
+  EXPECT_EQ(charged->WireBytes(), encoded(*charged));
+  EXPECT_EQ(charged->WireBytes(), rep->WireBytes() + 2 * 20);
 }
 
 // --------------------- §4.3.5 rivalry settlement (former ROADMAP gap)

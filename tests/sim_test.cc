@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "sim/network.h"
 #include "sim/simulator.h"
 
@@ -128,6 +130,18 @@ MessageRef MakeMsg() {
   return m;
 }
 
+/// A wire type that carries `n` opaque bytes: charged its envelope, the
+/// u32 count and the bytes, like any message with a field list.
+struct PayloadMsg : WireMessage<PayloadMsg> {
+  explicit PayloadMsg(size_t n) : WireMessage(MsgType::kRequest), payload(n) {
+    sig_verify_ops = 0;
+  }
+  std::vector<uint8_t> payload;
+
+  template <class IO, class Self>
+  static bool Fields(IO& io, Self& m) { return io.List32(m.payload); }
+};
+
 TEST(NetworkTest, DeliversWithLanLatency) {
   NetFixture f;
   f.env.costs.jitter_us = 0;
@@ -228,9 +242,8 @@ TEST(NetworkTest, BandwidthAddsTransmissionDelay) {
   f.env.costs.jitter_us = 0;
   f.env.costs.bandwidth_bytes_per_us = 1.0;  // 1 byte/us
   EchoActor a(&f.env, 0), b(&f.env, 0);
-  auto m = std::make_shared<Message>(MsgType::kRequest);
-  m->sig_verify_ops = 0;
-  m->wire_bytes = 10000;
+  auto m = std::make_shared<PayloadMsg>(10000 - kEnvelopeBytes - 4);
+  ASSERT_EQ(m->WireBytes(), 10000u);
   f.net.Send(a.id(), b.id(), m);
   f.env.sim.RunAll();
   EXPECT_GE(b.last_time, 10000 + f.env.costs.lan_latency_us);
@@ -494,9 +507,11 @@ TEST(TimerWheelTest, SameTickOrderAcrossWheelOverflowSpillBoundary) {
   lf.extra_delay_us = kTick - f.env.costs.lan_latency_us;
   ASSERT_GE(lf.extra_delay_us, TimerWheel::kHorizon);
   f.net.SetLinkFault(sender.id(), t.id(), lf);
-  auto msg = std::make_shared<Message>(MsgType::kRequest);
-  msg->sig_verify_ops = 0;
-  msg->wire_bytes = 0;  // no transmission delay: arrives at kTick
+  // No transmission delay: an empty payload is under a microsecond on the
+  // wire, so the message arrives at kTick.
+  auto msg = std::make_shared<PayloadMsg>(0);
+  ASSERT_LT(static_cast<double>(msg->WireBytes()),
+            f.env.costs.bandwidth_bytes_per_us);
   f.net.Send(sender.id(), t.id(), msg);
   f.env.sim.Schedule(kTick - 100, [] {});  // advance the clock
   f.env.sim.Run(kTick - 100);
