@@ -24,14 +24,8 @@ OrderingNode::OrderingNode(Env* env, const Directory* dir,
           },
           [this](const FlowKey& key, std::vector<Transaction> txs,
                  BatchClose why) { OnBatchClosed(key, std::move(txs), why); }) {
-  // The two expiring dedup windows sit on the per-request hot path. A
-  // modest seed reservation skips the first few growth rebuilds; further
-  // growth is amortized (each rebuild is a flat copy), which beats the
-  // old megabyte-scale up-front reservations — zeroing those dominated
-  // node construction and wrecked cache locality for the common small
-  // case. The committed record grows per client and needs none.
-  seen_requests_.reserve(1 << 10);
-  observed_requests_.reserve(1 << 10);
+  // No reservations: the dedup windows hold only what is in flight here,
+  // and the committed record grows per client.
   EngineContext ctx;
   ctx.env = env;
   ctx.self = id();
@@ -428,7 +422,10 @@ void OrderingNode::ObserveProposedValue(const ConsensusValue& v) {
 void OrderingNode::ObserveProposedBlock(const BlockPtr& block) {
   if (block == nullptr) return;
   for (const Transaction& tx : block->txs) {
-    observed_requests_.Put({tx.client, tx.client_ts}, now());
+    // A view change, promise or fill can carry a value committed here
+    // long ago; the windows hold only what is still in flight.
+    RequestId id{tx.client, tx.client_ts};
+    if (!committed_requests_.Contains(id)) observed_requests_.Put(id, now());
   }
   // Backups never take the intake path, so the observation map must be
   // purged here too or it grows for the whole run on (n-1)/n nodes.
@@ -520,6 +517,15 @@ void OrderingNode::UnpinCross(const BlockPtr& block) {
     auto it = pending_cross_.find({tx.client, tx.client_ts});
     if (it == pending_cross_.end()) continue;
     if (--it->second == 0) pending_cross_.erase(it);
+  }
+}
+
+void OrderingNode::RecordCommitted(const Block& block) {
+  for (const Transaction& tx : block.txs) {
+    RequestId id{tx.client, tx.client_ts};
+    committed_requests_.Insert(id);
+    seen_requests_.Erase(id);
+    observed_requests_.Erase(id);
   }
 }
 
@@ -673,9 +679,7 @@ void OrderingNode::CommitBlock(const BlockPtr& block, CommitCertificate cert,
                                const LocalPart& alpha,
                                const std::vector<GammaEntry>& gamma,
                                bool reply_from_here) {
-  for (const Transaction& tx : block->txs) {
-    committed_requests_.Insert({tx.client, tx.client_ts});
-  }
+  RecordCommitted(*block);
   // Track committed state for future γ captures.
   auto& st = state_[alpha.collection];
   st = std::max(st, alpha.n);
@@ -1197,9 +1201,7 @@ void OrderingNode::HandleStateRequest(NodeId from, const StateRequestMsg& m) {
 }
 
 bool OrderingNode::InstallTransferredBlock(const StateReplyMsg::Entry& e) {
-  for (const Transaction& tx : e.block->txs) {
-    committed_requests_.Insert({tx.client, tx.client_ts});
-  }
+  RecordCommitted(*e.block);
   auto& st = state_[e.alpha.collection];
   st = std::max(st, e.alpha.n);
   // Re-execution rebuilds the multi-versioned store deterministically;

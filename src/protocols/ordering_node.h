@@ -57,6 +57,10 @@ class OrderingNode : public Actor {
   uint64_t aborted_blocks() const { return aborted_blocks_; }
   /// Client requests held while intake is gated (see IntakeGated).
   size_t parked_requests() const { return parked_.size(); }
+  /// Entries in the two dedup windows (see committed_requests_).
+  size_t windowed_requests() const {
+    return seen_requests_.size() + observed_requests_.size();
+  }
   /// Cross-cluster instances still in flight here; finished ones are
   /// retired to a compact outcome record (see RetireFinished).
   size_t live_cross_instances() const { return xstates_.size(); }
@@ -159,9 +163,10 @@ class OrderingNode : public Actor {
   // ---- request intake / batching
   void HandleRequest(NodeId from, const RequestMsg& m);
   /// Marks every transaction of a value observed in a consensus proposal
-  /// (pre-prepare, Paxos accept, view-change proof) as seen, so a client
-  /// retransmission racing a view change cannot get the same transaction
-  /// batched into a second block by the new primary.
+  /// (pre-prepare, Paxos accept, view-change proof) that has not
+  /// committed here as seen, so a client retransmission racing a view
+  /// change cannot get the same transaction batched into a second block
+  /// by the new primary.
   void ObserveProposedValue(const ConsensusValue& v);
   /// Same for a block observed in a cross-cluster proposal (FPropose /
   /// XPrepare): those never pass through internal consensus at every
@@ -406,24 +411,29 @@ class OrderingNode : public Actor {
   };
   // Requests this node itself admitted to its batcher (primary intake
   // dedup), with the admission time. An intake entry EXPIRES
-  // (SeenRecently) with the same window as observation dedup: a
+  // (RecentlyIn) with the same window as observation dedup: a
   // transaction stranded in this node's own abandoned proposal (e.g.
   // lost on the wire before preparing) can be recovered by client
   // retransmission to the same primary, instead of only via another node
-  // taking over leadership. Expired entries are purged periodically so
-  // the map is bounded by the intake rate times the window.
+  // taking over leadership.
   RequestTable seen_requests_;
   // ...and requests observed in someone else's proposal, promise, fill
   // or a delivered block, with the observation time. Kept separate: a
   // batch is filtered against observations at close, which drops a
   // retransmitted transaction that a previous primary already got
   // ordered — without dropping the batch's own fresh intake. An
-  // observation EXPIRES (ObservedRecently) so a transaction whose
-  // proposal was abandoned (e.g. no-op-filled by a view change before
-  // preparing) can be retried by client retransmission instead of being
-  // blacklisted forever; committed_requests_ is the permanent record.
+  // observation EXPIRES (RecentlyIn) so a transaction whose proposal was
+  // abandoned (e.g. no-op-filled by a view change before preparing) can
+  // be retried by client retransmission instead of being blacklisted
+  // forever.
   RequestTable observed_requests_;
+  // The permanent record, asked before either window. A commit erases
+  // its requests from both windows, so they hold only requests in flight
+  // here, plus abandoned ones until the sweep.
   RequestSet committed_requests_;
+  /// Records a committed (or state-transferred) block's requests here
+  /// and erases them from both windows.
+  void RecordCommitted(const Block& block);
   /// The one shared expiry predicate both dedup maps use.
   bool RecentlyIn(const RequestTable& m, const RequestId& id) const;
   bool ObservedRecently(const RequestId& id) const;
@@ -434,8 +444,8 @@ class OrderingNode : public Actor {
   /// legitimately commit (internal rounds plus a full re-driven cross
   /// instance).
   SimTime DedupWindowUs() const;
-  /// Amortized sweep of expired intake/observation entries (at most once
-  /// per window), so both maps stay bounded under sustained load.
+  /// Amortized sweep (at most once per window) of expired entries: the
+  /// abandoned proposals, which no commit erases.
   void MaybePurgeDedup();
   // Requests inside a live cross block this node knows of — held in a
   // deferred queue, a scheduled retry, or an unfinished instance, whether

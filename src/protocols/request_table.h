@@ -14,14 +14,17 @@ namespace qanaat {
 
 /// Open-addressed flat map from request identity (client, client
 /// timestamp) to a timestamp — the shape of an ordering node's two
-/// expiring per-request dedup windows (intake and observation). These
-/// tables are touched once or more per transaction per replica, where
+/// expiring per-request dedup windows (intake and observation), which
+/// hold only requests not yet committed at their node. These tables are
+/// touched once or more per transaction per replica, where
 /// std::unordered_map paid a node allocation per insert and a pointer
 /// chase per lookup; here an entry is 24 contiguous bytes, inserts never
 /// allocate below the load cap, and the periodic expiry sweep rebuilds
-/// the table instead of unlinking entries one by one. Linear probing with
-/// power-of-two capacity and load factor <= 1/2 keeps probe runs short;
-/// kInvalidNode marks an empty slot (no real client carries that id).
+/// the table at its survivors' size instead of unlinking entries one by
+/// one. Linear probing with power-of-two capacity and load factor <= 1/2
+/// keeps probe runs short, erasure shifts a run back instead of leaving
+/// tombstones, and kInvalidNode marks an empty slot (no real client
+/// carries that id).
 class RequestTable {
  private:
   struct Entry {
@@ -54,37 +57,57 @@ class RequestTable {
     return e.client == kInvalidNode ? nullptr : &e.when;
   }
 
-  /// Drops every entry with timestamp < horizon by rebuilding — O(n)
-  /// once per expiry window, amortized against the per-entry unlink walk
-  /// of the map it replaced.
+  /// Removes `id` if present (backward-shift deletion): each later entry
+  /// of the probe run moves into the hole unless that would put it before
+  /// its home slot, and the run's last hole becomes empty.
+  void Erase(const RequestId& id) {
+    if (size_ == 0) return;
+    size_t mask = slots_.size() - 1;
+    size_t hole = ProbeFor(id, slots_);
+    if (slots_[hole].client == kInvalidNode) return;
+    for (size_t j = (hole + 1) & mask; slots_[j].client != kInvalidNode;
+         j = (j + 1) & mask) {
+      size_t home = Hash({slots_[j].client, slots_[j].ts}) & mask;
+      if (((j - home) & mask) >= ((j - hole) & mask)) {
+        slots_[hole] = slots_[j];
+        hole = j;
+      }
+    }
+    slots_[hole] = Entry{};
+    --size_;
+  }
+
+  /// Drops every entry with timestamp < horizon by rebuilding at the
+  /// smallest capacity that holds the survivors — O(n) once per expiry
+  /// window.
   void PurgeBefore(SimTime horizon) {
     if (slots_.empty()) return;
-    std::vector<Entry> fresh(slots_.size());
-    size_t kept = 0;
-    for (const Entry& e : slots_) {
-      if (e.client == kInvalidNode || e.when < horizon) continue;
-      fresh[ProbeFor({e.client, e.ts}, fresh)] = e;
-      ++kept;
+    // Emptying a slot breaks probe runs, but Rehash reads only the
+    // occupied slots and never probes this table.
+    size_ = 0;
+    for (Entry& e : slots_) {
+      if (e.client != kInvalidNode && e.when < horizon) {
+        e.client = kInvalidNode;
+      }
+      size_ += e.client != kInvalidNode;
     }
-    slots_.swap(fresh);
-    size_ = kept;
+    size_t capacity = kMinCapacity;
+    while (capacity < size_ * 2) capacity <<= 1;
+    Rehash(capacity);
   }
 
   size_t size() const { return size_; }
+  /// Slots allocated, occupied or not.
+  size_t capacity() const { return slots_.size(); }
 
-  void reserve(size_t n) {
-    size_t want = kMinCapacity;
-    while (want < n * 2) want <<= 1;
-    if (want > slots_.size()) Rehash(want);
-  }
-
- private:
+  /// `id`'s probe run starts at slot Hash(id) & (capacity() - 1).
   static size_t Hash(const RequestId& id) {
     return static_cast<size_t>(
         Mix64((static_cast<uint64_t>(id.first) << 32) ^
               (id.second + 0x9e3779b97f4a7c15ULL)));
   }
 
+ private:
   /// Index of the slot holding `id`, or of the empty slot where it
   /// belongs.
   static size_t ProbeFor(const RequestId& id,

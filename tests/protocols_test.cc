@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "protocols/request_table.h"
 #include "qanaat/system.h"
 
@@ -212,6 +214,140 @@ TEST(RequestSetTest, ExtremeTimestamps) {
   EXPECT_TRUE(set.Contains({1, UINT64_MAX}));
   EXPECT_FALSE(set.Contains({1, UINT64_MAX - 1}));
   EXPECT_FALSE(set.Contains({1, 1}));
+}
+
+// ------------------------------------------------ expiring dedup windows
+
+/// Ids whose probe runs start at `home` in a table of `capacity` slots.
+std::vector<RequestTable::RequestId> IdsHomedAt(size_t home, size_t capacity,
+                                                size_t n) {
+  std::vector<RequestTable::RequestId> ids;
+  for (uint64_t ts = 0; ids.size() < n; ++ts) {
+    RequestTable::RequestId id{3, ts};
+    if ((RequestTable::Hash(id) & (capacity - 1)) == home) ids.push_back(id);
+  }
+  return ids;
+}
+
+TEST(RequestTableTest, EraseInsideWrappedRunKeepsOthersFindable) {
+  // One probe run over slots 62, 63, 0, ..., 6 of a 64-slot table: ids
+  // homed at 62, 63 and 0, inserted in that order, so the run wraps past
+  // the last slot. Erasing any one of them must leave every other id
+  // reachable from its home slot.
+  std::vector<RequestTable::RequestId> ids;
+  for (size_t home : {62, 63, 0}) {
+    for (const auto& id : IdsHomedAt(home, 64, home == 63 ? 5 : 2)) {
+      ids.push_back(id);
+    }
+  }
+  for (size_t victim = 0; victim < ids.size(); ++victim) {
+    RequestTable t;
+    for (size_t i = 0; i < ids.size(); ++i) t.Put(ids[i], SimTime(i));
+    ASSERT_EQ(t.capacity(), 64u);
+    t.Erase(ids[victim]);
+    EXPECT_EQ(t.size(), ids.size() - 1);
+    EXPECT_EQ(t.Find(ids[victim]), nullptr) << victim;
+    for (size_t i = 0; i < ids.size(); ++i) {
+      if (i == victim) continue;
+      const SimTime* at = t.Find(ids[i]);
+      ASSERT_NE(at, nullptr) << "victim " << victim << " lost " << i;
+      EXPECT_EQ(*at, SimTime(i));
+    }
+  }
+}
+
+TEST(RequestTableTest, EraseOfAbsentIdOrTwiceChangesNothing) {
+  RequestTable t;
+  t.Erase({1, 1});  // empty table
+  EXPECT_EQ(t.size(), 0u);
+  for (uint64_t ts = 0; ts < 10; ++ts) t.Put({1, ts}, SimTime(ts));
+  t.Erase({1, 10});
+  t.Erase({2, 3});
+  EXPECT_EQ(t.size(), 10u);
+  t.Erase({1, 4});
+  t.Erase({1, 4});
+  EXPECT_EQ(t.size(), 9u);
+  for (uint64_t ts = 0; ts < 10; ++ts) {
+    const SimTime* at = t.Find({1, ts});
+    if (ts == 4) {
+      EXPECT_EQ(at, nullptr);
+    } else {
+      ASSERT_NE(at, nullptr) << ts;
+      EXPECT_EQ(*at, SimTime(ts));
+    }
+  }
+}
+
+TEST(RequestTableTest, PutAfterEraseInsertsAgain) {
+  RequestTable t;
+  t.Put({5, 7}, 100);
+  t.Erase({5, 7});
+  EXPECT_EQ(t.Find({5, 7}), nullptr);
+  t.Put({5, 7}, 200);
+  EXPECT_EQ(t.size(), 1u);
+  ASSERT_NE(t.Find({5, 7}), nullptr);
+  EXPECT_EQ(*t.Find({5, 7}), 200);
+}
+
+TEST(RequestTableTest, MatchesStdMapUnderRandomOperations) {
+  // A small id space keeps the table dense with collisions, erasures
+  // and re-insertions; `now` only grows, as simulated time does.
+  RequestTable t;
+  std::map<RequestTable::RequestId, SimTime> ref;
+  Rng rng(2024);
+  SimTime now = 0;
+  for (int op = 0; op < 100000; ++op) {
+    now += static_cast<SimTime>(rng.Uniform(3));
+    RequestTable::RequestId id{static_cast<NodeId>(rng.Uniform(4)),
+                               rng.Uniform(300)};
+    uint64_t pick = rng.Uniform(1000);
+    if (pick < 450) {
+      t.Put(id, now);
+      ref[id] = now;
+    } else if (pick < 800) {
+      t.Erase(id);
+      ref.erase(id);
+    } else if (pick < 998) {
+      auto it = ref.find(id);
+      const SimTime* at = t.Find(id);
+      ASSERT_EQ(at != nullptr, it != ref.end()) << "op " << op;
+      if (at != nullptr) {
+        ASSERT_EQ(*at, it->second) << "op " << op;
+      }
+    } else {
+      SimTime horizon = now - static_cast<SimTime>(rng.Uniform(400));
+      t.PurgeBefore(horizon);
+      for (auto it = ref.begin(); it != ref.end();) {
+        it = it->second < horizon ? ref.erase(it) : std::next(it);
+      }
+    }
+    ASSERT_EQ(t.size(), ref.size()) << "op " << op;
+  }
+  for (NodeId c = 0; c < 4; ++c) {
+    for (uint64_t ts = 0; ts < 300; ++ts) {
+      auto it = ref.find({c, ts});
+      const SimTime* at = t.Find({c, ts});
+      ASSERT_EQ(at != nullptr, it != ref.end()) << c << "/" << ts;
+      if (at != nullptr) {
+        EXPECT_EQ(*at, it->second);
+      }
+    }
+  }
+}
+
+TEST(RequestTableTest, PurgeShrinksToItsSurvivors) {
+  for (size_t keep : {0, 1, 16, 17, 33, 100, 700}) {
+    RequestTable t;
+    for (uint64_t ts = 0; ts < 1000; ++ts) t.Put({9, ts}, SimTime(ts));
+    EXPECT_EQ(t.capacity(), 2048u);
+    t.PurgeBefore(SimTime(1000 - keep));
+    EXPECT_EQ(t.size(), keep);
+    EXPECT_LE(t.capacity(), std::max<size_t>(64, 4 * keep)) << keep;
+    EXPECT_GE(t.capacity(), 2 * keep);
+    for (uint64_t ts = 0; ts < 1000; ++ts) {
+      EXPECT_EQ(t.Find({9, ts}) != nullptr, ts >= 1000 - keep) << ts;
+    }
+  }
 }
 
 // ------------------------------------- cross-shard ID concatenation

@@ -2,6 +2,7 @@
 
 #include "harness/sweep.h"
 #include "qanaat/system.h"
+#include "sim/faults.h"
 
 namespace qanaat {
 namespace {
@@ -175,6 +176,66 @@ TEST(SystemInvariants, ReplicasConvergeOnSharedCollections) {
           << "divergence at " << i << " shard " << s;
     }
   }
+}
+
+// -------------------------------------------------------- dedup windows
+
+/// Entries left in each ordering node's dedup windows, by node name.
+std::map<std::string, size_t> NonEmptyWindows(QanaatSystem& sys) {
+  std::map<std::string, size_t> left;
+  for (int c = 0; c < sys.cluster_count(); ++c) {
+    for (size_t i = 0; i < sys.directory().Cluster(c).ordering.size(); ++i) {
+      const OrderingNode* n = sys.ordering_node(c, static_cast<int>(i));
+      if (n->windowed_requests() > 0) left[n->name()] = n->windowed_requests();
+    }
+  }
+  return left;
+}
+
+TEST(SystemDedup, DrainedRunLeavesEveryWindowEmpty) {
+  // A commit erases its requests from both dedup windows, so once a
+  // fault-free run drains, no window holds anything: nothing was
+  // abandoned, and no sweep has run since the last intake.
+  for (bool pbft : {true, false}) {
+    SystemParams p = pbft ? Byz(ProtocolFamily::kCoordinator, false)
+                          : Crash(ProtocolFamily::kFlattened);
+    auto r = RunWorkload(p, Mix(CrossKind::kCrossShardCrossEnterprise, 0.3),
+                         400.0);
+    ASSERT_GT(r.commits, 500u);
+    EXPECT_TRUE(r.sys->VerifyAllLedgers().ok());
+    EXPECT_EQ(NonEmptyWindows(*r.sys), (std::map<std::string, size_t>{}))
+        << (pbft ? "pbft/coordinator" : "paxos/flattened");
+  }
+}
+
+TEST(SystemDedup, StateTransferEmptiesTheRecoveredNodesWindows) {
+  // A backup per cluster crashes with proposals it observed still
+  // uncommitted, misses their commits, and installs them by state
+  // transfer on recovery; each install erases them from its windows.
+  // A recovered backup's view change can carry values its peers
+  // committed long ago, which they must not record again.
+  QanaatSystem::Options opts;
+  opts.params = Byz(ProtocolFamily::kFlattened, false);
+  opts.params.checkpoint_interval = 8;
+  opts.seed = 21;
+  QanaatSystem sys(std::move(opts));
+  ClientMachine* c =
+      sys.AddClient(Mix(CrossKind::kIntraShardCrossEnterprise, 0.3), 400.0);
+  c->SetRetransmitTimeout(250 * kMillisecond);
+  c->Start(0, 1200 * kMillisecond, 0, 1200 * kMillisecond);
+  FaultPlan plan;
+  for (int k = 0; k < sys.cluster_count(); ++k) {
+    plan.CrashWindow(300 * kMillisecond, 700 * kMillisecond,
+                     sys.directory().Cluster(k).ordering[1]);
+  }
+  plan.Sort();
+  FaultInjector injector(&sys.env(), &sys.net());
+  injector.Install(std::move(plan));
+  sys.env().sim.Run(2400 * kMillisecond);
+
+  EXPECT_GT(sys.env().metrics.Get("order.state_block_installed"), 0u);
+  EXPECT_EQ(c->accepted(), c->issued());
+  EXPECT_EQ(NonEmptyWindows(sys), (std::map<std::string, size_t>{}));
 }
 
 // ------------------------------------------------------------- batching

@@ -5,8 +5,10 @@
 
 Preloads the profiler into a small binary, symbolizes the dump and checks
 that the ledger's entry storage (DagLedger::AppendFor) and the
-multi-versioned stores (MvStore::Put) are live at the heap's peak. The
-other cases need neither argument's file.
+multi-versioned stores (MvStore::Put) are live at the heap's peak, and
+that the dedup windows (RequestTable), which hold only uncommitted
+requests, take at most 2% of it. The other cases need neither argument's
+file.
 """
 
 import glob
@@ -82,6 +84,12 @@ class ProfileRunTest(unittest.TestCase):
         for site in ("qanaat::DagLedger::AppendFor", "qanaat::MvStore::Put"):
             self.assertIn(site, groups)
             self.assertGreater(groups[site][1], 0, site)
+        windows = sum(mb for key, (mb, _) in groups.items()
+                      if key.startswith("qanaat::RequestTable::"))
+        total = sum(mb for mb, _ in groups.values())
+        self.assertLessEqual(windows, 0.02 * total,
+                             "dedup windows hold %.2f of %.2f MB" %
+                             (windows, total))
 
 
 if __name__ == "__main__":
