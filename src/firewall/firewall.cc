@@ -42,6 +42,10 @@ void ExecutionNode::OnTimer(uint64_t tag, uint64_t /*payload*/) {
   ArmPullWatchdog();
 }
 
+void ExecutionNode::OnCrash() {
+  pull_armed_ = false;  // its timer died with the old epoch
+}
+
 void ExecutionNode::OnRecover() {
   env()->metrics.Inc("exec.pull_on_recover");
   SendPullRequest();
@@ -103,11 +107,10 @@ void ExecutionNode::HandleStateReply(const StateReplyMsg& m) {
       env()->metrics.Inc("exec.bad_pull_block");
       continue;
     }
-    if (seen_.count(e.cert.block_digest)) continue;
-    seen_.insert(e.cert.block_digest);
     // Re-execution rebuilds the store deterministically. No reply share
     // goes out for pulled blocks: the clients were answered by the
-    // executors that stayed up, this node only needs to converge.
+    // executors that stayed up, this node only needs to converge. Submit
+    // refuses a block already queued.
     Status st = core_.Submit(
         e.block, e.cert, e.alpha, e.gamma,
         [this](const ExecutorCore::ExecResult& res) {
@@ -134,9 +137,9 @@ void ExecutionNode::HandleExecOrder(const ExecOrderMsg& m) {
     env()->metrics.Inc("exec.bad_cert");
     return;
   }
-  if (seen_.count(m.cert.block_digest)) return;
-  seen_.insert(m.cert.block_digest);
-
+  // Submit refuses a block at or below its chain's head or already
+  // queued: the duplicate pushes of a view change's replay and the
+  // backups' watchdogs end here.
   Status st = core_.Submit(
       m.block, m.cert, m.alpha_here, m.gamma_here,
       [this](const ExecutorCore::ExecResult& res) {
@@ -166,9 +169,8 @@ void ExecutionNode::HandleExecOrder(const ExecOrderMsg& m) {
           Send(cfg_.InitialPrimary(), reply);
         }
       });
-  if (!st.ok() && st.code() != StatusCode::kAlreadyExists) {
-    env()->metrics.Inc("exec.submit_error");
-  }
+  if (st.code() == StatusCode::kAlreadyExists) return;
+  if (!st.ok()) env()->metrics.Inc("exec.submit_error");
   // A block parked behind a missing predecessor or γ dependency means a
   // ledger gap: start (or keep) the pull watchdog so a push lost for
   // good cannot wedge this executor forever.

@@ -25,6 +25,9 @@ class ExecutionNode : public Actor {
 
   void OnMessage(NodeId from, const MessageRef& msg) override;
   void OnTimer(uint64_t tag, uint64_t payload) override;
+  /// The pull watchdog's timer dies with the crash epoch, so its armed
+  /// flag must too, or the watchdog never arms again.
+  void OnCrash() override;
   /// A restarted executor has no timers left and may have missed
   /// ExecOrder pushes entirely while down: pull proactively instead of
   /// waiting for a successor block to reveal the gap.
@@ -67,7 +70,6 @@ class ExecutionNode : public Actor {
   int index_;
   ExecutorCore core_;
   bool corrupt_replies_ = false;
-  std::set<Sha256Digest> seen_;
   bool pull_armed_ = false;
   size_t pull_ledger_mark_ = 0;  // ledger size when the watchdog armed
   uint32_t pull_rr_ = 0;         // round-robins the first-hop target

@@ -144,6 +144,13 @@ struct CommitCertificate {
            io(m.value_kind) && io(m.direct) && io.List32(m.sigs);
   }
 
+  friend bool operator==(const CommitCertificate& a,
+                         const CommitCertificate& b) {
+    return a.block_digest == b.block_digest && a.view == b.view &&
+           a.slot == b.slot && a.value_kind == b.value_kind &&
+           a.direct == b.direct && a.sigs == b.sigs;
+  }
+
  private:
   Sha256Digest CoveredDigest() const;
 };

@@ -535,6 +535,44 @@ void OrderingNode::MaybePurgeDedup() {
   SimTime horizon = now() - DedupWindowUs();
   seen_requests_.PurgeBefore(horizon);
   observed_requests_.PurgeBefore(horizon);
+  PurgeDecidedClaims();
+}
+
+void OrderingNode::PurgeDecidedClaims() {
+  // Every other reader of a claim at or below the executed head refuses
+  // the slot whether the claim is there or not: SendFAccept and
+  // HandleXPrepare refuse it as stale, and the assigner path draws
+  // numbers above the committed state. Only a live instance's own vote
+  // paths (MaybeSendFCommit, ResendCrossVotes) still read its slots'
+  // claims.
+  std::vector<std::pair<ShardRef, SeqNo>> held;
+  for (const auto& [d, xs] : xstates_) {
+    for (const auto& [shard, a] : xs.assignments) {
+      held.push_back({ShardRef{a.alpha.collection, a.alpha.shard}, a.alpha.n});
+    }
+  }
+  std::sort(held.begin(), held.end());
+  for (auto* claims : {&validated_digest_, &commit_locked_}) {
+    for (auto it = claims->begin(); it != claims->end();) {
+      const auto& slot = it->first;
+      if (slot.second <= exec_.ledger().HeadOf(slot.first) &&
+          !std::binary_search(held.begin(), held.end(), slot)) {
+        it = claims->erase(it);
+      } else {
+        ++it;
+      }
+    }
+  }
+}
+
+size_t OrderingNode::decided_slot_claims() const {
+  size_t n = 0;
+  for (const auto* claims : {&validated_digest_, &commit_locked_}) {
+    for (const auto& [slot, d] : *claims) {
+      if (slot.second <= exec_.ledger().HeadOf(slot.first)) ++n;
+    }
+  }
+  return n;
 }
 
 void OrderingNode::WatchRelayedRequest(const Transaction& tx) {
@@ -835,18 +873,17 @@ OrderingNode::XState& OrderingNode::StateFor(const Sha256Digest& d) {
   XState& xs = it->second;
   if (!created) return xs;
   xs.digest = d;
-  auto old = retired_.find(d);
-  if (old == retired_.end()) return xs;
-  XOutcome& out = old->second;
-  xs.block = std::move(out.block);
-  xs.outcome_cert = std::move(out.cert);
-  xs.outcome_known = out.known;
-  xs.outcome_abort = out.abort;
-  for (ShardAssignment& a : out.assignments) {
+  std::optional<XOutcome> out = RetiredOutcome(d);
+  if (!out) return xs;
+  xs.block = std::move(out->block);
+  xs.outcome_cert = std::move(out->cert);
+  xs.outcome_known = out->known;
+  xs.outcome_abort = out->abort;
+  for (ShardAssignment& a : out->assignments) {
     xs.assignments.emplace(a.alpha.shard, std::move(a));
   }
   xs.done = true;
-  retired_.erase(old);
+  if (retired_.erase(d) == 0) compact_retired_.erase(d);
   finished_.push_back(d);
   return xs;
 }
@@ -856,18 +893,88 @@ void OrderingNode::RetireFinished() {
     auto it = xstates_.find(d);
     if (it == xstates_.end()) continue;
     XState& xs = it->second;
-    XOutcome& out = retired_[d];
-    out.block = std::move(xs.block);
-    out.cert = std::move(xs.outcome_cert);
-    out.known = xs.outcome_known;
-    out.abort = xs.outcome_abort;
-    out.assignments.reserve(xs.assignments.size());
-    for (auto& [shard, a] : xs.assignments) {
-      out.assignments.push_back(std::move(a));
+    auto own = xs.assignments.find(cfg_.shard);
+    std::optional<size_t> entry;
+    if (xs.outcome_known && !xs.outcome_abort &&
+        own != xs.assignments.end()) {
+      entry = LedgerEntryOf(d, xs.outcome_cert, own->second);
+    }
+    if (entry) {
+      CompactOutcome& out = compact_retired_[d];
+      out.ledger_index = *entry;
+      out.assigner = own->second.cluster;
+      out.others.reserve(xs.assignments.size() - 1);
+      for (auto& [shard, a] : xs.assignments) {
+        if (shard != cfg_.shard) out.others.push_back(std::move(a));
+      }
+    } else {
+      XOutcome& out = retired_[d];
+      out.block = std::move(xs.block);
+      out.cert = std::move(xs.outcome_cert);
+      out.known = xs.outcome_known;
+      out.abort = xs.outcome_abort;
+      out.assignments.reserve(xs.assignments.size());
+      for (auto& [shard, a] : xs.assignments) {
+        out.assignments.push_back(std::move(a));
+      }
     }
     xstates_.erase(it);
   }
   finished_.clear();
+}
+
+std::optional<size_t> OrderingNode::LedgerEntryOf(
+    const Sha256Digest& d, const CommitCertificate& cert,
+    const ShardAssignment& own) const {
+  const DagLedger& ledger = exec_.ledger();
+  const std::vector<size_t>& chain =
+      ledger.ChainOf(ShardRef{own.alpha.collection, own.alpha.shard});
+  // A chain is gapless from height 1, so height n is its (n-1)th entry.
+  if (own.alpha.n == 0 || own.alpha.n > chain.size()) return std::nullopt;
+  size_t index = chain[own.alpha.n - 1];
+  const DagLedger::Entry& e = ledger.entry(index);
+  // A state transfer may have installed the block under a peer's
+  // certificate: the record must answer with the outcome's own.
+  if (e.block->Digest() != d || !(e.cert == cert) ||
+      e.gamma() != own.gamma) {
+    return std::nullopt;
+  }
+  return index;
+}
+
+std::optional<OrderingNode::XOutcome> OrderingNode::RetiredOutcome(
+    const Sha256Digest& d) const {
+  auto full = retired_.find(d);
+  if (full != retired_.end()) return full->second;
+  auto it = compact_retired_.find(d);
+  if (it == compact_retired_.end()) return std::nullopt;
+  const CompactOutcome& c = it->second;
+  const DagLedger::Entry& e = exec_.ledger().entry(c.ledger_index);
+  XOutcome out;
+  out.block = e.block;
+  out.cert = e.cert;
+  out.known = true;
+  // This shard's assignment goes back in its place in shard order.
+  auto later = std::find_if(c.others.begin(), c.others.end(),
+                            [&e](const ShardAssignment& a) {
+                              return a.alpha.shard > e.alpha.shard;
+                            });
+  out.assignments.reserve(c.others.size() + 1);
+  out.assignments.insert(out.assignments.end(), c.others.begin(), later);
+  out.assignments.push_back(ShardAssignment{c.assigner, e.alpha, e.gamma()});
+  out.assignments.insert(out.assignments.end(), later, c.others.end());
+  return out;
+}
+
+size_t OrderingNode::ledger_recorded_full_outcomes() const {
+  size_t n = 0;
+  for (const auto& [d, out] : retired_) {
+    if (!out.known || out.abort) continue;
+    for (const ShardAssignment& a : out.assignments) {
+      if (a.alpha.shard == cfg_.shard && LedgerEntryOf(d, out.cert, a)) ++n;
+    }
+  }
+  return n;
 }
 
 void OrderingNode::ArmCrossTimer(const Sha256Digest& d) {
@@ -1140,23 +1247,21 @@ void OrderingNode::RedriveCross(XState& xs) {
 }
 
 void OrderingNode::HandleQuery(NodeId from, const QueryMsg& m) {
-  auto it = retired_.find(m.block_digest);
-  if (it != retired_.end() && it->second.known &&
-      it->second.block != nullptr) {
+  std::optional<XOutcome> out = RetiredOutcome(m.block_digest);
+  if (out && out->known && out->block != nullptr) {
     // §4.3.4: answer with the certified outcome. The asker lost the
     // original commit (crash, partition, drop); without this resend its
     // chain — and every collection order-dependent on it — stalls
     // forever.
-    const XOutcome& out = it->second;
     env()->metrics.Inc("cross.query_answered");
     auto cm = std::make_shared<XCommitMsg>();
     cm->coord_cluster = cfg_.cluster_id;
-    cm->block = out.block;
+    cm->block = std::move(out->block);
     cm->block_digest = m.block_digest;
-    cm->coord_cert = out.cert;
-    cm->is_abort = out.abort;
-    if (out.abort) cm->type = MsgType::kXAbort;
-    cm->assignments = out.assignments;
+    cm->coord_cert = std::move(out->cert);
+    cm->is_abort = out->abort;
+    if (out->abort) cm->type = MsgType::kXAbort;
+    cm->assignments = std::move(out->assignments);
     cm->sig_verify_ops = static_cast<uint16_t>(cm->coord_cert.sigs.size());
     Send(from, cm);
     return;

@@ -4,6 +4,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
@@ -62,8 +63,16 @@ class OrderingNode : public Actor {
     return seen_requests_.size() + observed_requests_.size();
   }
   /// Cross-cluster instances still in flight here; finished ones are
-  /// retired to a compact outcome record (see RetireFinished).
+  /// retired to an outcome record (see RetireFinished).
   size_t live_cross_instances() const { return xstates_.size(); }
+  /// Retired outcomes kept in compact form, which defers to the ledger.
+  size_t compact_outcomes() const { return compact_retired_.size(); }
+  /// Retired outcomes kept in full although this node's ledger records
+  /// them (their block executed only after they retired).
+  size_t ledger_recorded_full_outcomes() const;
+  /// Slot claims (endorsements and commit-vote locks) at or below this
+  /// node's executed head of their chain.
+  size_t decided_slot_claims() const;
 
   /// Auditor surface: request ids (client, client timestamp) of the
   /// transactions that lost a §4.3.5 digest-priority arbitration here and
@@ -89,7 +98,7 @@ class OrderingNode : public Actor {
 
   // Cross-cluster protocol state for one in-flight block. It lives only
   // while the instance is live: the event that finishes it retires it to
-  // an XOutcome.
+  // an outcome record (XOutcome or CompactOutcome).
   struct XState {
     BlockPtr block;
     Sha256Digest digest;
@@ -142,13 +151,26 @@ class OrderingNode : public Actor {
 
   // What a finished instance keeps: its certified outcome, for answering
   // commit queries (§4.3.4), and its presence, which marks late votes and
-  // re-driven proposals for it as stale.
+  // re-driven proposals for it as stale. This full form holds the
+  // outcomes the ledger does not record: aborted, unknown, committed
+  // while the block still waited in the executor, or behind the
+  // firewall, where ordering nodes keep no ledger. A committed outcome
+  // the ledger records is kept as a CompactOutcome.
   struct XOutcome {
     BlockPtr block;
     CommitCertificate cert;
     bool known = false;
     bool abort = false;
     std::vector<ShardAssignment> assignments;  // ascending shard
+  };
+  // A known commit whose block this node's ledger holds at this shard's
+  // assignment, under the same digest, ⟨α, γ⟩ and certificate: the
+  // entry at `ledger_index` supplies those, so only what it lacks is
+  // kept.
+  struct CompactOutcome {
+    size_t ledger_index = 0;
+    int assigner = 0;  // the cluster that assigned this shard's ⟨α, γ⟩
+    std::vector<ShardAssignment> others;  // the other shards, ascending
   };
 
   static constexpr uint64_t kTagBatch = 1;
@@ -250,12 +272,23 @@ class OrderingNode : public Actor {
   /// they never allocate one.
   XState& StateFor(const Sha256Digest& d);
   bool IsRetired(const Sha256Digest& d) const {
-    return retired_.find(d) != retired_.end();
+    return compact_retired_.count(d) != 0 || retired_.count(d) != 0;
   }
-  /// Moves every instance finished during the current event to retired_.
-  /// Runs once the event's handler returns, never inside FinishCross:
-  /// FinishCross's callers keep using the XState after it returns.
+  /// Moves every instance finished during the current event to its
+  /// outcome record: compact_retired_ when this node's ledger records
+  /// the outcome (LedgerEntryOf), retired_ otherwise. Runs once the
+  /// event's handler returns, never inside FinishCross: FinishCross's
+  /// callers keep using the XState after it returns.
   void RetireFinished();
+  /// The index of this node's ledger entry that holds block `d` at this
+  /// shard's assignment `own` under certificate `cert`, if there is one.
+  std::optional<size_t> LedgerEntryOf(const Sha256Digest& d,
+                                      const CommitCertificate& cert,
+                                      const ShardAssignment& own) const;
+  /// The full outcome of retired instance `d`, whichever form its record
+  /// takes; empty if `d` is not retired. The one reader of both forms:
+  /// commit-query answers and resurrected instances come from here.
+  std::optional<XOutcome> RetiredOutcome(const Sha256Digest& d) const;
   /// OnTimer's dispatch; OnTimer retires finished instances after it.
   void HandleTimer(uint64_t tag, uint64_t payload);
   /// True if `block` intersects an active *or already-deferred*
@@ -378,15 +411,23 @@ class OrderingNode : public Actor {
   // digest are idempotent; a different digest claiming the same slot is
   // a conflict (nack). Aborts erase the claim so a replacement block can
   // take the slot. Keyed by digest rather than a watermark so pipelined
-  // prepares tolerate out-of-order delivery.
+  // prepares tolerate out-of-order delivery. Once this node has executed
+  // its chain up to the slot, the ledger decides it: every claim for it
+  // is refused as stale, so the dedup sweep drops the claim unless a
+  // live instance here still holds the slot (PurgeDecidedClaims).
   std::map<std::pair<ShardRef, SeqNo>, Sha256Digest> validated_digest_;
   // Commit-vote lock (§4.3.5 arbitration safety): the one digest this
   // node has commit-voted for each slot. An endorsement may switch to a
   // lower rival digest while the slot is merely accepted, but never after
   // the commit vote — without the lock, two commit-vote majorities for
-  // different digests could assemble inside one cluster. Released only by
-  // a matching abort.
+  // different digests could assemble inside one cluster. Released by a
+  // matching abort, or by the sweep once the ledger decides the slot, as
+  // for validated_digest_.
   std::map<std::pair<ShardRef, SeqNo>, Sha256Digest> commit_locked_;
+  /// The sweep's share of the slot claims: drops each claim at or below
+  /// this node's executed head of its chain that no live instance here
+  /// holds.
+  void PurgeDecidedClaims();
   // (chain, n) assignments our own cluster currently has in flight. A
   // node never endorses a remote block claiming a sequence number its
   // own cluster is still trying to commit (optimistic-mode safety,
@@ -445,7 +486,8 @@ class OrderingNode : public Actor {
   /// instance).
   SimTime DedupWindowUs() const;
   /// Amortized sweep (at most once per window) of expired entries: the
-  /// abandoned proposals, which no commit erases.
+  /// abandoned proposals, which no commit erases, and the slot claims the
+  /// ledger has decided (PurgeDecidedClaims).
   void MaybePurgeDedup();
   // Requests inside a live cross block this node knows of — held in a
   // deferred queue, a scheduled retry, or an unfinished instance, whether
@@ -491,9 +533,12 @@ class OrderingNode : public Actor {
   std::unordered_map<uint64_t, ProgressCheck, TokenHash> progress_checks_;
   uint64_t next_progress_ = 0;
   // Live cross instances only. One finished during the current event
-  // stays here, done, until RetireFinished moves it to retired_.
+  // stays here, done, until RetireFinished moves it to its record.
   std::unordered_map<Sha256Digest, XState, DigestHash> xstates_;
+  // Retired instances, each in exactly one of the two maps.
   std::unordered_map<Sha256Digest, XOutcome, DigestHash> retired_;
+  std::unordered_map<Sha256Digest, CompactOutcome, DigestHash>
+      compact_retired_;
   std::vector<Sha256Digest> finished_;  // done this event, not yet retired
   std::unordered_map<uint64_t, Sha256Digest, TokenHash> cross_timer_digest_;
   uint64_t next_cross_timer_ = 0;

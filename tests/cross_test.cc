@@ -5,7 +5,9 @@
 // whose committed blocks sit deferred (the routine out-of-order commits of
 // cross-shard ordering) holds fresh requests until it catches up. Also the
 // cross-instance lifecycle: a finished instance is retired to its outcome
-// record, which still answers commit queries and ignores late votes. Also
+// record, which still answers commit queries and ignores late votes, and
+// which defers to the ledger once the ledger records the outcome; slot
+// claims the ledger has decided go at the dedup sweep. Also
 // cross proposals whose block is missing or empty, which the wire codec
 // admits: they are rejected before anything reads the block.
 
@@ -228,6 +230,48 @@ TEST(ExecutorPullTest, FiltersDropPullsNotFromAnExecutionNode) {
 
   EXPECT_GE(sys.env().metrics.Get("firewall.filtered_bad_pull"), 1u);
   EXPECT_EQ(sys.env().metrics.Get("order.state_served"), 0u);
+}
+
+TEST(ExecutorPullTest, WatchdogArmedAtACrashArmsAgainAfterRecovery) {
+  // Each silence window costs one executor the ExecOrder pushes of 30 ms,
+  // so later blocks wait on a missing predecessor and the pull watchdog
+  // arms. The first window's watchdog is armed when the executor
+  // crashes, and its timer dies with the crash. The flag must die too:
+  // otherwise the watchdog never arms again, and the second window's gap
+  // stays open for the rest of the run.
+  QanaatSystem::Options opts;
+  opts.params = FirewallParams();
+  opts.seed = 7;
+  QanaatSystem sys(std::move(opts));
+
+  WorkloadParams wl;
+  wl.cross_fraction = 0.0;
+  sys.AddClient(wl, 300)->Start(0, 1800 * kMillisecond, 0,
+                                1800 * kMillisecond);
+
+  ExecutionNode* victim = sys.execution_node(0, 2);
+  const std::vector<NodeId>& top =
+      sys.directory().Cluster(0).filter_rows.back();
+  Network::LinkFault silence;
+  silence.silence_mask = Network::LinkFault::TypeBit(MsgType::kExecOrder);
+  auto& sim = sys.env().sim;
+  for (SimTime from : {200 * kMillisecond, 900 * kMillisecond}) {
+    sim.ScheduleAt(from, [&sys, &top, victim, silence]() {
+      for (NodeId f : top) sys.net().SetLinkFault(f, victim->id(), silence);
+    });
+    sim.ScheduleAt(from + 30 * kMillisecond, [&sys, &top, victim]() {
+      for (NodeId f : top) sys.net().ClearLinkFaultBetween(f, victim->id());
+    });
+  }
+  sim.ScheduleAt(260 * kMillisecond, [victim]() { victim->Crash(); });
+  sim.ScheduleAt(600 * kMillisecond, [victim]() { victim->Recover(); });
+  sim.Run(3 * kSecond);
+
+  EXPECT_EQ(sys.env().metrics.Get("exec.pull_wedged"), 1u);
+  EXPECT_EQ(victim->core().pending_blocks(), 0u);
+  static const std::set<NodeId> kNone;
+  Status st = SafetyAuditor::AuditQanaat(sys, true, &kNone);
+  EXPECT_TRUE(st.ok()) << st.ToString();
 }
 
 // ------------------------------------------- intake parking (gated primary)
@@ -489,13 +533,16 @@ TEST(IntakeParkingTest, RetransmissionsOfAParkedRequestParkItOnce) {
 /// A fault-free run of two enterprises x two shards (Byzantine PBFT,
 /// ordering nodes executing in place) under cross-shard cross-enterprise
 /// load in one protocol family, drained: the client stops at 300ms and
-/// the run ends at 2s.
+/// the run ends at 2s. The second form runs other parameters and load.
 class DrainedCrossRun {
  public:
   explicit DrainedCrossRun(ProtocolFamily family)
-      : sys_(Options(family)), stub_(&sys_.env()) {
+      : DrainedCrossRun(Params(family),
+                        CrossKind::kCrossShardCrossEnterprise) {}
+  DrainedCrossRun(const SystemParams& params, CrossKind kind)
+      : sys_(Options(params)), stub_(&sys_.env()) {
     WorkloadParams wl;
-    wl.cross_kind = CrossKind::kCrossShardCrossEnterprise;
+    wl.cross_kind = kind;
     wl.cross_fraction = 1.0;
     sys_.AddClient(wl, 300)->Start(0, 300 * kMillisecond, 0,
                                    300 * kMillisecond);
@@ -505,22 +552,35 @@ class DrainedCrossRun {
   QanaatSystem& sys() { return sys_; }
   ClientStub& stub() { return stub_; }
   uint64_t Metric(const char* name) { return sys_.env().metrics.Get(name); }
-  /// The node every test below probes, and a peer in its cluster.
+  /// The node most tests below probe, and a peer in its cluster.
   OrderingNode* node() { return sys_.ordering_node(0, 1); }
   NodeId peer() const { return sys_.directory().Cluster(0).ordering[0]; }
-  /// Sends `msg` to node() as if from `from`, then runs past a cross
-  /// timeout so anything the message armed fires.
-  void Deliver(NodeId from, MessageRef msg) {
-    sys_.net().Send(from, node()->id(), std::move(msg));
+  /// Sends `msg` to `to` (node() by default) as if from `from`, then runs
+  /// past a cross timeout so anything the message armed fires.
+  void Deliver(NodeId from, MessageRef msg, const Actor* to = nullptr) {
+    sys_.net().Send(from, (to != nullptr ? to : node())->id(),
+                    std::move(msg));
     sys_.env().sim.Run(sys_.env().sim.now() + kSecond);
   }
   /// The first cross-shard block node() committed, if any.
   const DagLedger::Entry* CrossEntry() {
-    const DagLedger& led = node()->exec_core().ledger();
+    return CrossEntryOf(node()->exec_core().ledger());
+  }
+  /// The first cross-cluster block in `led`, if any.
+  static const DagLedger::Entry* CrossEntryOf(const DagLedger& led) {
     for (size_t i = 0; i < led.size(); ++i) {
-      if (led.entry(i).block->txs.front().shards.size() > 1) {
+      const Transaction& probe = led.entry(i).block->txs.front();
+      if (probe.shards.size() > 1 || probe.collection.members.size() > 1) {
         return &led.entry(i);
       }
+    }
+    return nullptr;
+  }
+  /// The entry of block `d` in `led`; null if it has none.
+  static const DagLedger::Entry* EntryOf(const DagLedger& led,
+                                         const Sha256Digest& d) {
+    for (size_t i = 0; i < led.size(); ++i) {
+      if (led.entry(i).block->Digest() == d) return &led.entry(i);
     }
     return nullptr;
   }
@@ -534,14 +594,92 @@ class DrainedCrossRun {
     }
     return -1;
   }
+  /// The assignment of `entry`'s cluster for its shard. With designated
+  /// coordinators one cluster assigns each shard in both families: the
+  /// one of the shard's designated enterprise.
+  ShardAssignment AssignmentOf(const DagLedger::Entry& entry) const {
+    const Directory& dir = sys_.directory();
+    const LocalPart& alpha = entry.alpha;
+    int assigner = dir.ClusterIdOf(
+        dir.CoordinatorEnterpriseOf(alpha.collection, alpha.shard),
+        alpha.shard);
+    return ShardAssignment{assigner, alpha, entry.gamma()};
+  }
+  /// Calls fn on every ordering node, labelled for failure messages.
+  template <class Fn>
+  void ForEachOrderingNode(Fn fn) {
+    for (int c = 0; c < sys_.cluster_count(); ++c) {
+      const auto& ord = sys_.directory().Cluster(c).ordering;
+      for (int i = 0; i < static_cast<int>(ord.size()); ++i) {
+        fn(sys_.ordering_node(c, i),
+           "node " + std::to_string(c) + "/" + std::to_string(i));
+      }
+    }
+  }
+  /// Runs the dedup sweep at every ordering node: a local request to each
+  /// cluster's primary is swept in at intake, and its pre-prepare at
+  /// every backup. The drained run is quiet, so the sweep's period has
+  /// passed everywhere.
+  void SweepEveryNode() {
+    for (int c = 0; c < sys_.cluster_count(); ++c) {
+      const ClusterConfig& cc = sys_.directory().Cluster(c);
+      auto req = std::make_shared<RequestMsg>();
+      req->tx.client = stub_.id();
+      req->tx.client_ts = static_cast<uint64_t>(c) + 1;
+      req->tx.collection = CollectionId(EnterpriseSet{cc.enterprise});
+      req->tx.shards = {cc.shard};
+      req->tx.initiator = cc.enterprise;
+      req->tx.ops.push_back(TxOp{TxOp::Kind::kAdd, 1, 5, {}});
+      req->tx.client_sig =
+          sys_.env().keystore.Sign(stub_.id(), req->tx.Digest());
+      sys_.net().Send(stub_.id(), cc.InitialPrimary(), req);
+    }
+    sys_.env().sim.Run(sys_.env().sim.now() + kSecond);
+  }
+  /// A rival to `winner` for each of its slots: the same ID and
+  /// transactions under a new attempt number, so a new digest.
+  static BlockPtr RivalOf(const Block& winner) {
+    auto rival = std::make_shared<Block>(winner);
+    rival->attempt = winner.attempt + 1;
+    rival->Seal();
+    return rival;
+  }
+  /// A certificate over `d` in the direct form, signed by a quorum of
+  /// cluster `c`'s ordering nodes.
+  CommitCertificate ClusterCert(int c, const Sha256Digest& d) {
+    CommitCertificate cert;
+    cert.block_digest = d;
+    cert.direct = true;
+    const auto& ord = sys_.directory().Cluster(c).ordering;
+    for (size_t i = 0; i < sys_.directory().params.CertQuorum(); ++i) {
+      cert.sigs.push_back(sys_.env().keystore.Sign(ord[i], d));
+    }
+    return cert;
+  }
+  /// Silences `types` on every link from `from` to an ordering node;
+  /// the network's silenced() count then tells whether it sent any.
+  void SilenceFrom(const Actor* from, std::initializer_list<MsgType> types) {
+    Network::LinkFault silence;
+    for (MsgType t : types) {
+      silence.silence_mask |= Network::LinkFault::TypeBit(t);
+    }
+    ForEachOrderingNode([&](OrderingNode* n, const std::string&) {
+      if (n != from) sys_.net().SetLinkFault(from->id(), n->id(), silence);
+    });
+  }
 
  private:
-  static QanaatSystem::Options Options(ProtocolFamily family) {
+  static SystemParams Params(ProtocolFamily family) {
+    SystemParams p;
+    p.num_enterprises = 2;
+    p.shards_per_enterprise = 2;
+    p.failure_model = FailureModel::kByzantine;
+    p.family = family;
+    return p;
+  }
+  static QanaatSystem::Options Options(const SystemParams& params) {
     QanaatSystem::Options so;
-    so.params.num_enterprises = 2;
-    so.params.shards_per_enterprise = 2;
-    so.params.failure_model = FailureModel::kByzantine;
-    so.params.family = family;
+    so.params = params;
     so.seed = 9;
     return so;
   }
@@ -555,14 +693,32 @@ TEST(CrossRetireTest, DrainedRunsLeaveNoLiveInstances) {
        {ProtocolFamily::kFlattened, ProtocolFamily::kCoordinator}) {
     DrainedCrossRun run(family);
     ASSERT_NE(run.CrossEntry(), nullptr);
-    for (int c = 0; c < run.sys().cluster_count(); ++c) {
-      const auto& ord = run.sys().directory().Cluster(c).ordering;
-      for (int i = 0; i < static_cast<int>(ord.size()); ++i) {
-        EXPECT_EQ(run.sys().ordering_node(c, i)->live_cross_instances(), 0u)
-            << "family " << static_cast<int>(family) << ", node " << c
-            << "/" << i;
-      }
-    }
+    run.ForEachOrderingNode([&](OrderingNode* n, const std::string& label) {
+      EXPECT_EQ(n->live_cross_instances(), 0u)
+          << "family " << static_cast<int>(family) << ", " << label;
+    });
+    static const std::set<NodeId> kNone;
+    Status st = SafetyAuditor::AuditQanaat(run.sys(), true, &kNone);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+  }
+}
+
+TEST(CrossRetireTest, DrainedRunsDeferToTheLedger) {
+  // Every instance a node committed and executed keeps only what the
+  // ledger lacks, and once the sweep has run no slot claim outlives the
+  // ledger's decision on its slot.
+  for (ProtocolFamily family :
+       {ProtocolFamily::kFlattened, ProtocolFamily::kCoordinator}) {
+    DrainedCrossRun run(family);
+    ASSERT_NE(run.CrossEntry(), nullptr);
+    run.SweepEveryNode();
+    run.ForEachOrderingNode([&](OrderingNode* n, const std::string& label) {
+      std::string where =
+          "family " + std::to_string(static_cast<int>(family)) + ", " + label;
+      EXPECT_GT(n->compact_outcomes(), 0u) << where;
+      EXPECT_EQ(n->ledger_recorded_full_outcomes(), 0u) << where;
+      EXPECT_EQ(n->decided_slot_claims(), 0u) << where;
+    });
     static const std::set<NodeId> kNone;
     Status st = SafetyAuditor::AuditQanaat(run.sys(), true, &kNone);
     EXPECT_TRUE(st.ok()) << st.ToString();
@@ -656,38 +812,245 @@ TEST(CrossRetireTest, LateCoordinatorMessagesCreateNoInstance) {
             0u);
 }
 
-TEST(CrossRetireTest, CommitQueryForARetiredInstanceIsAnswered) {
-  // §4.3.4: a replica that lost a commit recovers by querying a peer; the
-  // peer's answer now comes from the outcome record.
-  DrainedCrossRun run(ProtocolFamily::kFlattened);
-  ASSERT_NE(run.CrossEntry(), nullptr);
-  // A deque-backed ledger keeps this reference valid while it grows.
-  const DagLedger::Entry& e = *run.CrossEntry();
-  const Sha256Digest d = e.block->Digest();
-  const uint64_t answered = run.Metric("cross.query_answered");
-
+/// Sends a commit query for `d` from the stub to `to` and returns the
+/// answer; null if none came.
+const XCommitMsg* QueryOutcome(DrainedCrossRun& run, const Actor* to,
+                               const Sha256Digest& d) {
+  run.stub().last = nullptr;
   auto q = std::make_shared<QueryMsg>(MsgType::kCommitQuery);
   q->from_cluster = 1;
   q->block_digest = d;
   q->sig = run.sys().env().keystore.Sign(run.stub().id(), d);
-  run.Deliver(run.stub().id(), q);
+  run.Deliver(run.stub().id(), q, to);
+  const MessageRef& last = run.stub().last;
+  if (last == nullptr || (last->type != MsgType::kXCommit &&
+                          last->type != MsgType::kXAbort)) {
+    return nullptr;
+  }
+  return last->As<XCommitMsg>();
+}
 
-  EXPECT_EQ(run.Metric("cross.query_answered"), answered + 1);
-  ASSERT_NE(run.stub().last, nullptr);
-  ASSERT_EQ(run.stub().last->type, MsgType::kXCommit);
-  const auto& ans = *run.stub().last->As<XCommitMsg>();
+/// An answer states outcome `cert` of block `d`, signature for
+/// signature, with its assignments in ascending shard order, this
+/// shard's `ours` among them.
+void ExpectAnswer(const XCommitMsg& ans, const Sha256Digest& d,
+                  const CommitCertificate& cert, bool is_abort,
+                  const ShardAssignment& ours) {
   EXPECT_EQ(ans.block_digest, d);
   ASSERT_NE(ans.block, nullptr);
   EXPECT_EQ(ans.block->Digest(), d);
-  EXPECT_FALSE(ans.is_abort);
-  EXPECT_EQ(ans.coord_cert.block_digest, d);
-  EXPECT_EQ(ans.coord_cert.sigs, e.cert.sigs);
-  bool has_ours = false;
-  for (const ShardAssignment& a : ans.assignments) {
-    has_ours |= a.alpha == e.alpha && a.gamma == e.gamma();
+  EXPECT_EQ(ans.is_abort, is_abort);
+  EXPECT_EQ(ans.type, is_abort ? MsgType::kXAbort : MsgType::kXCommit);
+  EXPECT_TRUE(ans.coord_cert == cert);
+  EXPECT_EQ(ans.coord_cert.sigs, cert.sigs);
+  for (size_t i = 1; i < ans.assignments.size(); ++i) {
+    EXPECT_LT(ans.assignments[i - 1].alpha.shard,
+              ans.assignments[i].alpha.shard);
   }
-  EXPECT_TRUE(has_ours) << "the answer lacks this shard's assignment";
-  EXPECT_EQ(ans.assignments.size(), e.block->txs.front().shards.size());
+  EXPECT_NE(std::find(ans.assignments.begin(), ans.assignments.end(), ours),
+            ans.assignments.end())
+      << "the answer lacks this shard's assignment";
+}
+
+TEST(CrossRetireTest, CommitQueryForARetiredInstanceIsAnswered) {
+  // §4.3.4: a replica that lost a commit recovers by querying a peer; the
+  // peer's answer now comes from the outcome record. Here the record is
+  // compact, and the ledger entry supplies the answer's block,
+  // certificate and this shard's assignment.
+  for (ProtocolFamily family :
+       {ProtocolFamily::kFlattened, ProtocolFamily::kCoordinator}) {
+    DrainedCrossRun run(family);
+    ASSERT_NE(run.CrossEntry(), nullptr);
+    ASSERT_EQ(run.node()->ledger_recorded_full_outcomes(), 0u);
+    // A deque-backed ledger keeps this reference valid while it grows.
+    const DagLedger::Entry& e = *run.CrossEntry();
+    const Sha256Digest d = e.block->Digest();
+    const uint64_t answered = run.Metric("cross.query_answered");
+
+    const XCommitMsg* ans = QueryOutcome(run, run.node(), d);
+    ASSERT_NE(ans, nullptr) << "family " << static_cast<int>(family);
+    EXPECT_EQ(run.Metric("cross.query_answered"), answered + 1);
+    ExpectAnswer(*ans, d, e.cert, /*is_abort=*/false, run.AssignmentOf(e));
+    EXPECT_EQ(ans->assignments.size(), e.block->txs.front().shards.size());
+  }
+}
+
+TEST(CrossRetireTest, CommitQueryForAnAbortedInstanceIsAnswered) {
+  // An aborted instance keeps its record in full: no ledger records it.
+  // A validator of the coordinator's shard receives a genuine PREPARE
+  // for a fresh block on the next height of its chain, then the
+  // coordinator cluster's ABORT of it.
+  DrainedCrossRun run(ProtocolFamily::kCoordinator);
+  const Directory& dir = run.sys().directory();
+  const CollectionId shared(EnterpriseSet{0, 1});
+  const int coord = dir.ClusterIdOf(dir.CoordinatorEnterpriseOf(shared, 0), 0);
+  const int other = dir.ClusterIdOf(1 - dir.Cluster(coord).enterprise, 0);
+  OrderingNode* validator = run.sys().ordering_node(other, 1);
+  const NodeId coord_node = dir.Cluster(coord).ordering[0];
+  const uint64_t aborted = validator->aborted_blocks();
+
+  auto block = std::make_shared<Block>();
+  block->id.alpha = {shared, 0,
+                     validator->exec_core().ledger().HeadOf({shared, 0}) + 1};
+  Transaction tx;
+  tx.client = run.stub().id();
+  tx.client_ts = 1;
+  tx.collection = shared;
+  tx.shards = {0};
+  tx.ops.push_back(TxOp{TxOp::Kind::kAdd, 1, 5, {}});
+  tx.client_sig = run.sys().env().keystore.Sign(run.stub().id(), tx.Digest());
+  block->txs.push_back(tx);
+  block->Seal();
+  const Sha256Digest d = block->Digest();
+
+  auto prep = std::make_shared<XPrepareMsg>();
+  prep->coord_cluster = coord;
+  prep->block = block;
+  prep->block_digest = d;
+  prep->coord_cert = run.ClusterCert(coord, d);
+  run.Deliver(coord_node, prep, validator);
+
+  const ShardAssignment ours{coord, block->id.alpha, block->id.gamma};
+  auto abort = std::make_shared<XCommitMsg>();
+  abort->type = MsgType::kXAbort;
+  abort->coord_cluster = coord;
+  abort->block = block;
+  abort->block_digest = d;
+  abort->coord_cert = run.ClusterCert(coord, d);
+  abort->assignments = {ours};
+  abort->is_abort = true;
+  run.Deliver(coord_node, abort, validator);
+  ASSERT_EQ(validator->aborted_blocks(), aborted + 1);
+  ASSERT_EQ(validator->live_cross_instances(), 0u);
+
+  const XCommitMsg* ans = QueryOutcome(run, validator, d);
+  ASSERT_NE(ans, nullptr);
+  ExpectAnswer(*ans, d, abort->coord_cert, /*is_abort=*/true, ours);
+  EXPECT_EQ(ans->assignments.size(), 1u);
+  static const std::set<NodeId> kNone;
+  Status st = SafetyAuditor::AuditQanaat(run.sys(), true, &kNone);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+}
+
+TEST(CrossRetireTest, CommitQueryBehindTheFirewallIsAnswered) {
+  // Behind the firewall an ordering node keeps no ledger, so every record
+  // stays in full; the execution nodes' ledgers hold the certificate the
+  // primary pushed through the firewall.
+  for (ProtocolFamily family :
+       {ProtocolFamily::kFlattened, ProtocolFamily::kCoordinator}) {
+    SystemParams params = FirewallParams();
+    params.family = family;
+    DrainedCrossRun run(params, CrossKind::kIntraShardCrossEnterprise);
+    OrderingNode* primary = run.sys().ordering_node(0, 0);
+    EXPECT_EQ(primary->compact_outcomes(), 0u);
+    const DagLedger& led = run.sys().execution_node(0, 0)->core().ledger();
+    ASSERT_NE(DrainedCrossRun::CrossEntryOf(led), nullptr);
+    const DagLedger::Entry& e = *DrainedCrossRun::CrossEntryOf(led);
+    const Sha256Digest d = e.block->Digest();
+
+    const XCommitMsg* ans = QueryOutcome(run, primary, d);
+    ASSERT_NE(ans, nullptr) << "family " << static_cast<int>(family);
+    ExpectAnswer(*ans, d, e.cert, /*is_abort=*/false, run.AssignmentOf(e));
+  }
+}
+
+TEST(CrossRetireTest, RivalClaimAfterTheSweepGetsNoVote) {
+  // Once the sweep has dropped a decided slot's claims, nothing records
+  // which block won the slot but the ledger. A genuine rival proposal for
+  // the slot must still get no vote: the claim paths refuse a slot at or
+  // below the executed head as stale.
+  {
+    DrainedCrossRun run(ProtocolFamily::kFlattened);
+    ASSERT_NE(run.CrossEntry(), nullptr);
+    run.SweepEveryNode();
+    ASSERT_EQ(run.node()->decided_slot_claims(), 0u);
+    const DagLedger::Entry& e = *run.CrossEntry();
+    BlockPtr rival = DrainedCrossRun::RivalOf(*e.block);
+    const Sha256Digest d = rival->Digest();
+    KeyStore& ks = run.sys().env().keystore;
+    const int initiator = run.AssignmentOf(e).cluster;
+    ASSERT_EQ(e.alpha, e.block->id.alpha) << "node() is not the initiator's";
+
+    run.SilenceFrom(run.node(), {MsgType::kFAccept, MsgType::kFCommit});
+    const uint64_t silenced = run.sys().net().silenced();
+    const uint64_t refused =
+        run.Metric("cross.stale_accept") + run.Metric("cross.conflict_nack");
+    auto prop = std::make_shared<FProposeMsg>();
+    prop->initiator_cluster = initiator;
+    prop->block = rival;
+    prop->block_digest = d;
+    const NodeId proposer =
+        run.sys().directory().Cluster(initiator).ordering[0];
+    prop->sig = ks.Sign(proposer, d);
+    run.Deliver(proposer, prop);
+    // The other shard's assigner announces the winner's assignment for
+    // the rival too, so the node knows every assignment and reaches its
+    // slot check.
+    const Directory& dir = run.sys().directory();
+    for (ShardId s : e.block->txs.front().shards) {
+      if (s == e.alpha.shard) continue;
+      const OrderingNode* holder =
+          run.sys().ordering_node(dir.ClusterIdOf(0, s), 0);
+      const DagLedger& led = holder->exec_core().ledger();
+      const DagLedger::Entry* there =
+          DrainedCrossRun::EntryOf(led, e.block->Digest());
+      ASSERT_NE(there, nullptr);
+      const ShardAssignment a = run.AssignmentOf(*there);
+      auto acc = std::make_shared<FAcceptMsg>();
+      acc->from_cluster = a.cluster;
+      acc->block_digest = d;
+      acc->has_assignment = true;
+      acc->assignment = a;
+      const NodeId assigner = dir.Cluster(a.cluster).ordering[0];
+      acc->sig = ks.Sign(assigner, FAcceptMsg::Signable(d));
+      run.Deliver(assigner, acc);
+    }
+    EXPECT_EQ(run.Metric("cross.stale_accept") +
+                  run.Metric("cross.conflict_nack"),
+              refused + 1);
+    EXPECT_EQ(run.sys().net().silenced(), silenced) << "a vote went out";
+    static const std::set<NodeId> kNone;
+    Status st = SafetyAuditor::AuditQanaat(run.sys(), true, &kNone);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+  }
+  {
+    DrainedCrossRun run(ProtocolFamily::kCoordinator);
+    ASSERT_NE(run.CrossEntry(), nullptr);
+    run.SweepEveryNode();
+    const DagLedger::Entry& e = *run.CrossEntry();
+    const int coord = run.SignerCluster(e.cert);
+    ASSERT_GE(coord, 0);
+    // The validator: the other enterprise's cluster of the coordinator's
+    // shard, which endorsed the winner's slot.
+    const Directory& dir = run.sys().directory();
+    const int other = dir.ClusterIdOf(1 - dir.Cluster(coord).enterprise,
+                                      dir.Cluster(coord).shard);
+    OrderingNode* validator = run.sys().ordering_node(other, 1);
+    ASSERT_EQ(validator->decided_slot_claims(), 0u);
+    BlockPtr rival = DrainedCrossRun::RivalOf(*e.block);
+    const Sha256Digest d = rival->Digest();
+
+    // The only message a refusal sends is its abort vote.
+    run.SilenceFrom(validator, {MsgType::kXPrepared});
+    const uint64_t silenced = run.sys().net().silenced();
+    const uint64_t refused = run.Metric("cross.stale_prepare") +
+                             run.Metric("cross.conflict_stale") +
+                             run.Metric("cross.conflict_nack");
+    auto prep = std::make_shared<XPrepareMsg>();
+    prep->coord_cluster = coord;
+    prep->block = rival;
+    prep->block_digest = d;
+    prep->coord_cert = run.ClusterCert(coord, d);
+    run.Deliver(dir.Cluster(coord).ordering[0], prep, validator);
+    EXPECT_EQ(run.Metric("cross.stale_prepare") +
+                  run.Metric("cross.conflict_stale") +
+                  run.Metric("cross.conflict_nack"),
+              refused + 1);
+    EXPECT_EQ(run.sys().net().silenced(), silenced + 1);
+    static const std::set<NodeId> kNone;
+    Status st = SafetyAuditor::AuditQanaat(run.sys(), true, &kNone);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+  }
 }
 
 TEST(CrossRetireTest, ForgedVotesForAnUnknownDigestAllocateNothing) {

@@ -4,6 +4,7 @@ asked for the memory.
 
     LD_PRELOAD=build/libheap_profile.so ./build/quickstart
     python3 tools/heap_profile.py heap_profile.<pid>.txt
+    python3 tools/heap_profile.py --detail GROUP heap_profile.<pid>.txt
 
 The dump (written by tools/heap_profile.cc at exit) lists every stack
 live at the heap's peak with its bytes and blocks; each frame is a module
@@ -13,6 +14,12 @@ under its first qanaat:: function, innermost first: the replica
 structure that grew, whichever std:: container did the allocating. A
 stack without a qanaat:: frame is filed under its first frame. It prints
 every group, largest first.
+
+--detail GROUP prints one group split by call context instead: the
+frame just inside the one the group is named after (the container or
+helper that allocated) and the frame just outside it (the caller), each
+context largest first. A group that holds too much names its function;
+its contexts name the structure. Repeat --detail for several groups.
 """
 
 import argparse
@@ -69,10 +76,16 @@ def symbolize(modules, wanted):
     names = {}
     for mod, offsets in wanted.items():
         base, path = modules[mod]
-        exec_base = base if elf_type(path) == ET_EXEC else 0
+        kind = elf_type(path)
+        exec_base = base if kind == ET_EXEC else 0
         offsets = sorted(offsets)
         for off in offsets:
             names[(mod, off)] = ["%s+0x%x" % (os.path.basename(path), off)]
+        if kind is None:
+            # Not a readable ELF file: addr2line would exit before reading
+            # its input, and the write would raise SIGPIPE, which main
+            # leaves fatal.
+            continue
         # Return addresses point past the call; step back into it.
         query = "\n".join(hex(exec_base + off - 1) for off in offsets)
         try:
@@ -116,9 +129,11 @@ def qualified_name(fn):
     return head[-1] if head else fn
 
 
-def group_stacks(stacks, modules):
-    """Returns {group: [bytes, blocks]}, each stack filed under its first
-    qanaat:: function (or its first frame if it has none)."""
+def filed_stacks(stacks, modules):
+    """Returns [(bytes, blocks, funcs, at)]: each stack's function names,
+    innermost first without the profiler's own frames, and the index in
+    funcs of the frame the stack is filed under, its first qanaat::
+    function or else its first frame (None when it has no frame)."""
     profiler = {m for m, (_, p) in modules.items()
                 if os.path.basename(p).startswith("libheap_profile")}
     wanted = collections.defaultdict(set)
@@ -128,7 +143,7 @@ def group_stacks(stacks, modules):
                 wanted[fr[0]].add(fr[1])
     names = symbolize(modules, wanted)
 
-    groups = collections.defaultdict(lambda: [0, 0])
+    filed = []
     for nbytes, blocks, frames in stacks:
         funcs = []
         for fr in frames:
@@ -137,30 +152,78 @@ def group_stacks(stacks, modules):
             if fr[0] in profiler and not funcs:
                 continue  # operator new and the profiler itself
             funcs.extend(qualified_name(fn) for fn in names[fr])
-        ours = [fn for fn in funcs if fn.startswith("qanaat::")]
-        key = ours[0] if ours else (funcs[0] if funcs else "?")
+        at = next((i for i, fn in enumerate(funcs)
+                   if fn.startswith("qanaat::")), 0 if funcs else None)
+        filed.append((nbytes, blocks, funcs, at))
+    return filed
+
+
+def group_stacks(stacks, modules):
+    """Returns {group: [bytes, blocks]}, each stack filed under its first
+    qanaat:: function (or its first frame if it has none)."""
+    groups = collections.defaultdict(lambda: [0, 0])
+    for nbytes, blocks, funcs, at in filed_stacks(stacks, modules):
+        key = funcs[at] if at is not None else "?"
         groups[key][0] += nbytes
         groups[key][1] += blocks
     return groups
 
 
+def group_detail(filed, group):
+    """Returns {(inside, outside): [bytes, blocks]} over the stacks of
+    `filed` (from filed_stacks) filed under `group`: the frames just
+    inside and just outside the one it is named after, "-" where the
+    stack has none."""
+    contexts = collections.defaultdict(lambda: [0, 0])
+    for nbytes, blocks, funcs, at in filed:
+        if at is None or funcs[at] != group:
+            continue
+        inside = funcs[at - 1] if at > 0 else "-"
+        outside = funcs[at + 1] if at + 1 < len(funcs) else "-"
+        contexts[(inside, outside)][0] += nbytes
+        contexts[(inside, outside)][1] += blocks
+    return contexts
+
+
+def print_rows(rows, total, column):
+    """Prints (label, [bytes, blocks]) rows largest first, with each one's
+    share of `total` bytes, under a header naming the label `column`."""
+    print("%9s %7s %10s  %s" % ("MB", "share", "blocks", column))
+    for label, (nbytes, blocks) in sorted(rows, key=lambda kv: -kv[1][0]):
+        print("%9.2f %6.1f%% %10d  %s" % (nbytes / 1e6,
+                                         100.0 * nbytes / max(total, 1),
+                                         blocks, label))
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("dump")
+    ap.add_argument("--detail", metavar="GROUP", action="append",
+                    help="split GROUP by the frames around its own "
+                    "(repeatable; the dump is symbolized once)")
     args = ap.parse_args()
 
     header, stacks, modules = parse_dump(args.dump)
+    if args.detail:
+        filed = filed_stacks(stacks, modules)
+        for i, group in enumerate(args.detail):
+            contexts = group_detail(filed, group)
+            if not contexts:
+                print("no stack is filed under %s" % group, file=sys.stderr)
+                return 1
+            total = sum(c[0] for c in contexts.values())
+            print("%s%s: %.2f MB in %d blocks" %
+                  ("\n" if i else "", group, total / 1e6,
+                   sum(c[1] for c in contexts.values())))
+            print_rows((("%s / %s" % key, c) for key, c in contexts.items()),
+                       total, "inside / outside")
+        return 0
     groups = group_stacks(stacks, modules)
     total = sum(g[0] for g in groups.values())
     print("peak live heap %.1f MB (snapshot %.1f MB, %d stacks, %d news)" %
           (header.get("peak_live_bytes", 0) / 1e6, total / 1e6,
            len(stacks), header.get("news", 0)))
-    print("%9s %7s %10s  %s" % ("MB", "share", "blocks", "group"))
-    for key, (nbytes, blocks) in sorted(groups.items(),
-                                        key=lambda kv: -kv[1][0]):
-        print("%9.2f %6.1f%% %10d  %s" % (nbytes / 1e6,
-                                         100.0 * nbytes / max(total, 1),
-                                         blocks, key))
+    print_rows(groups.items(), total, "group")
     return 0
 
 
