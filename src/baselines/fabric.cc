@@ -406,7 +406,7 @@ void FabricOrderer::OnMessage(NodeId from, const MessageRef& msg) {
         blk->txs = inflight_[m.index];
         ordered_txs_ += blk->txs->size();
         block_store_[m.index] = blk->txs;
-        for (NodeId p : sys_->peer_ids()) Send(p, blk);
+        Multicast(sys_->peer_ids(), blk);
         inflight_.erase(m.index);
         acks_.erase(m.index);
       }
@@ -494,7 +494,7 @@ void FabricOrderer::CloseBatch(std::vector<EndorsedTx> batch) {
     blk->txs = txs;
     ordered_txs_ += txs->size();
     block_store_[index] = txs;
-    for (NodeId p : sys_->peer_ids()) Send(p, blk);
+    Multicast(sys_->peer_ids(), blk);
     delivered_.insert(index);
     inflight_.erase(index);
   }

@@ -30,6 +30,10 @@ class FlatMap {
     auto it = LowerBound(k);
     return it != entries_.end() && it->first == k ? &it->second : nullptr;
   }
+  V* Find(const K& k) {
+    auto it = LowerBound(k);
+    return it != entries_.end() && it->first == k ? &it->second : nullptr;
+  }
 
   size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }

@@ -31,4 +31,18 @@ Sha256Digest ExecReplyMsg::Signable(
   return Sha256::Hash(enc.buffer());
 }
 
+ReplyCertMsg::Check ReplyCertMsg::Verify(const KeyStore& ks,
+                                         size_t quorum) const {
+  Sha256Digest signable =
+      ExecReplyMsg::Signable(block_digest, result_digest, clients);
+  std::vector<NodeId> signers;
+  for (const auto& s : cert.sigs) {
+    if (!ks.VerifyShare(s, signable)) return Check::kBadShare;
+    signers.push_back(s.signer);
+  }
+  std::sort(signers.begin(), signers.end());
+  signers.erase(std::unique(signers.begin(), signers.end()), signers.end());
+  return signers.size() < quorum ? Check::kShort : Check::kValid;
+}
+
 }  // namespace qanaat

@@ -51,6 +51,14 @@ struct ReplyCertMsg : WireMessage<ReplyCertMsg> {
   std::vector<std::pair<NodeId, uint64_t>> clients;
   ReplyCertificate cert;
 
+  /// What checking the certificate finds. The filter rows, the ordering
+  /// nodes and the clients all run this one check.
+  enum class Check { kValid, kBadShare, kShort };
+  /// Valid iff every share verifies over ExecReplyMsg::Signable of this
+  /// block, result and client list, from at least `quorum` distinct
+  /// executors.
+  Check Verify(const KeyStore& ks, size_t quorum) const;
+
   template <class IO, class Self>
   static bool Fields(IO& io, Self& m) {
     return io(m.block_digest) && io(m.result_digest) &&

@@ -298,22 +298,17 @@ void FilterNode::HandleReplyCert(NodeId /*from*/, const MessageRef& msg) {
   }
   // Each row re-validates the certificate, so a row of correct filters
   // drops anything a malicious filter below the top row injected.
-  Sha256Digest signable =
-      ExecReplyMsg::Signable(m.block_digest, m.result_digest, m.clients);
-  size_t quorum = static_cast<size_t>(dir_->params.g) + 1;
-  std::set<NodeId> distinct;
-  for (const auto& s : m.cert.sigs) {
-    if (!env()->keystore.VerifyShare(s, signable)) {
+  switch (m.Verify(env()->keystore, static_cast<size_t>(dir_->params.g) + 1)) {
+    case ReplyCertMsg::Check::kValid:
+      break;
+    case ReplyCertMsg::Check::kBadShare:
       ++filtered_;
       env()->metrics.Inc("firewall.filtered_bad_cert_share");
       return;
-    }
-    distinct.insert(s.signer);
-  }
-  if (distinct.size() < quorum) {
-    ++filtered_;
-    env()->metrics.Inc("firewall.filtered_short_cert");
-    return;
+    case ReplyCertMsg::Check::kShort:
+      ++filtered_;
+      env()->metrics.Inc("firewall.filtered_short_cert");
+      return;
   }
   if (forwarded_up_.count(m.block_digest)) return;
   forwarded_up_.insert(m.block_digest);

@@ -36,12 +36,19 @@ struct TxOp {
 
 /// A client request ⟨REQUEST, op, tc, c⟩_σc (paper §4.1): an op program to
 /// execute on one data collection, touching one or more of its shards.
+/// Members are ordered to pack (the wire layout is BodyFields, not this
+/// order).
 struct Transaction {
   NodeId client = kInvalidNode;
-  uint64_t client_ts = 0;           // timestamp tc (request dedup)
   CollectionId collection;          // the collection it executes on
-  std::vector<ShardId> shards;      // involved shards, sorted; >1 = cross-shard
   EnterpriseId initiator = 0;       // enterprise whose cluster received it
+  uint64_t client_ts = 0;           // timestamp tc (request dedup)
+  /// The client's settle mark: its lowest unsettled timestamp when it
+  /// issued this request, so every timestamp below it has settled.
+  /// Replicas refuse a request below its client's mark and forget the
+  /// client's requests below it (README "Reply certificates").
+  uint64_t settled_below = 0;
+  std::vector<ShardId> shards;      // involved shards, sorted; >1 = cross-shard
   std::vector<TxOp> ops;
   Signature client_sig;             // over Digest()
 
@@ -51,8 +58,9 @@ struct Transaction {
   /// The canonical body: what Digest() covers and the client signs.
   template <class IO, class Self>
   static bool BodyFields(IO& io, Self& m) {
-    return io(m.client) && io(m.client_ts) && io(m.collection) &&
-           io.List16(m.shards) && io(m.initiator) && io.List16(m.ops);
+    return io(m.client) && io(m.client_ts) && io(m.settled_below) &&
+           io(m.collection) && io.List16(m.shards) && io(m.initiator) &&
+           io.List16(m.ops);
   }
   /// Wire layout: the body, then the client's signature.
   template <class IO, class Self>

@@ -113,12 +113,9 @@ void OrderingNode::HandleFPropose(NodeId from, const FProposeMsg& m) {
       // Fast path: announce to own cluster nodes; votes go to the whole
       // initiator cluster — leadership may have moved off the initial
       // primary, and a vote sent only there would never be tallied.
-      for (NodeId n : cfg_.ordering) {
-        if (n != id()) Send(n, acc);
-      }
-      for (NodeId n : init.ordering) {
-        if (n != id()) Send(n, acc);
-      }
+      size_t bytes = acc->WireBytes();
+      SendToOthers(cfg_.ordering, acc, bytes);
+      SendToOthers(init.ordering, acc, bytes);
       xs.sent_accept = true;
       return;
     }
@@ -204,9 +201,7 @@ void OrderingNode::SendFAccept(XState& xs) {
     acc->sig_verify_ops = 0;
     // Vote to every node of the initiator cluster: only its current
     // primary tallies, and that may no longer be the initial one.
-    for (NodeId n : dir_->Cluster(xs.involved.front()).ordering) {
-      if (n != id()) Send(n, acc);
-    }
+    SendToOthers(dir_->Cluster(xs.involved.front()).ordering, acc);
     if (engine_->IsPrimary() && xs.i_coordinate) {
       xs.accepts[cfg_.cluster_id][id()] = acc->sig;
       MaybeSendFCommit(xs);
@@ -245,9 +240,7 @@ void OrderingNode::ResendCrossVotes(XState& xs) {
   }
   if (FlattenedCftFastPath(xs)) {
     acc->sig_verify_ops = 0;
-    for (NodeId n : dir_->Cluster(xs.involved.front()).ordering) {
-      if (n != id()) Send(n, acc);
-    }
+    SendToOthers(dir_->Cluster(xs.involved.front()).ordering, acc);
     return;
   }
   SendToInvolved(xs, acc);

@@ -34,11 +34,7 @@ OrderingNode::OrderingNode(Env* env, const Directory* dir,
   ctx.pipeline_depth = static_cast<size_t>(
       dir_->params.pipeline_depth < 0 ? 0 : dir_->params.pipeline_depth);
   ctx.send = [this](NodeId to, MessageRef m) { Send(to, std::move(m)); };
-  ctx.broadcast = [this](MessageRef m) {
-    for (NodeId peer : cfg_.ordering) {
-      if (peer != id()) Send(peer, m);
-    }
-  };
+  ctx.broadcast = [this](MessageRef m) { SendToOthers(cfg_.ordering, m); };
   ctx.start_timer = [this](SimTime d, uint64_t tag, uint64_t payload) {
     StartTimer(d, tag, payload);
   };
@@ -89,6 +85,7 @@ void OrderingNode::OnCrash() {
   release_armed_ = false;  // its timer died with the old epoch
   progress_checks_.clear();
   pending_exec_push_.clear();
+  push_of_block_.clear();
   state_sync_pending_ = false;  // its timer died with the old epoch
   exec_wedge_armed_ = false;
   exec_wedged_ = false;
@@ -242,18 +239,14 @@ void OrderingNode::HandleTimer(uint64_t tag, uint64_t payload) {
     return;
   }
   if (tag == kTagExecPush) {
+    // Gone once a reply certificate for the block came back down the
+    // firewall: the execution nodes saw it.
     auto it = pending_exec_push_.find(payload);
     if (it == pending_exec_push_.end()) return;
-    if (reply_cache_.count(it->second.msg->cert.block_digest)) {
-      // A reply certificate came back down the firewall: the execution
-      // nodes saw the block, nothing to do.
-      pending_exec_push_.erase(it);
-      return;
-    }
     env()->metrics.Inc("order.exec_push_backup");
     PushToExecution(it->second.msg);
     if (++it->second.tries >= 3) {
-      pending_exec_push_.erase(it);
+      ResolvePush(it);
     } else {
       StartTimer(dir_->params.cross_timeout_us, kTagExecPush, payload);
     }
@@ -357,22 +350,25 @@ void OrderingNode::HandleRequest(NodeId /*from*/, const RequestMsg& m) {
     env()->metrics.Inc("order.bad_request_sig");
     return;
   }
+  // Settle marks (README "Reply certificates"): a request below its
+  // client's mark has settled, and a mark above the request's own
+  // timestamp would settle the request itself.
+  if (tx.settled_below > tx.client_ts) {
+    env()->metrics.Inc("order.bad_settle_mark");
+    return;
+  }
+  if (tx.client_ts < committed_requests_.MarkOf(tx.client)) {
+    env()->metrics.Inc("order.below_settle_mark");
+    return;
+  }
+  RaiseSettleMark(tx);
   if (!engine_->IsPrimary()) {
-    // Relay to the current primary (§4.3.4 client retransmission path).
+    // Relay to the current primary (§4.3.4 client retransmission path),
+    // unless the request committed and its reply certificate is here.
     if (m.is_retransmission) {
-      auto it = reply_cache_.end();
-      // Re-send a cached reply if we executed it already.
-      for (auto& [digest, cached] : reply_cache_) {
-        for (auto& [c, ts] : cached->clients) {
-          if (c == tx.client && ts == tx.client_ts) {
-            it = reply_cache_.find(digest);
-            break;
-          }
-        }
-        if (it != reply_cache_.end()) break;
-      }
-      if (it != reply_cache_.end()) {
-        Send(tx.client, it->second);
+      if (ReplyRecord::CertRef cert =
+              replies_.Find({tx.client, tx.client_ts})) {
+        Send(tx.client, std::move(cert));
         return;
       }
     }
@@ -520,8 +516,28 @@ void OrderingNode::UnpinCross(const BlockPtr& block) {
   }
 }
 
+void OrderingNode::NoteSettleMark(const Transaction& tx) {
+  // Only the client's own signed word raises its mark. Nothing checks
+  // the client signatures of a proposal's transactions, so a faulty node
+  // can put a made-up one in a block, and a raised mark never comes
+  // back down.
+  if (tx.settled_below <= committed_requests_.MarkOf(tx.client) ||
+      tx.settled_below > tx.client_ts ||
+      !env()->keystore.Verify(tx.client_sig, tx.Digest())) {
+    return;
+  }
+  RaiseSettleMark(tx);
+}
+
+void OrderingNode::RaiseSettleMark(const Transaction& tx) {
+  if (committed_requests_.RaiseMark(tx.client, tx.settled_below)) {
+    replies_.DropBelow(tx.client, tx.settled_below);
+  }
+}
+
 void OrderingNode::RecordCommitted(const Block& block) {
   for (const Transaction& tx : block.txs) {
+    NoteSettleMark(tx);
     RequestId id{tx.client, tx.client_ts};
     committed_requests_.Insert(id);
     seen_requests_.Erase(id);
@@ -535,6 +551,10 @@ void OrderingNode::MaybePurgeDedup() {
   SimTime horizon = now() - DedupWindowUs();
   seen_requests_.PurgeBefore(horizon);
   observed_requests_.PurgeBefore(horizon);
+  for (auto it = answered_early_.begin(); it != answered_early_.end();) {
+    it = it->second.arrived < horizon ? answered_early_.erase(it)
+                                       : std::next(it);
+  }
   PurgeDecidedClaims();
 }
 
@@ -724,7 +744,11 @@ void OrderingNode::CommitBlock(const BlockPtr& block, CommitCertificate cert,
   committed_blocks_++;
   committed_txs_ += block->tx_count();
   if (reply_from_here && cfg_.HasFirewall()) {
-    reply_owner_.insert(cert.block_digest);
+    for (const Transaction& tx : block->txs) {
+      // Below its client's mark a request has settled: nothing to answer.
+      if (tx.client_ts < committed_requests_.MarkOf(tx.client)) continue;
+      replies_.Own({tx.client, tx.client_ts});
+    }
   }
 
   if (cfg_.SeparatedExecution()) {
@@ -741,11 +765,18 @@ void OrderingNode::CommitBlock(const BlockPtr& block, CommitCertificate cert,
     eo->sig_verify_ops = static_cast<uint16_t>(eo->cert.sigs.size());
     if (engine_->IsPrimary()) {
       PushToExecution(eo);
-    } else {
-      uint64_t token = next_exec_push_++;
-      pending_exec_push_[token] = PendingExecPush{std::move(eo), 0};
-      StartTimer(dir_->params.cross_timeout_us, kTagExecPush, token);
+      return;
     }
+    auto early = answered_early_.find(eo->cert.block_digest);
+    if (early != answered_early_.end()) {
+      replies_.Attach(early->second.cert->clients, early->second.cert);
+      answered_early_.erase(early);
+      return;
+    }
+    uint64_t token = next_exec_push_++;
+    push_of_block_[eo->cert.block_digest] = token;
+    pending_exec_push_[token] = PendingExecPush{std::move(eo), 0};
+    StartTimer(dir_->params.cross_timeout_us, kTagExecPush, token);
     return;
   }
 
@@ -755,6 +786,7 @@ void OrderingNode::CommitBlock(const BlockPtr& block, CommitCertificate cert,
       block, std::move(cert), alpha, gamma,
       [this, reply_from_here](const ExecutorCore::ExecResult& res) {
         ChargeCpu(res.cpu_cost);
+        CompactRetired(res.block->Digest());
         if (!reply_from_here) return;
         OnExecutedReply(res);
       });
@@ -782,15 +814,50 @@ void OrderingNode::OnExecutedReply(const ExecutorCore::ExecResult& res) {
 }
 
 void OrderingNode::ForwardReplyCert(const MessageRef& msg) {
-  // Reply certificate arrived from the bottom filter row; the primary
-  // forwards it to the client machines (§4.2). All nodes cache the
-  // received message for client retransmissions. For cross-cluster
-  // blocks only the initiator cluster replies.
+  // Reply certificate arrived from the bottom filter row, one copy from
+  // each of its filters. For cross-cluster blocks only the initiator
+  // cluster replies (§4.2). A backup's exec push for the block waits for
+  // it; a backup that has not committed the block yet (its first request
+  // is not in the committed record) files it as early evidence, which
+  // its commit gives to the requests it owns; and a primary pushes its
+  // commits itself. A copy none of these needs goes unchecked.
   auto cert = std::static_pointer_cast<const ReplyCertMsg>(msg);
-  reply_cache_[cert->block_digest] = cert;
-  if (!engine_->IsPrimary()) return;
-  if (!reply_owner_.count(cert->block_digest)) return;
-  SendToClients(cert->clients, msg);
+  const Sha256Digest& d = cert->block_digest;
+  auto push = push_of_block_.find(d);
+  bool early = push == push_of_block_.end() && !engine_->IsPrimary() &&
+               !cert->clients.empty() &&
+               !committed_requests_.Contains(cert->clients.front()) &&
+               answered_early_.count(d) == 0;
+  if (push == push_of_block_.end() && !early &&
+      !replies_.Awaits(cert->clients)) {
+    return;
+  }
+  // A faulty filter may tamper with its copy, and clients reject such a
+  // copy: only a verified one is kept or forwarded.
+  if (cert->Verify(env()->keystore, static_cast<size_t>(dir_->params.g) +
+                                        1) != ReplyCertMsg::Check::kValid) {
+    env()->metrics.Inc("order.bad_reply_cert");
+    return;
+  }
+  if (push != push_of_block_.end()) {
+    ResolvePush(pending_exec_push_.find(push->second));
+  } else if (early) {
+    answered_early_.emplace(d, EarlyCert{cert, now()});
+  }
+  // The copy that answers the owned requests first is the one the
+  // primary forwards to the client machines.
+  if (replies_.Attach(cert->clients, cert) > 0 && engine_->IsPrimary()) {
+    SendToClients(cert->clients, msg);
+  }
+}
+
+void OrderingNode::ResolvePush(
+    std::map<uint64_t, PendingExecPush>::iterator it) {
+  auto index = push_of_block_.find(it->second.msg->cert.block_digest);
+  if (index != push_of_block_.end() && index->second == it->first) {
+    push_of_block_.erase(index);
+  }
+  pending_exec_push_.erase(it);
 }
 
 void OrderingNode::SendToClients(
@@ -800,7 +867,8 @@ void OrderingNode::SendToClients(
   // trace hashes assume), without a tree allocation per reply.
   SortedVec<NodeId> machines;
   for (const auto& [c, ts] : clients) machines.Insert(c);
-  for (NodeId c : machines) Send(c, msg);
+  size_t bytes = msg->WireBytes();
+  for (NodeId c : machines) env()->net->SendSized(id(), c, msg, bytes);
 }
 
 void OrderingNode::PushToExecution(const MessageRef& msg) {
@@ -893,34 +961,46 @@ void OrderingNode::RetireFinished() {
     auto it = xstates_.find(d);
     if (it == xstates_.end()) continue;
     XState& xs = it->second;
-    auto own = xs.assignments.find(cfg_.shard);
-    std::optional<size_t> entry;
-    if (xs.outcome_known && !xs.outcome_abort &&
-        own != xs.assignments.end()) {
-      entry = LedgerEntryOf(d, xs.outcome_cert, own->second);
+    XOutcome out;
+    out.block = std::move(xs.block);
+    out.cert = std::move(xs.outcome_cert);
+    out.known = xs.outcome_known;
+    out.abort = xs.outcome_abort;
+    out.assignments.reserve(xs.assignments.size());
+    for (auto& [shard, a] : xs.assignments) {
+      out.assignments.push_back(std::move(a));
     }
-    if (entry) {
-      CompactOutcome& out = compact_retired_[d];
-      out.ledger_index = *entry;
-      out.assigner = own->second.cluster;
-      out.others.reserve(xs.assignments.size() - 1);
-      for (auto& [shard, a] : xs.assignments) {
-        if (shard != cfg_.shard) out.others.push_back(std::move(a));
-      }
-    } else {
-      XOutcome& out = retired_[d];
-      out.block = std::move(xs.block);
-      out.cert = std::move(xs.outcome_cert);
-      out.known = xs.outcome_known;
-      out.abort = xs.outcome_abort;
-      out.assignments.reserve(xs.assignments.size());
-      for (auto& [shard, a] : xs.assignments) {
-        out.assignments.push_back(std::move(a));
-      }
-    }
+    if (!Compact(d, out)) retired_[d] = std::move(out);
     xstates_.erase(it);
   }
   finished_.clear();
+}
+
+void OrderingNode::CompactRetired(const Sha256Digest& d) {
+  auto it = retired_.find(d);
+  if (it == retired_.end() || !Compact(d, it->second)) return;
+  retired_.erase(it);
+  env()->metrics.Inc("cross.compacted_on_execute");
+}
+
+bool OrderingNode::Compact(const Sha256Digest& d, XOutcome& out) {
+  if (!out.known || out.abort) return false;
+  std::vector<ShardAssignment>& all = out.assignments;
+  auto own = std::find_if(all.begin(), all.end(),
+                          [this](const ShardAssignment& a) {
+                            return a.alpha.shard == cfg_.shard;
+                          });
+  if (own == all.end()) return false;
+  std::optional<size_t> entry = LedgerEntryOf(d, out.cert, *own);
+  if (!entry) return false;
+  CompactOutcome& c = compact_retired_[d];
+  c.ledger_index = *entry;
+  c.assigner = own->cluster;
+  c.others.reserve(all.size() - 1);
+  for (auto a = all.begin(); a != all.end(); ++a) {
+    if (a != own) c.others.push_back(std::move(*a));
+  }
+  return true;
 }
 
 std::optional<size_t> OrderingNode::LedgerEntryOf(
@@ -1037,11 +1117,8 @@ void OrderingNode::BindBlock(XState& xs, const BlockPtr& block) {
 }
 
 void OrderingNode::SendToInvolved(const XState& xs, const MessageRef& msg) {
-  for (int c : xs.involved) {
-    for (NodeId n : dir_->Cluster(c).ordering) {
-      if (n != id()) Send(n, msg);
-    }
-  }
+  size_t bytes = msg->WireBytes();
+  for (int c : xs.involved) SendToOthers(dir_->Cluster(c).ordering, msg, bytes);
 }
 
 void OrderingNode::SettleCross(XState& xs, const CommitCertificate& cert,
@@ -1357,11 +1434,9 @@ void OrderingNode::HandleStateReply(NodeId /*from*/, const StateReplyMsg& m) {
 void OrderingNode::ReplayExecPushes() {
   if (!cfg_.SeparatedExecution() || pending_exec_push_.empty()) return;
   env()->metrics.Inc("order.exec_push_replayed", pending_exec_push_.size());
-  for (const auto& [token, p] : pending_exec_push_) {
-    if (reply_cache_.count(p.msg->cert.block_digest)) continue;
-    PushToExecution(p.msg);
-  }
+  for (const auto& [token, p] : pending_exec_push_) PushToExecution(p.msg);
   pending_exec_push_.clear();
+  push_of_block_.clear();
 }
 
 }  // namespace qanaat

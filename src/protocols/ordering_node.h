@@ -7,7 +7,6 @@
 #include <optional>
 #include <set>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "consensus/batcher.h"
@@ -62,13 +61,22 @@ class OrderingNode : public Actor {
   size_t windowed_requests() const {
     return seen_requests_.size() + observed_requests_.size();
   }
+  /// Entries in the two per-client records, which the clients' settle
+  /// marks bound: committed_requests_ and, behind the firewall, replies_.
+  size_t client_record_entries() const {
+    return committed_requests_.size() + replies_.size();
+  }
+  /// The highest settle mark of `client` this node has honoured.
+  uint64_t settle_mark(NodeId client) const {
+    return committed_requests_.MarkOf(client);
+  }
   /// Cross-cluster instances still in flight here; finished ones are
   /// retired to an outcome record (see RetireFinished).
   size_t live_cross_instances() const { return xstates_.size(); }
   /// Retired outcomes kept in compact form, which defers to the ledger.
   size_t compact_outcomes() const { return compact_retired_.size(); }
   /// Retired outcomes kept in full although this node's ledger records
-  /// them (their block executed only after they retired).
+  /// them. CompactRetired leaves none once their blocks execute.
   size_t ledger_recorded_full_outcomes() const;
   /// Slot claims (endorsements and commit-vote locks) at or below this
   /// node's executed head of their chain.
@@ -153,9 +161,10 @@ class OrderingNode : public Actor {
   // commit queries (§4.3.4), and its presence, which marks late votes and
   // re-driven proposals for it as stale. This full form holds the
   // outcomes the ledger does not record: aborted, unknown, committed
-  // while the block still waited in the executor, or behind the
-  // firewall, where ordering nodes keep no ledger. A committed outcome
-  // the ledger records is kept as a CompactOutcome.
+  // while the block still waits in the executor (until it executes, see
+  // CompactRetired), or behind the firewall, where ordering nodes keep no
+  // ledger. A committed outcome the ledger records is kept as a
+  // CompactOutcome.
   struct XOutcome {
     BlockPtr block;
     CommitCertificate cert;
@@ -243,6 +252,10 @@ class OrderingNode : public Actor {
                    const LocalPart& alpha, const std::vector<GammaEntry>& gamma,
                    bool reply_from_here);
   void OnExecutedReply(const ExecutorCore::ExecResult& res);
+  /// A reply certificate from the bottom filter row: once verified, it
+  /// answers this cluster's owned requests it covers (replies_), which
+  /// the primary forwards to the clients once, and it resolves a
+  /// backup's pending exec push for the block (or answers it early).
   void ForwardReplyCert(const MessageRef& msg);
   /// Sends `msg` once to each distinct client machine in `clients`.
   void SendToClients(const std::vector<std::pair<NodeId, uint64_t>>& clients,
@@ -280,6 +293,16 @@ class OrderingNode : public Actor {
   /// event's handler returns, never inside FinishCross: FinishCross's
   /// callers keep using the XState after it returns.
   void RetireFinished();
+  /// Moves retired instance `d` from retired_ to compact_retired_ if its
+  /// full record holds a commit this node's ledger now records: the
+  /// execution callback's share of RetireFinished, for a block that still
+  /// waited in the executor when its instance retired.
+  void CompactRetired(const Sha256Digest& d);
+  /// Files outcome `out` of instance `d` in compact_retired_ if it is a
+  /// known commit this node's ledger records at this shard's assignment
+  /// (taking its other shards' assignments); returns whether it did.
+  /// The one place the compact form is built.
+  bool Compact(const Sha256Digest& d, XOutcome& out);
   /// The index of this node's ledger entry that holds block `d` at this
   /// shard's assignment `own` under certificate `cert`, if there is one.
   std::optional<size_t> LedgerEntryOf(const Sha256Digest& d,
@@ -468,10 +491,19 @@ class OrderingNode : public Actor {
   // be retried by client retransmission instead of being blacklisted
   // forever.
   RequestTable observed_requests_;
-  // The permanent record, asked before either window. A commit erases
-  // its requests from both windows, so they hold only requests in flight
+  // The committed record, asked before either window; a request below
+  // its client's settle mark reads as committed. A commit erases its
+  // requests from both windows, so they hold only requests in flight
   // here, plus abandoned ones until the sweep.
   RequestSet committed_requests_;
+  /// Raises tx's client's settle mark (RaiseSettleMark) if the client
+  /// signed tx and the mark does not exceed tx's own timestamp. Called
+  /// for committed blocks, never for a proposal merely observed.
+  void NoteSettleMark(const Transaction& tx);
+  /// Raises tx's client's settle mark to tx.settled_below, which drops
+  /// what both per-client records hold below it. The caller has checked
+  /// tx's signature and mark: intake, or NoteSettleMark.
+  void RaiseSettleMark(const Transaction& tx);
   /// Records a committed (or state-transferred) block's requests here
   /// and erases them from both windows.
   void RecordCommitted(const Block& block);
@@ -486,8 +518,9 @@ class OrderingNode : public Actor {
   /// instance).
   SimTime DedupWindowUs() const;
   /// Amortized sweep (at most once per window) of expired entries: the
-  /// abandoned proposals, which no commit erases, and the slot claims the
-  /// ledger has decided (PurgeDecidedClaims).
+  /// abandoned proposals, which no commit erases, the early exec-push
+  /// evidence (answered_early_) and the slot claims the ledger has
+  /// decided (PurgeDecidedClaims).
   void MaybePurgeDedup();
   // Requests inside a live cross block this node knows of — held in a
   // deferred queue, a scheduled retry, or an unfinished instance, whether
@@ -542,12 +575,10 @@ class OrderingNode : public Actor {
   std::vector<Sha256Digest> finished_;  // done this event, not yet retired
   std::unordered_map<uint64_t, Sha256Digest, TokenHash> cross_timer_digest_;
   uint64_t next_cross_timer_ = 0;
-  // Blocks whose client replies this cluster owns (initiator side).
-  // Filled only behind a firewall, the one place a reply certificate
-  // arrives (ForwardReplyCert).
-  std::unordered_set<Sha256Digest, DigestHash> reply_owner_;
-  // Reply cache for retransmissions: block digest -> cert msg.
-  std::map<Sha256Digest, std::shared_ptr<const ReplyCertMsg>> reply_cache_;
+  // Behind a firewall, the requests whose client replies this cluster
+  // owns (initiator side), each with its verified reply certificate once
+  // one arrives: what a backup answers a retransmission from.
+  ReplyRecord replies_;
   // Serialization of conflicting cross-shard blocks (paper §4.3.2: no two
   // concurrent transactions may intersect in >= 2 shards).
   std::vector<BlockPtr> deferred_cross_;
@@ -577,12 +608,30 @@ class OrderingNode : public Actor {
   // have been crashed at commit time — cross-cluster commits need no
   // live primary) and the backup pushes itself. A view change replays
   // everything immediately. Execution-side dedup absorbs duplicates.
+  // The evidence is that this cluster's executors answered for the
+  // block, not that its clients settled: a cross-cluster block's
+  // clients settle on the initiator cluster's certificate. A verified
+  // certificate resolves its block's push on arrival (ResolvePush).
   struct PendingExecPush {
     std::shared_ptr<ExecOrderMsg> msg;
     int tries = 0;
   };
   std::map<uint64_t, PendingExecPush> pending_exec_push_;
   uint64_t next_exec_push_ = 0;
+  // The token of each block's pending push, for ResolvePush's lookup.
+  std::unordered_map<Sha256Digest, uint64_t, DigestHash> push_of_block_;
+  // Blocks whose verified certificate reached this backup before it
+  // committed them: the push their commit would arm is answered already,
+  // and the commit gives the certificate to the requests it owns. The
+  // sweep drops entries older than one dedup window, as a lagging commit
+  // lands within a few cross-timeouts.
+  struct EarlyCert {
+    ReplyRecord::CertRef cert;
+    SimTime arrived = 0;
+  };
+  std::unordered_map<Sha256Digest, EarlyCert, DigestHash> answered_early_;
+  /// Drops the pending push at `it` and its push_of_block_ entry.
+  void ResolvePush(std::map<uint64_t, PendingExecPush>::iterator it);
 
   uint64_t committed_blocks_ = 0;
   uint64_t committed_txs_ = 0;

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -11,6 +12,8 @@
 #include "common/types.h"
 
 namespace qanaat {
+
+struct ReplyCertMsg;
 
 /// Open-addressed flat map from request identity (client, client
 /// timestamp) to a timestamp — the shape of an ordering node's two
@@ -138,20 +141,44 @@ class RequestTable {
   size_t size_ = 0;
 };
 
-/// Set of request identities that never forgets: an ordering node's
-/// permanent at-most-once record of committed requests. It stores only
-/// the timestamps, each client's in one ascending vector, so a request
-/// costs 8 bytes plus vector slack. Clients issue timestamps in order and
-/// requests commit nearly in that order, so almost every insert is an
-/// append and the rest land a few places from the end. A watermark per
-/// client would not do: a client spreads its requests over clusters, so
-/// each node holds a sparse subsequence of its timestamps.
+/// An ordering node's at-most-once record of committed requests, per
+/// client: the client's settle mark (the highest
+/// Transaction::settled_below this node has seen from it) and the
+/// timestamps at or above the mark that committed here. Every timestamp
+/// below the mark has settled, so it reads as committed and is not
+/// stored: raising the mark drops the timestamps below it. What is left
+/// is a sparse subsequence (a client spreads its requests over clusters)
+/// of the client's requests from its oldest unsettled one on, in one
+/// ascending vector per client. Requests commit nearly in timestamp
+/// order, so almost every insert is an append and the rest land a few
+/// places from the end.
 class RequestSet {
  public:
   using RequestId = std::pair<NodeId, uint64_t>;
 
+  /// Raises `client`'s mark to `mark` and drops its timestamps below
+  /// it. A mark never moves back: a lower one changes nothing. Returns
+  /// true if the mark rose.
+  bool RaiseMark(NodeId client, uint64_t mark) {
+    Record& r = by_client_[client];
+    if (mark <= r.mark) return false;
+    r.mark = mark;
+    auto below = std::lower_bound(r.ts.begin(), r.ts.end(), mark);
+    size_ -= static_cast<size_t>(below - r.ts.begin());
+    r.ts.erase(r.ts.begin(), below);
+    return true;
+  }
+
+  uint64_t MarkOf(NodeId client) const {
+    const Record* r = by_client_.Find(client);
+    return r == nullptr ? 0 : r->mark;
+  }
+
+  /// Records `id` as committed; below its client's mark it already is.
   void Insert(const RequestId& id) {
-    std::vector<uint64_t>& ts = by_client_[id.first];
+    Record& r = by_client_[id.first];
+    if (id.second < r.mark) return;
+    std::vector<uint64_t>& ts = r.ts;
     if (ts.empty() || ts.back() < id.second) {
       ts.push_back(id.second);
     } else {
@@ -163,15 +190,113 @@ class RequestSet {
   }
 
   bool Contains(const RequestId& id) const {
-    const std::vector<uint64_t>* ts = by_client_.Find(id.first);
-    return ts != nullptr &&
-           std::binary_search(ts->begin(), ts->end(), id.second);
+    const Record* r = by_client_.Find(id.first);
+    return r != nullptr &&
+           (id.second < r->mark ||
+            std::binary_search(r->ts.begin(), r->ts.end(), id.second));
   }
 
+  /// Timestamps stored, all at or above their client's mark.
   size_t size() const { return size_; }
 
  private:
-  FlatMap<NodeId, std::vector<uint64_t>> by_client_;
+  struct Record {
+    uint64_t mark = 0;
+    std::vector<uint64_t> ts;  // ascending, each >= mark
+  };
+  FlatMap<NodeId, Record> by_client_;
+  size_t size_ = 0;
+};
+
+/// Behind the privacy firewall, the requests this cluster owns (it
+/// replies for their blocks, §4.2), per client: each one committed here
+/// at or above its client's settle mark, with the reply certificate that
+/// answers it once a verified one has come down the firewall. A backup
+/// answers a client's retransmission from here with one lookup. The
+/// owner drops a client's entries below its rising mark (DropBelow), so
+/// a certificate lives only while a request it covers can still be
+/// retransmitted.
+class ReplyRecord {
+ public:
+  using RequestId = std::pair<NodeId, uint64_t>;
+  using CertRef = std::shared_ptr<const ReplyCertMsg>;
+
+  /// Records `id` as owned here, still without a certificate.
+  void Own(const RequestId& id) {
+    std::vector<Entry>& v = by_client_[id.first];
+    auto it = v.end();
+    if (!v.empty() && v.back().ts >= id.second) {
+      it = LowerBound(v, id.second);
+      if (it != v.end() && it->ts == id.second) return;
+    }
+    v.insert(it, Entry{id.second, nullptr});
+    ++size_;
+  }
+
+  /// True if a request of `ids` is owned here and has no certificate.
+  bool Awaits(const std::vector<RequestId>& ids) const {
+    for (const RequestId& id : ids) {
+      const Entry* e = FindEntry(id);
+      if (e != nullptr && e->cert == nullptr) return true;
+    }
+    return false;
+  }
+
+  /// Gives `cert` to every request of `ids` owned here that has none;
+  /// returns how many took it.
+  size_t Attach(const std::vector<RequestId>& ids, const CertRef& cert) {
+    size_t attached = 0;
+    for (const RequestId& id : ids) {
+      Entry* e = FindEntry(id);
+      if (e == nullptr || e->cert != nullptr) continue;
+      e->cert = cert;
+      ++attached;
+    }
+    return attached;
+  }
+
+  /// The certificate that answers `id`, or nullptr.
+  CertRef Find(const RequestId& id) const {
+    const Entry* e = FindEntry(id);
+    return e == nullptr ? nullptr : e->cert;
+  }
+
+  /// Drops `client`'s entries below `mark`.
+  void DropBelow(NodeId client, uint64_t mark) {
+    std::vector<Entry>* v = by_client_.Find(client);
+    if (v == nullptr) return;
+    auto below = LowerBound(*v, mark);
+    size_ -= static_cast<size_t>(below - v->begin());
+    v->erase(v->begin(), below);
+  }
+
+  /// Owned requests recorded, with or without a certificate.
+  size_t size() const { return size_; }
+
+ private:
+  struct Entry {
+    uint64_t ts = 0;
+    CertRef cert;
+  };
+
+  template <class Entries>
+  static auto LowerBound(Entries& v, uint64_t ts) -> decltype(v.begin()) {
+    return std::lower_bound(
+        v.begin(), v.end(), ts,
+        [](const Entry& e, uint64_t t) { return e.ts < t; });
+  }
+
+  const Entry* FindEntry(const RequestId& id) const {
+    const std::vector<Entry>* v = by_client_.Find(id.first);
+    if (v == nullptr) return nullptr;
+    auto it = LowerBound(*v, id.second);
+    return it != v->end() && it->ts == id.second ? &*it : nullptr;
+  }
+  Entry* FindEntry(const RequestId& id) {
+    return const_cast<Entry*>(std::as_const(*this).FindEntry(id));
+  }
+
+  FlatMap<NodeId, std::vector<Entry>> by_client_;
   size_t size_ = 0;
 };
 

@@ -1,7 +1,5 @@
 #include "qanaat/client.h"
 
-#include <set>
-
 namespace qanaat {
 
 ClientMachine::ClientMachine(Env* env, const Directory* dir,
@@ -45,6 +43,7 @@ void ClientMachine::OnTimer(uint64_t tag, uint64_t payload) {
 void ClientMachine::IssueNext() {
   uint64_t ts = next_ts_++;
   Transaction tx = workload_->Next(id(), ts);
+  tx.settled_below = settled_below_;
   tx.client_sig = env()->keystore.Sign(id(), tx.Digest());
   int target = workload_->TargetCluster(tx);
 
@@ -77,6 +76,9 @@ void ClientMachine::Settle(uint64_t ts, bool matching_rule_met) {
     latencies_.Add(lat);
   }
   pending_.erase(it);
+  while (settled_below_ < next_ts_ && pending_.count(settled_below_) == 0) {
+    ++settled_below_;
+  }
 }
 
 void ClientMachine::HandleReply(NodeId /*from*/, const ReplyMsg& m) {
@@ -115,19 +117,15 @@ void ClientMachine::HandleReply(NodeId /*from*/, const ReplyMsg& m) {
 void ClientMachine::HandleReplyCert(const ReplyCertMsg& m) {
   // Re-verify the certificate: g+1 valid shares from distinct executors
   // over the block, its result and the client list settled below.
-  std::set<NodeId> distinct;
-  Sha256Digest signable =
-      ExecReplyMsg::Signable(m.block_digest, m.result_digest, m.clients);
-  for (const auto& s : m.cert.sigs) {
-    if (!env()->keystore.VerifyShare(s, signable)) {
+  switch (m.Verify(env()->keystore, static_cast<size_t>(dir_->params.g) + 1)) {
+    case ReplyCertMsg::Check::kValid:
+      break;
+    case ReplyCertMsg::Check::kBadShare:
       env()->metrics.Inc("client.bad_reply_cert");
       return;
-    }
-    distinct.insert(s.signer);
-  }
-  if (distinct.size() < static_cast<size_t>(dir_->params.g) + 1) {
-    env()->metrics.Inc("client.short_reply_cert");
-    return;
+    case ReplyCertMsg::Check::kShort:
+      env()->metrics.Inc("client.short_reply_cert");
+      return;
   }
   // Per-request matching inside a batched certificate: one block-granular
   // certificate settles every pending request of ours it covers.

@@ -40,6 +40,8 @@ class ClientMachine : public Actor {
              SimTime measure_to);
 
   uint64_t issued() const { return issued_; }
+  /// The settle mark the next request carries (Transaction::settled_below).
+  uint64_t settle_mark() const { return settled_below_; }
   uint64_t accepted() const { return accepted_; }
   /// Committed transactions inside the measurement window.
   uint64_t measured_commits() const { return measured_commits_; }
@@ -84,6 +86,10 @@ class ClientMachine : public Actor {
   SimTime retransmit_timeout_ = 0;  // 0 = disabled
 
   uint64_t next_ts_ = 1;
+  /// The settle mark each new request carries: the lowest timestamp not
+  /// yet settled (next_ts_ when none is pending). It only rises, one step
+  /// per settled timestamp, so keeping it costs amortized O(1).
+  uint64_t settled_below_ = 1;
   /// Sequential timestamps need a mixing hash; accessed on every issue,
   /// reply and retransmission, never iterated.
   struct TsHash {

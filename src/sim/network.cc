@@ -158,7 +158,8 @@ void Network::ScheduleDelivery(NodeId from, NodeId to, SimTime arrival,
                             std::move(msg));
 }
 
-void Network::Send(NodeId from, NodeId to, MessageRef msg) {
+void Network::SendSized(NodeId from, NodeId to, MessageRef msg,
+                        size_t bytes) {
   if (from == to) {
     // Self-delivery: skip the wire but still pay CPU cost.
     actors_[to]->DeliverAt(env_->sim.now(), from, std::move(msg));
@@ -201,7 +202,7 @@ void Network::Send(NodeId from, NodeId to, MessageRef msg) {
     return;
   }
 
-  size_t bytes = msg->WireBytes();
+  if (bytes == 0) bytes = msg->WireBytes();
   SimTime wire = LatencyBetween(src->region(), dst->region());
   SimTime xmit = static_cast<SimTime>(static_cast<double>(bytes) /
                                       env_->costs.bandwidth_bytes_per_us);
@@ -233,7 +234,8 @@ void Network::Send(NodeId from, NodeId to, MessageRef msg) {
 
 void Network::Multicast(NodeId from, const std::vector<NodeId>& to,
                         MessageRef msg) {
-  for (NodeId t : to) Send(from, t, msg);
+  size_t bytes = msg->WireBytes();
+  for (NodeId t : to) SendSized(from, t, msg, bytes);
 }
 
 void Network::Partition(NodeId a, NodeId b) {

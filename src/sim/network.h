@@ -110,7 +110,13 @@ class Network {
   /// message's WireBytes() at the configured bandwidth. Silently drops if
   /// either endpoint is crashed, the link is disallowed/partitioned, or a
   /// drop coin fires.
-  void Send(NodeId from, NodeId to, MessageRef msg);
+  void Send(NodeId from, NodeId to, MessageRef msg) {
+    SendSized(from, to, std::move(msg), 0);
+  }
+  /// Send for one copy of a fan-out: `bytes` is msg->WireBytes(), which
+  /// the fan-out computes once for all its copies (0: size it here).
+  void SendSized(NodeId from, NodeId to, MessageRef msg, size_t bytes);
+  /// Sends `msg` to each node of `to` in order, sizing it once.
   void Multicast(NodeId from, const std::vector<NodeId>& to, MessageRef msg);
 
   /// Fault injection.
@@ -302,6 +308,15 @@ class Actor {
   void Send(NodeId to, MessageRef msg) { env_->net->Send(id_, to, msg); }
   void Multicast(const std::vector<NodeId>& to, MessageRef msg) {
     env_->net->Multicast(id_, to, msg);
+  }
+  /// Sends `msg` to every node of `to` but this one. A fan-out over
+  /// several lists sizes `msg` once and passes that as `bytes`.
+  void SendToOthers(const std::vector<NodeId>& to, const MessageRef& msg,
+                    size_t bytes = 0) {
+    if (bytes == 0) bytes = msg->WireBytes();
+    for (NodeId n : to) {
+      if (n != id_) env_->net->SendSized(id_, n, msg, bytes);
+    }
   }
   /// Schedule OnTimer(tag, payload) after `delay`; fires unless crashed
   /// or armed in a previous life (pre-crash epoch).

@@ -405,6 +405,10 @@ struct AdversaryGolden {
 // All seven Qanaat pins re-pinned when messages began to be charged their
 // encoded size rather than a hand-kept estimate (see the ChaosGolden
 // pin-table comment); the Fabric pin held.
+// pbft/7 silence, paxos/5 gray, paxos/7 silence and paxos/1001 conflict
+// re-pinned when each transaction began to carry its client's settle mark
+// (8 more wire bytes per transaction; see the ChaosGolden pin-table
+// comment). The other four pins held.
 TEST(CorpusGolden, AdversaryTraceHashesMatchPinned) {
   const AdversaryGolden kGolden[] = {
       {ChaosStack::kQanaatPbft, 5, AdversaryKind::kGrayFailure,
@@ -412,11 +416,11 @@ TEST(CorpusGolden, AdversaryTraceHashesMatchPinned) {
       {ChaosStack::kQanaatPbft, 6, AdversaryKind::kEquivocation,
        0x4942dd0c934e0c7dULL},
       {ChaosStack::kQanaatPbft, 7, AdversaryKind::kSelectiveSilence,
-       0x90daef16c386faedULL},
+       0xebacffeaea39ffb4ULL},
       {ChaosStack::kQanaatPaxos, 5, AdversaryKind::kGrayFailure,
-       0x3c62bf79a505ae78ULL},
+       0xce5b2d8712ea4ed3ULL},
       {ChaosStack::kQanaatPaxos, 7, AdversaryKind::kSelectiveSilence,
-       0x32524124d180a83cULL},
+       0x57e23e70fe5854f2ULL},
       {ChaosStack::kFabric, 6, AdversaryKind::kGrayFailure,
        0xebdbb98e6409da29ULL},
       // Cross-conflict profile pins (§4.3.5). pbft/1002 is the seed whose
@@ -426,7 +430,7 @@ TEST(CorpusGolden, AdversaryTraceHashesMatchPinned) {
       {ChaosStack::kQanaatPbft, kConflictSeedBase + 2,
        AdversaryKind::kCrossConflict, 0x1d2ebf695fc4b63fULL},
       {ChaosStack::kQanaatPaxos, kConflictSeedBase + 1,
-       AdversaryKind::kCrossConflict, 0x3d89ec759513db7fULL},
+       AdversaryKind::kCrossConflict, 0x3bc23d2e3caee925ULL},
   };
   for (const auto& g : kGolden) {
     CorpusEntry e{g.stack, g.seed, g.adversary};

@@ -725,6 +725,42 @@ TEST(CrossRetireTest, DrainedRunsDeferToTheLedger) {
   }
 }
 
+TEST(CrossRetireTest, CommitsExecutedAfterRetiringDeferToTheLedger) {
+  // Under mostly cross-shard load, blocks of one chain commit out of
+  // order, so some block still waits in the executor for a predecessor
+  // when its instance retires, and retires in full. Once it executes,
+  // the execution callback compacts its record.
+  SystemParams p;
+  p.num_enterprises = 2;
+  p.shards_per_enterprise = 4;
+  p.failure_model = FailureModel::kByzantine;
+  p.family = ProtocolFamily::kFlattened;
+  QanaatSystem::Options opts;
+  opts.params = p;
+  opts.seed = 3;
+  QanaatSystem sys(std::move(opts));
+  WorkloadParams wl;
+  wl.cross_kind = CrossKind::kCrossShardCrossEnterprise;
+  wl.cross_fraction = 0.9;
+  for (int i = 0; i < 4; ++i) {
+    ClientMachine* client = sys.AddClient(wl, 500.0);
+    client->SetRetransmitTimeout(250 * kMillisecond);
+    client->Start(0, 600 * kMillisecond, 0, 600 * kMillisecond);
+  }
+  sys.env().sim.Run(2 * kSecond);
+  EXPECT_GT(sys.env().metrics.Get("cross.compacted_on_execute"), 0u);
+  for (int c = 0; c < sys.cluster_count(); ++c) {
+    for (size_t i = 0; i < sys.directory().Cluster(c).ordering.size(); ++i) {
+      const OrderingNode* n = sys.ordering_node(c, static_cast<int>(i));
+      EXPECT_EQ(n->ledger_recorded_full_outcomes(), 0u)
+          << "cluster " << c << " node " << i;
+    }
+  }
+  static const std::set<NodeId> kNone;
+  Status st = SafetyAuditor::AuditQanaat(sys, true, &kNone);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+}
+
 TEST(CrossRetireTest, LateFlattenedMessagesCreateNoInstance) {
   // A re-driven PROPOSE and a late ACCEPT and COMMIT vote, all genuine,
   // for a block this node finished long ago. Treated as a new instance,

@@ -310,6 +310,140 @@ TEST_F(PfFixture, ByzantineFilterContainedByRowRedundancy) {
   EXPECT_TRUE(sys->VerifyAllLedgers().ok());
 }
 
+/// Sends signed requests by hand and records every reply certificate it
+/// receives, with its sender.
+class ScriptedFirewallClient : public Actor {
+ public:
+  explicit ScriptedFirewallClient(Env* env) : Actor(env, "script-client") {}
+  /// Request `ts` (and its settle mark) on cluster 0's own collection.
+  std::shared_ptr<RequestMsg> Request(uint64_t ts) {
+    Transaction tx;
+    tx.client = id();
+    tx.client_ts = ts;
+    tx.settled_below = ts;
+    tx.collection = CollectionId{EnterpriseSet::Single(0)};
+    tx.shards = {0};
+    tx.ops.push_back(TxOp{TxOp::Kind::kAdd, 3, 1, {}});
+    tx.client_sig = env()->keystore.Sign(id(), tx.Digest());
+    auto req = std::make_shared<RequestMsg>();
+    req->tx = tx;
+    return req;
+  }
+  void OnMessage(NodeId from, const MessageRef& msg) override {
+    if (msg->type != MsgType::kReplyCert) return;
+    senders.push_back(from);
+    certs.push_back(std::static_pointer_cast<const ReplyCertMsg>(msg));
+  }
+  std::vector<NodeId> senders;
+  std::vector<std::shared_ptr<const ReplyCertMsg>> certs;
+};
+
+Network::LinkFault SilenceReplyCerts() {
+  Network::LinkFault silence;
+  silence.silence_mask = Network::LinkFault::TypeBit(MsgType::kReplyCert);
+  return silence;
+}
+
+TEST_F(PfFixture, BackupAnswersARetransmissionFromItsRecord) {
+  // The request commits and its certificate comes down the firewall,
+  // but the primary's forward never reaches the client. A backup the
+  // retransmission reaches answers it with the verified certificate it
+  // recorded for the request.
+  Build();
+  const ClusterConfig& cc = sys->directory().Cluster(0);
+  ScriptedFirewallClient client(&sys->env());
+  sys->net().SetLinkFault(cc.InitialPrimary(), client.id(),
+                          SilenceReplyCerts());
+  auto req = client.Request(1);
+  sys->net().Send(client.id(), cc.InitialPrimary(), req);
+  sys->env().sim.Run(300 * kMillisecond);
+  ASSERT_TRUE(client.certs.empty());
+  ASSERT_EQ(sys->net().silenced(), 1u);  // forwarded once, and lost
+  OrderingNode* backup = sys->ordering_node(0, 1);
+  EXPECT_EQ(backup->client_record_entries(), 2u);  // committed + owned
+
+  auto again = std::make_shared<RequestMsg>(*req);
+  again->is_retransmission = true;
+  sys->net().Send(client.id(), backup->id(), again);
+  sys->env().sim.Run(600 * kMillisecond);
+  ASSERT_EQ(client.certs.size(), 1u);
+  EXPECT_EQ(client.senders[0], backup->id());
+  const ReplyCertMsg& cert = *client.certs[0];
+  EXPECT_EQ(cert.Verify(sys->env().keystore,
+                        static_cast<size_t>(sys->directory().params.g) + 1),
+            ReplyCertMsg::Check::kValid);
+  ASSERT_EQ(cert.clients.size(), 1u);
+  EXPECT_EQ(cert.clients[0], std::make_pair(client.id(), uint64_t{1}));
+}
+
+TEST_F(PfFixture, BackupWhoseCommitLagsTheCertificateAnswersFromItsRecord) {
+  // Every message from the other ordering nodes reaches a backup 60 ms
+  // late, so the block's reply certificate, which the bottom filter row
+  // sends every ordering node, gets there before the backup commits the
+  // block. The backup keeps the verified copy and, once it commits,
+  // answers the client's retransmission with it.
+  Build();
+  const ClusterConfig& cc = sys->directory().Cluster(0);
+  OrderingNode* backup = sys->ordering_node(0, 1);
+  Network::LinkFault slow;
+  slow.extra_delay_us = 60 * kMillisecond;
+  for (NodeId n : cc.ordering) {
+    if (n != backup->id()) sys->net().SetLinkFault(n, backup->id(), slow);
+  }
+  ScriptedFirewallClient client(&sys->env());
+  sys->net().SetLinkFault(cc.InitialPrimary(), client.id(),
+                          SilenceReplyCerts());
+  auto req = client.Request(1);
+  sys->net().Send(client.id(), cc.InitialPrimary(), req);
+  sys->env().sim.Run(40 * kMillisecond);
+  ASSERT_EQ(sys->net().silenced(), 1u);  // the certificate is out
+  ASSERT_EQ(backup->committed_txs(), 0u);
+  sys->env().sim.Run(400 * kMillisecond);
+  ASSERT_EQ(backup->committed_txs(), 1u);
+  EXPECT_EQ(backup->client_record_entries(), 2u);  // committed + owned
+  ASSERT_TRUE(client.certs.empty());
+
+  auto again = std::make_shared<RequestMsg>(*req);
+  again->is_retransmission = true;
+  sys->net().Send(client.id(), backup->id(), again);
+  sys->env().sim.Run(500 * kMillisecond);
+  ASSERT_EQ(client.certs.size(), 1u);
+  EXPECT_EQ(client.senders[0], backup->id());
+  EXPECT_EQ(client.certs[0]->Verify(
+                sys->env().keystore,
+                static_cast<size_t>(sys->directory().params.g) + 1),
+            ReplyCertMsg::Check::kValid);
+}
+
+TEST_F(PfFixture, OnlyVerifiedReplyCertificatesAreKeptOrForwarded) {
+  // A Byzantine bottom-row filter in each cluster tampers with the
+  // result of every reply certificate it passes down, and the primaries'
+  // forwards never reach the client, so every request settles on a
+  // backup's answer to a retransmission. An ordering node keeps and
+  // forwards only a copy with g+1 valid shares, so no answer is one the
+  // client must reject.
+  Build();
+  for (int c = 0; c < sys->cluster_count(); ++c) {
+    sys->filter_node(c, 0, 1)->SetByzantine(true);
+  }
+  WorkloadParams wl;
+  wl.cross_fraction = 0.0;
+  ClientMachine* client = sys->AddClient(wl, 200);
+  client->SetRetransmitTimeout(100 * kMillisecond);
+  for (int c = 0; c < sys->cluster_count(); ++c) {
+    sys->net().SetLinkFault(sys->directory().Cluster(c).InitialPrimary(),
+                            client->id(), SilenceReplyCerts());
+  }
+  const SimTime stop = 600 * kMillisecond;
+  client->Start(0, stop, 0, stop);
+  sys->env().sim.Run(stop + 800 * kMillisecond);
+  EXPECT_GT(client->issued(), 50u);
+  EXPECT_EQ(client->accepted(), client->issued());
+  EXPECT_GT(sys->env().metrics.Get("client.retransmit"), 0u);
+  EXPECT_GT(sys->env().metrics.Get("order.bad_reply_cert"), 0u);
+  EXPECT_EQ(sys->env().metrics.Get("client.bad_reply_cert"), 0u);
+}
+
 TEST_F(PfFixture, GeneralCaseWiderFirewall) {
   // h = 2: 3x3 filter grid still commits.
   SystemParams p = PfParams();

@@ -2,7 +2,8 @@
 // committed transaction at every replica: the multi-versioned store, the
 // DAG ledger and the permanent at-most-once record. Each is filled with
 // 1k to 300k entries, and its heap growth is divided by the entry count.
-// A last case checks that sealed blocks carry no spare capacity.
+// A last case checks that sealed blocks carry no spare capacity, and one
+// that the clients' settle marks bound the per-client records.
 
 #include <malloc.h>
 
@@ -27,6 +28,10 @@ namespace {
 #endif
 
 constexpr size_t kSizes[] = {1000, 10000, 100000, 300000};
+
+// Every replica's ledger holds each committed transaction, and the settle
+// mark must not grow it: its members are ordered to pack.
+static_assert(sizeof(Transaction) <= 144, "Transaction grew");
 
 /// Bytes the heap has handed out: small chunks (uordblks) plus mmapped
 /// ones (hblkhd). Large buffers are mmapped, so uordblks alone
@@ -117,6 +122,67 @@ TEST_F(MemoryBudgetTest, RequestSetAtMost24BytesPerRequest) {
     std::printf("RequestSet, %zu requests: %.1f B/request\n", n,
                 per_request);
     EXPECT_LE(per_request, 24.0) << n << " requests";
+  }
+}
+
+TEST(SettleMarkTest, PerClientRecordsStayWithinOutstandingRequests) {
+  // Not a heap count, so it runs under ASan too. A 2x2 deployment behind
+  // the privacy firewall, four clients, a tenth of it cross-shard. Every
+  // entry a node keeps for a client (committed record and reply record)
+  // lies between the node's mark for that client and the client's newest
+  // timestamp, and the node's mark trails the client's own only by the
+  // requests issued since the node last heard from the client. So each
+  // node's entries stay within twice the clients' outstanding requests
+  // (from each one's mark to its newest timestamp) at their peak so far,
+  // however many requests have committed.
+  SystemParams p;
+  p.num_enterprises = 2;
+  p.shards_per_enterprise = 2;
+  p.failure_model = FailureModel::kByzantine;
+  p.use_firewall = true;
+  p.family = ProtocolFamily::kFlattened;
+  QanaatSystem::Options opts;
+  opts.params = p;
+  opts.seed = 4;
+  QanaatSystem sys(std::move(opts));
+  WorkloadParams wl;
+  wl.cross_kind = CrossKind::kCrossShardCrossEnterprise;
+  wl.cross_fraction = 0.1;
+  std::vector<ClientMachine*> clients;
+  const SimTime stop = 1500 * kMillisecond;
+  for (int i = 0; i < 4; ++i) {
+    clients.push_back(sys.AddClient(wl, 1000.0));
+    clients.back()->SetRetransmitTimeout(250 * kMillisecond);
+    clients.back()->Start(0, stop, 0, stop);
+  }
+  std::vector<const OrderingNode*> nodes;
+  for (int c = 0; c < sys.cluster_count(); ++c) {
+    for (size_t i = 0; i < sys.directory().Cluster(c).ordering.size(); ++i) {
+      nodes.push_back(sys.ordering_node(c, static_cast<int>(i)));
+    }
+  }
+  size_t peak_entries = 0, peak_outstanding = 0;
+  for (SimTime t = 50 * kMillisecond; t <= stop; t += 50 * kMillisecond) {
+    sys.env().sim.Run(t);
+    size_t outstanding = 0;
+    for (const ClientMachine* c : clients) {
+      outstanding += c->issued() + 1 - c->settle_mark();
+    }
+    peak_outstanding = std::max(peak_outstanding, outstanding);
+    for (const OrderingNode* n : nodes) {
+      size_t entries = n->client_record_entries();
+      peak_entries = std::max(peak_entries, entries);
+      EXPECT_LE(entries, 2 * peak_outstanding) << "at " << t << " us";
+    }
+  }
+  sys.env().sim.Run(stop + 500 * kMillisecond);
+  std::printf("peak entries per node %zu, peak outstanding %zu\n",
+              peak_entries, peak_outstanding);
+  for (const ClientMachine* c : clients) {
+    EXPECT_EQ(c->accepted(), c->issued());
+  }
+  for (const OrderingNode* n : nodes) {
+    EXPECT_GT(n->committed_txs(), 20 * peak_entries);
   }
 }
 

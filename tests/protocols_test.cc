@@ -132,6 +132,128 @@ TEST(OrderingTest, DuplicateRequestsCommitOnce) {
   EXPECT_EQ(*v, 100);  // applied exactly once
 }
 
+/// A signed request from `client` that adds `delta` to key 5 of d_a.
+std::shared_ptr<RequestMsg> MarkedRequest(QanaatSystem& sys, NodeId client,
+                                          uint64_t ts, uint64_t mark,
+                                          int64_t delta) {
+  Transaction tx;
+  tx.client = client;
+  tx.client_ts = ts;
+  tx.settled_below = mark;
+  tx.collection = CollectionId{EnterpriseSet::Single(0)};
+  tx.shards = {0};
+  tx.ops.push_back(TxOp{TxOp::Kind::kAdd, 5, delta, {}});
+  tx.client_sig = sys.env().keystore.Sign(client, tx.Digest());
+  auto req = std::make_shared<RequestMsg>();
+  req->tx = tx;
+  return req;
+}
+
+TEST(OrderingTest, IntakeRefusesRequestsBelowTheSettleMark) {
+  auto sys = QanaatSystem(BaseOpts(ProtocolFamily::kFlattened,
+                                   FailureModel::kCrash, 2, 1));
+  ScriptClient client(&sys.env(), &sys.directory());
+  NodeId primary = sys.directory().Cluster(0).InitialPrimary();
+  // ts 8 says every timestamp below 6 has settled.
+  sys.net().Send(client.id(), primary,
+                 MarkedRequest(sys, client.id(), 8, 6, 100));
+  sys.env().sim.Run(200 * kMillisecond);
+  // Below the mark: refused, although this node never saw ts 5.
+  sys.net().Send(client.id(), primary,
+                 MarkedRequest(sys, client.id(), 5, 5, 10));
+  // A mark above the request's own timestamp: refused too.
+  sys.net().Send(client.id(), primary,
+                 MarkedRequest(sys, client.id(), 9, 10, 1000));
+  // At the mark: admitted.
+  sys.net().Send(client.id(), primary,
+                 MarkedRequest(sys, client.id(), 6, 6, 1));
+  sys.env().sim.Run(600 * kMillisecond);
+  EXPECT_EQ(sys.env().metrics.Get("order.below_settle_mark"), 1u);
+  EXPECT_EQ(sys.env().metrics.Get("order.bad_settle_mark"), 1u);
+  auto v = sys.ordering_node(0, 0)->exec_core().StoreOf(
+      CollectionId{EnterpriseSet::Single(0)}).Get(5);
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(*v, 101);  // ts 8 and ts 6 only
+}
+
+TEST(OrderingTest, OnlyAClientSignedMarkIsHonoured) {
+  // A faulty node can put a made-up transaction in a block, and nothing
+  // checks a proposal's client signatures. Neither a forged proposal
+  // that is only observed nor a forged transaction that commits may
+  // raise the client's mark: a raised mark never comes back down, so
+  // every later request of the client would be refused.
+  auto sys = QanaatSystem(BaseOpts(ProtocolFamily::kFlattened,
+                                   FailureModel::kByzantine, 2, 1));
+  ScriptClient client(&sys.env(), &sys.directory());
+  const ClusterConfig& cc = sys.directory().Cluster(0);
+  const CollectionId d_a{EnterpriseSet::Single(0)};
+  auto forged_block = [&](uint64_t ts, SeqNo n) {
+    Transaction tx;
+    tx.client = client.id();
+    tx.client_ts = ts;
+    tx.settled_below = ts;
+    tx.collection = d_a;
+    tx.shards = {0};
+    tx.ops.push_back(TxOp{TxOp::Kind::kAdd, 9, 1, {}});
+    tx.client_sig = sys.env().keystore.Forge(client.id());
+    auto block = std::make_shared<Block>();
+    block->id.alpha = LocalPart{d_a, 0, n};
+    block->txs = {tx};
+    block->Seal();
+    return block;
+  };
+  auto marks = [&] {
+    std::vector<uint64_t> out;
+    for (size_t i = 0; i < cc.ordering.size(); ++i) {
+      out.push_back(sys.ordering_node(0, static_cast<int>(i))
+                        ->settle_mark(client.id()));
+    }
+    return out;
+  };
+  const std::vector<uint64_t> none(cc.ordering.size(), 0);
+
+  // Observed only: a backup's pre-prepare (the engine ignores it, it is
+  // not the primary's) and another cluster's flattened proposal (its
+  // signature fails).
+  auto pp = std::make_shared<PrePrepareMsg>();
+  pp->value = ConsensusValue::ForBlock(forged_block(1000, 1));
+  pp->value_digest = pp->value.Digest();
+  pp->slot = 1;
+  pp->sig = sys.env().keystore.Sign(cc.ordering[1], pp->value_digest);
+  auto fp = std::make_shared<FProposeMsg>();
+  fp->initiator_cluster = 1;
+  fp->block = forged_block(1001, 1);
+  fp->block_digest = fp->block->Digest();
+  fp->sig = sys.env().keystore.Forge(sys.directory().Cluster(1).ordering[0]);
+  for (NodeId n : cc.ordering) {
+    if (n != cc.ordering[1]) sys.net().Send(cc.ordering[1], n, pp);
+    sys.net().Send(sys.directory().Cluster(1).ordering[0], n, fp);
+  }
+  sys.env().sim.Run(100 * kMillisecond);
+  EXPECT_EQ(marks(), none);
+
+  // Committed: a faulty primary orders a block whose one transaction the
+  // client never signed.
+  OrderingNode* primary = sys.ordering_node(0, 0);
+  primary->engine()->Propose(ConsensusValue::ForBlock(forged_block(2000, 1)));
+  sys.env().sim.Run(400 * kMillisecond);
+  for (size_t i = 0; i < cc.ordering.size(); ++i) {
+    ASSERT_EQ(sys.ordering_node(0, static_cast<int>(i))->committed_txs(), 1u)
+        << "node " << i;
+  }
+  EXPECT_EQ(marks(), none);
+
+  // The client's own next request carries its real mark and commits.
+  sys.net().Send(client.id(), cc.InitialPrimary(),
+                 MarkedRequest(sys, client.id(), 1, 1, 7));
+  sys.env().sim.Run(800 * kMillisecond);
+  EXPECT_EQ(sys.env().metrics.Get("order.below_settle_mark"), 0u);
+  auto v = primary->exec_core().StoreOf(d_a).Get(5);
+  ASSERT_TRUE(v.ok());
+  EXPECT_EQ(*v, 7);
+  EXPECT_EQ(marks(), std::vector<uint64_t>(cc.ordering.size(), 1));
+}
+
 TEST(OrderingTest, IntakeDedupExpiresForAbandonedProposal) {
   // ROADMAP gap: the primary's intake dedup (seen_requests_) used to be
   // permanent, so a transaction stranded in that node's abandoned
@@ -214,6 +336,48 @@ TEST(RequestSetTest, ExtremeTimestamps) {
   EXPECT_TRUE(set.Contains({1, UINT64_MAX}));
   EXPECT_FALSE(set.Contains({1, UINT64_MAX - 1}));
   EXPECT_FALSE(set.Contains({1, 1}));
+}
+
+TEST(RequestSetTest, BelowTheMarkReadsAsCommitted) {
+  RequestSet set;
+  EXPECT_EQ(set.MarkOf(4), 0u);
+  EXPECT_TRUE(set.RaiseMark(4, 10));
+  EXPECT_EQ(set.MarkOf(4), 10u);
+  // Never inserted, yet settled: every timestamp below the mark.
+  for (uint64_t ts : {0u, 1u, 9u}) EXPECT_TRUE(set.Contains({4, ts})) << ts;
+  EXPECT_FALSE(set.Contains({4, 10}));
+  EXPECT_FALSE(set.Contains({5, 9}));  // another client's mark is its own
+  // An insert below the mark stores nothing.
+  set.Insert({4, 3});
+  EXPECT_EQ(set.size(), 0u);
+}
+
+TEST(RequestSetTest, RaisingTheMarkPrunesBelowIt) {
+  RequestSet set;
+  for (uint64_t ts : {2u, 4u, 6u, 8u}) set.Insert({4, ts});
+  set.Insert({5, 3});
+  EXPECT_EQ(set.size(), 5u);
+  EXPECT_TRUE(set.RaiseMark(4, 6));
+  EXPECT_EQ(set.size(), 3u);  // 2 and 4 are gone, 6 and 8 stay
+  EXPECT_TRUE(set.Contains({4, 6}));
+  EXPECT_TRUE(set.Contains({4, 8}));
+  EXPECT_FALSE(set.Contains({4, 7}));
+  EXPECT_TRUE(set.Contains({5, 3}));  // another client keeps its own
+  EXPECT_TRUE(set.RaiseMark(4, 100));
+  EXPECT_EQ(set.size(), 1u);
+}
+
+TEST(RequestSetTest, AMarkNeverMovesBack) {
+  RequestSet set;
+  EXPECT_TRUE(set.RaiseMark(4, 10));
+  EXPECT_FALSE(set.RaiseMark(4, 5));
+  EXPECT_FALSE(set.RaiseMark(4, 10));
+  EXPECT_EQ(set.MarkOf(4), 10u);
+  EXPECT_TRUE(set.Contains({4, 7}));
+  set.Insert({4, 12});
+  EXPECT_FALSE(set.RaiseMark(4, 0));
+  EXPECT_TRUE(set.Contains({4, 12}));
+  EXPECT_EQ(set.size(), 1u);
 }
 
 // ------------------------------------------------ expiring dedup windows

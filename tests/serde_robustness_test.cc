@@ -32,6 +32,7 @@ Transaction SampleTx() {
   Transaction tx;
   tx.client = 7;
   tx.client_ts = 1234;
+  tx.settled_below = 1200;
   tx.collection = CollectionId{EnterpriseSet{0, 2}};
   tx.shards = {1, 3};
   tx.initiator = 2;
@@ -634,46 +635,48 @@ TEST(MessageSerde, NetworkChargesEnvelopePlusBodyPlusStandIn) {
         << c.name;
     EXPECT_TRUE(got.emplace(c.name, c.msg->WireBytes()).second) << c.name;
   }
+  // Every row that carries transactions moved by 8 bytes per transaction
+  // when each gained its client's settle mark (Transaction::settled_below).
   const std::map<std::string, size_t> want = {
       {"BLOCK_FETCH_REQ", 15},
       {"CHECKPOINT", 149},
       {"COMMIT", 75},
       {"COMMIT_QUERY", 63},
-      {"ENDORSE_REQ", 88},
+      {"ENDORSE_REQ", 96},
       {"ENDORSE_RESP", 127},
-      {"EXEC_ORDER", 261},
+      {"EXEC_ORDER", 269},
       {"EXEC_REPLY", 107},
       {"EXEC_REPLY/stuffed", 619},
-      {"FILL_REPLY", 219},
+      {"FILL_REPLY", 227},
       {"FILL_REQUEST", 31},
       {"F_ACCEPT", 82},
       {"F_COMMIT", 84},
-      {"F_PROPOSE", 179},
+      {"F_PROPOSE", 187},
       {"NEW_VIEW", 37},
-      {"ORDERED_BLOCK", 377},
-      {"ORDER_SUBMIT", 187},
+      {"ORDERED_BLOCK", 393},
+      {"ORDER_SUBMIT", 195},
       {"ORDER_SUBMIT/hash_only", 40},
-      {"PAXOS_ACCEPT", 207},
+      {"PAXOS_ACCEPT", 215},
       {"PAXOS_ACCEPTED", 55},
       {"PAXOS_LEARN", 55},
       {"PAXOS_PREPARE", 23},
-      {"PAXOS_PROMISE", 281},
+      {"PAXOS_PROMISE", 289},
       {"PREPARE", 75},
       {"PREPARED_QUERY", 63},
-      {"PRE_PREPARE", 227},
-      {"RAFT_APPEND", 385},
+      {"PRE_PREPARE", 235},
+      {"RAFT_APPEND", 401},
       {"RAFT_APPEND_RESP", 24},
       {"REPLY", 119},
       {"REPLY_CERT", 111},
-      {"REQUEST", 89},
-      {"STATE_REPLY", 331},
+      {"REQUEST", 97},
+      {"STATE_REPLY", 339},
       {"STATE_REQUEST", 47},
       {"VALIDATE_DONE", 45},
-      {"VIEW_CHANGE", 245},
+      {"VIEW_CHANGE", 253},
       {"X_ABORT", 179},
-      {"X_COMMIT", 294},
-      {"X_COMMIT/evidence", 374},
-      {"X_PREPARE", 273},
+      {"X_COMMIT", 302},
+      {"X_COMMIT/evidence", 382},
+      {"X_PREPARE", 281},
       {"X_PREPARED", 208},
   };
   EXPECT_EQ(got, want);
@@ -702,6 +705,9 @@ TEST(MessageSerde, EncodingsMatchPinnedBytes) {
   // The 29 envelope pins moved when the envelope dropped its u32 size
   // field (the network now charges the encoding itself) and REPLY_CERT's
   // certificate dropped its unread reply digest; nothing else moved.
+  // Transaction's body gained the u64 settle mark after the timestamp
+  // (and SampleTx sets it), which moved the 24 pins that hold a
+  // transaction or a digest derived from one.
   std::vector<std::pair<std::string, std::string>> got;
   for (const MessageRef& m : SampleMessages()) {
     Encoder enc;
@@ -747,40 +753,40 @@ TEST(MessageSerde, EncodingsMatchPinnedBytes) {
   }
 
   const std::map<std::string, std::string> want = {
-      {"REQUEST", "396e13220fb93c32"},
-      {"REPLY", "850ed982d5f3ca7c"},
-      {"REPLY_CERT", "683fce519cda696a"},
-      {"PRE_PREPARE", "27c43deb5657e1a6"},
+      {"REQUEST", "95b167a16c7e8729"},
+      {"REPLY", "7c3e8e8f3d487102"},
+      {"REPLY_CERT", "d65ed38d50be9988"},
+      {"PRE_PREPARE", "de79c531d0d2eb95"},
       {"PREPARE", "3c406924ba8304ef"},
       {"COMMIT", "371089844d6633df"},
-      {"VIEW_CHANGE", "df188efed5e30926"},
+      {"VIEW_CHANGE", "dae0cf80e4339da2"},
       {"NEW_VIEW", "e808080e04abe597"},
-      {"PAXOS_ACCEPT", "f65f87d30321716f"},
+      {"PAXOS_ACCEPT", "cdb1f506c6981633"},
       {"PAXOS_ACCEPTED", "2a2fc39792a3cadc"},
       {"PAXOS_LEARN", "c1247c9654b95a4c"},
       {"PAXOS_PREPARE", "9f0313687d42e76b"},
-      {"PAXOS_PROMISE", "be04317d7cfe0c36"},
+      {"PAXOS_PROMISE", "b92ec2578fa9d78d"},
       {"FILL_REQUEST", "a01c2c4a4e373433"},
-      {"FILL_REPLY", "24a372ca73ba801d"},
+      {"FILL_REPLY", "bdb9660b1c8e5aba"},
       {"CHECKPOINT", "4089c01ecb5ab677"},
       {"STATE_REQUEST", "e63555278825907f"},
-      {"STATE_REPLY", "71035eedfdc5db48"},
-      {"X_PREPARE", "aa5b383f00754e81"},
-      {"X_PREPARED", "2fb6a071cd88a55f"},
-      {"X_COMMIT", "685e3476924777ff"},
-      {"X_ABORT", "8a3cf93d1435f9bc"},
-      {"F_PROPOSE", "13d3123a7ef721d7"},
-      {"F_ACCEPT", "c0d6c6be3f1b47ea"},
-      {"F_COMMIT", "cf254f552ea4c217"},
-      {"COMMIT_QUERY", "f52de950be2c9799"},
-      {"PREPARED_QUERY", "110681bd326abd58"},
-      {"EXEC_ORDER", "de3e0d86822878eb"},
-      {"EXEC_REPLY", "792206fc90103923"},
+      {"STATE_REPLY", "2cc2034a8b31481d"},
+      {"X_PREPARE", "978dd3ca17633d48"},
+      {"X_PREPARED", "5b91f15242e585b6"},
+      {"X_COMMIT", "5ff9b18907461188"},
+      {"X_ABORT", "7db0c76df4a5a7df"},
+      {"F_PROPOSE", "a99e514a9f63aa5d"},
+      {"F_ACCEPT", "91cf3e4c2d019014"},
+      {"F_COMMIT", "e7cadc0a98242dd6"},
+      {"COMMIT_QUERY", "9b6f52e9d085b02d"},
+      {"PREPARED_QUERY", "55c8022aa5eda42e"},
+      {"EXEC_ORDER", "46e0ffe261e2aef8"},
+      {"EXEC_REPLY", "0be263421d7a6808"},
       {"TxId", "f82c29defe995a49"},
-      {"Transaction", "250edd47bd0def91"},
-      {"Block", "9ec1fe9765f66f25"},
-      {"Transaction::Digest", "268edb090d99b473"},
-      {"Block::Digest", "afc961ab765ecaa9"},
+      {"Transaction", "398961089d1d6106"},
+      {"Block", "53866e5f5d7eb53e"},
+      {"Transaction::Digest", "332633dc2cb4065c"},
+      {"Block::Digest", "b1f9a9b60d9870b8"},
       {"ThresholdCert", "f23d99add27e92e9"},
       {"ExecReplyMsg::Signable", "26244f6ca9086d1d"},
       {"plan/none", "2668c1b741c77bbb"},

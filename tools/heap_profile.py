@@ -20,6 +20,12 @@ frame just inside the one the group is named after (the container or
 helper that allocated) and the frame just outside it (the caller), each
 context largest first. A group that holds too much names its function;
 its contexts name the structure. Repeat --detail for several groups.
+
+    python3 tools/heap_profile.py --diff BEFORE AFTER
+
+compares two dumps instead, say of a change and of its parent: a
+Markdown table of each group's MB in BEFORE and in AFTER and the change,
+largest change first.
 """
 
 import argparse
@@ -195,13 +201,44 @@ def print_rows(rows, total, column):
                                          blocks, label))
 
 
+def diff_groups(before, after):
+    """Returns [(group, bytes before, bytes after)] over the groups of
+    either {group: [bytes, blocks]} map, largest change first."""
+    rows = [(g, before.get(g, [0, 0])[0], after.get(g, [0, 0])[0])
+            for g in set(before) | set(after)]
+    rows.sort(key=lambda r: (-abs(r[2] - r[1]), r[0]))
+    return rows
+
+
+def print_diff(before_path, after_path):
+    sides = []
+    for path in (before_path, after_path):
+        header, stacks, modules = parse_dump(path)
+        sides.append((header.get("peak_live_bytes", 0),
+                      group_stacks(stacks, modules)))
+    print("peak live heap %.1f MB -> %.1f MB" %
+          (sides[0][0] / 1e6, sides[1][0] / 1e6))
+    print("| group | before (MB) | after (MB) | change (MB) |")
+    print("|---|---:|---:|---:|")
+    for group, before, after in diff_groups(sides[0][1], sides[1][1]):
+        print("| `%s` | %.2f | %.2f | %+.2f |" %
+              (group, before / 1e6, after / 1e6, (after - before) / 1e6))
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("dump")
+    ap.add_argument("dump", nargs="?")
     ap.add_argument("--detail", metavar="GROUP", action="append",
                     help="split GROUP by the frames around its own "
                     "(repeatable; the dump is symbolized once)")
+    ap.add_argument("--diff", nargs=2, metavar=("BEFORE", "AFTER"),
+                    help="compare two dumps group by group")
     args = ap.parse_args()
+    if args.diff:
+        print_diff(*args.diff)
+        return 0
+    if args.dump is None:
+        ap.error("a dump, or --diff BEFORE AFTER, is required")
 
     header, stacks, modules = parse_dump(args.dump)
     if args.detail:

@@ -131,6 +131,40 @@ class DetailTest(unittest.TestCase):
         self.assertNotEqual(missing.returncode, 0)
 
 
+class DiffTest(unittest.TestCase):
+    def dump(self, d, name, peak, stacks):
+        path = os.path.join(d, name)
+        with open(path, "w") as f:
+            f.write("# heap_profile v1\npeak_live_bytes %d\n" % peak)
+            for nbytes, off in stacks:
+                f.write("stack %d 1 0:%x\n" % (nbytes, off))
+            f.write("module 0 0 %s\n" % os.path.join(d, "qbench"))
+        return path
+
+    def test_groups_are_listed_largest_change_first(self):
+        # 0x10 shrinks by 3 MB, 0x20 is gone (2 MB), 0x30 is new (1 MB)
+        # and 0x40 does not change; unresolved frames name the groups.
+        with tempfile.TemporaryDirectory() as d:
+            before = self.dump(d, "before.txt", 9000000,
+                               [(5000000, 0x10), (2000000, 0x20),
+                                (2000000, 0x40)])
+            after = self.dump(d, "after.txt", 5000000,
+                              [(2000000, 0x10), (1000000, 0x30),
+                               (2000000, 0x40)])
+            run = subprocess.run(
+                [sys.executable, os.path.join(HERE, "heap_profile.py"),
+                 "--diff", before, after],
+                capture_output=True, text=True, check=True)
+        lines = run.stdout.splitlines()
+        self.assertEqual(lines[0], "peak live heap 9.0 MB -> 5.0 MB")
+        self.assertEqual(lines[3:], [
+            "| `qbench+0x10` | 5.00 | 2.00 | -3.00 |",
+            "| `qbench+0x20` | 2.00 | 0.00 | -2.00 |",
+            "| `qbench+0x30` | 0.00 | 1.00 | +1.00 |",
+            "| `qbench+0x40` | 2.00 | 2.00 | +0.00 |",
+        ])
+
+
 class ProfileRunTest(unittest.TestCase):
     def test_known_sites_are_live_at_peak(self):
         with tempfile.TemporaryDirectory() as d:
