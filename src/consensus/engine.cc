@@ -1,7 +1,8 @@
-// Certified checkpoints, shared by both internal-consensus engines
-// (paper §4.1 runs PBFT or Multi-Paxos inside each cluster; both need
-// the classic PBFT-style stable checkpoint to garbage-collect slot state
-// and to anchor recovering replicas).
+// The core both internal-consensus engines share (paper §4.1 runs PBFT
+// or Multi-Paxos inside each cluster): the proposal pipeline, the
+// delivery frontier and certified checkpoints. Both engines need the
+// classic PBFT-style stable checkpoint to garbage-collect slot state and
+// to anchor recovering replicas.
 //
 // The checkpointed object is the *consensus history*: a digest chained
 // over the value digest of every delivered slot. Unlike the application
@@ -21,6 +22,53 @@ namespace qanaat {
 namespace {
 constexpr uint64_t kHistorySalt = 0x48495354u;  // "HIST"
 }  // namespace
+
+void InternalConsensus::Propose(const ConsensusValue& v) {
+  if (!IsPrimary()) {
+    ctx_.env->metrics.Inc(counters_.propose_on_non_primary);
+    return;
+  }
+  // Pipelining: cap concurrently open slots; excess proposals queue and
+  // start as earlier slots decide. A proposal the engine cannot start yet
+  // (a pre-prepare in a dying view, a ballot still in phase 1) queues too.
+  if (AtPipelineCap() || !CanStartSlot()) {
+    propose_queue_.push_back(v);
+    ctx_.env->metrics.Inc(counters_.proposal_queued);
+    return;
+  }
+  StartSlot(v);
+}
+
+void InternalConsensus::DrainProposeQueue() {
+  while (!propose_queue_.empty() && IsPrimary() && CanStartSlot() &&
+         !AtPipelineCap()) {
+    ConsensusValue v = std::move(propose_queue_.front());
+    propose_queue_.pop_front();
+    StartSlot(v);
+  }
+}
+
+void InternalConsensus::DropProposeQueue() {
+  if (propose_queue_.empty()) return;
+  ctx_.env->metrics.Inc(counters_.queue_dropped, propose_queue_.size());
+  propose_queue_.clear();
+}
+
+NodeId InternalConsensus::NextPeer(int* cursor) const {
+  NodeId peer = ctx_.self;
+  for (int i = 0; i < static_cast<int>(ClusterSize()) && peer == ctx_.self;
+       ++i) {
+    peer = ctx_.cluster[(ctx_.self_index + 1 + (*cursor)++) % ClusterSize()];
+  }
+  return peer;
+}
+
+void InternalConsensus::AdvanceFrontierTo(uint64_t slot) {
+  last_delivered_ = slot;
+  max_decided_ = std::max(max_decided_, slot);
+  next_slot_ = std::max(next_slot_, slot + 1);
+  FrontierAdvanced();
+}
 
 const Sha256Digest& InternalConsensus::CkptSignableFor(
     uint64_t slot, const Sha256Digest& digest) {

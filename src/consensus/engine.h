@@ -2,9 +2,11 @@
 #define QANAAT_CONSENSUS_ENGINE_H_
 
 #include <algorithm>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -184,16 +186,30 @@ struct EngineContext {
   std::function<void(ViewNo view, NodeId new_primary)> on_view_change;
 };
 
+/// Counter names under which an engine reports the shared proposal
+/// pipeline's events (each engine keeps its own vocabulary).
+struct PipelineCounters {
+  const char* propose_on_non_primary;
+  const char* proposal_queued;
+  /// Proposals dropped because leadership moved (view change, takeover).
+  const char* queue_dropped;
+};
+
 /// Pluggable intra-cluster consensus (paper §4.1): PBFT when the cluster
 /// declares the Byzantine failure model, Multi-Paxos when crash-only.
+///
+/// The base owns what both engines keep: the view (Paxos calls it the
+/// ballot) and its primary, the delivery frontier, the proposal pipeline
+/// and the certified checkpoints. SlotEngine below adds the slot table;
+/// the engines keep their message handlers, vote rules and timers.
 class InternalConsensus {
  public:
-  explicit InternalConsensus(EngineContext ctx) : ctx_(std::move(ctx)) {}
   virtual ~InternalConsensus() = default;
 
-  /// Primary-side: order `v`. No-op with a warning metric if called on a
-  /// non-primary.
-  virtual void Propose(const ConsensusValue& v) = 0;
+  /// Primary-side: order `v`. On a non-primary it only counts the
+  /// refusal. Past the pipeline-depth cap, or while the engine cannot
+  /// start a slot (CanStartSlot), `v` queues and starts as slots decide.
+  void Propose(const ConsensusValue& v);
 
   /// Feed a consensus protocol message from `from`.
   virtual void OnMessage(NodeId from, const MessageRef& msg) = 0;
@@ -205,7 +221,7 @@ class InternalConsensus {
   /// crash epoch, so armed-flags must reset or the machinery they guard
   /// (gap fills, slot watchdogs, view fetches) stays disabled forever in
   /// the recovered life.
-  virtual void OnHostCrash() {}
+  virtual void OnHostCrash() { gap_timer_armed_ = false; }
   /// Host recovery notification: re-arm whatever the current state
   /// warrants (a detected gap, a half-finished takeover).
   virtual void OnHostRecover() {}
@@ -223,9 +239,9 @@ class InternalConsensus {
   /// model, exactly like the paper's assumption).
   virtual void SetEquivocate(bool /*on*/) {}
 
-  virtual bool IsPrimary() const = 0;
-  virtual NodeId PrimaryNode() const = 0;
-  virtual ViewNo view() const = 0;
+  bool IsPrimary() const { return PrimaryNode() == ctx_.self; }
+  NodeId PrimaryNode() const { return PrimaryOf(view_); }
+  ViewNo view() const { return view_; }
 
   /// Signatures from the local quorum proving a slot committed; used by
   /// the cross-cluster protocols to build cluster-signed messages
@@ -237,13 +253,13 @@ class InternalConsensus {
 
   /// Highest slot this node has delivered (consensus progress counter;
   /// hosts use it to distinguish a dead primary from a parked request).
-  virtual uint64_t LastDelivered() const { return 0; }
+  uint64_t LastDelivered() const { return last_delivered_; }
 
-  /// Slots this node proposed that have not yet committed (primary side;
+  /// Slots this node proposed that have not yet decided (primary side;
   /// bounded by ctx_.pipeline_depth when that is non-zero).
-  virtual size_t InFlight() const { return 0; }
+  size_t InFlight() const { return my_open_slots_.size(); }
   /// Proposals waiting behind the pipeline-depth cap.
-  virtual size_t QueuedProposals() const { return 0; }
+  size_t QueuedProposals() const { return propose_queue_.size(); }
 
   // ---- certified checkpoints (shared by both engines) -----------------
 
@@ -258,7 +274,7 @@ class InternalConsensus {
   const Sha256Digest& history_digest() const { return ckpt_history_; }
 
   /// Test/audit surface: is per-slot state for `slot` still retained?
-  virtual bool HasSlotState(uint64_t) const { return false; }
+  virtual bool HasSlotState(uint64_t slot) const = 0;
 
   /// Installs a verified stable checkpoint, called by the host after it
   /// fetched and installed the corresponding ledger state from a peer.
@@ -270,7 +286,56 @@ class InternalConsensus {
   static constexpr uint64_t kEngineTimerBase = 1u << 20;
 
  protected:
+  InternalConsensus(EngineContext ctx, int f, SimTime base_timeout_us,
+                    const PipelineCounters& counters)
+      : ctx_(std::move(ctx)),
+        f_(f),
+        base_timeout_(base_timeout_us),
+        counters_(counters) {}
+
   size_t ClusterSize() const { return ctx_.cluster.size(); }
+  /// Primary rotation: view v is led by cluster[v % n].
+  NodeId PrimaryOf(ViewNo v) const {
+    return ctx_.cluster[v % ClusterSize()];
+  }
+  /// The next peer after this node in round-robin order, advancing
+  /// `*cursor`; this node itself only in a one-node cluster.
+  NodeId NextPeer(int* cursor) const;
+
+  // ---- proposal pipeline ----------------------------------------------
+
+  bool AtPipelineCap() const {
+    return ctx_.pipeline_depth > 0 &&
+           my_open_slots_.size() >= ctx_.pipeline_depth;
+  }
+  /// Starts queued proposals while this node may (primary, CanStartSlot,
+  /// below the cap).
+  void DrainProposeQueue();
+  /// Leadership moved: queued proposals can only be driven by the new
+  /// leader (clients retransmit there), and re-proposing them later
+  /// could duplicate transactions an interim leader already committed.
+  void DropProposeQueue();
+  /// A slot decided: it no longer counts against the pipeline cap.
+  void NoteDecided(uint64_t slot) {
+    max_decided_ = std::max(max_decided_, slot);
+    my_open_slots_.Erase(slot);
+  }
+
+  /// Engine hook: whether the primary may open a slot now (PBFT: not in
+  /// a view change; Paxos: phase 1 done).
+  virtual bool CanStartSlot() const = 0;
+  /// Engine hook: open and drive a slot for `v` (the caller checked
+  /// IsPrimary, CanStartSlot and the cap).
+  virtual void StartSlot(const ConsensusValue& v) = 0;
+
+  // ---- delivery frontier ----------------------------------------------
+
+  /// Engine hook: the frontier moved by a delivered slot or an installed
+  /// checkpoint (before the host hears of the slot).
+  virtual void FrontierAdvanced() {}
+  /// Engine hook: arm the gap watchdog if a decided slot sits beyond a
+  /// stuck frontier (guarded by gap_timer_armed_).
+  virtual void MaybeArmGapTimer() = 0;
 
   /// Folds a delivered slot into the history digest; at interval
   /// boundaries broadcasts a CHECKPOINT vote (and self-tallies it).
@@ -282,18 +347,29 @@ class InternalConsensus {
   /// CFT engines authenticate with MACs: checkpoint votes then charge no
   /// signature verification at the receiver.
   virtual bool CheapCheckpointAuth() const { return false; }
-  /// Engine hook: drop per-slot consensus state at or below `slot`.
+  /// Drops per-slot consensus state at or below `slot`.
   virtual void GarbageCollectBelow(uint64_t slot) = 0;
-  /// Engine hook: jump the delivery frontier to the certified `slot`
-  /// (the host already installed the application state).
-  virtual void AdvanceFrontierTo(uint64_t slot) = 0;
-  /// Engine hook: flush deliveries/proposals unblocked by an installed
+  /// Flushes deliveries and proposals unblocked by an installed
   /// checkpoint (committed slots above it, queued proposals).
-  virtual void ResumeAfterInstall() {}
+  virtual void ResumeAfterInstall() = 0;
 
   EngineContext ctx_;
+  const int f_;
+  const SimTime base_timeout_;
+  /// The current view; Paxos's ballot.
+  ViewNo view_ = 0;
+  uint64_t next_slot_ = 1;  // primary's next proposal slot
+  uint64_t last_delivered_ = 0;
+  uint64_t max_decided_ = 0;  // highest locally decided slot
+  bool gap_timer_armed_ = false;
+  // Pipelining: slots we proposed that have not decided yet.
+  SortedVec<uint64_t> my_open_slots_;
 
  private:
+  /// Jumps the delivery frontier to the certified `slot` (the host
+  /// already installed the application state).
+  void AdvanceFrontierTo(uint64_t slot);
+
   /// Single-entry memo for CheckpointSignable(slot, digest): votes for
   /// one boundary arrive in a burst (own sign + one verify per peer), so
   /// the same signable is derived N+1 times per interval without it.
@@ -307,6 +383,10 @@ class InternalConsensus {
   /// host for state transfer.
   void ProcessStable(const CheckpointCertificate& cert);
   void AdoptStable(const CheckpointCertificate& cert);
+
+  const PipelineCounters counters_;
+  // Proposals queued behind the pipeline-depth cap.
+  std::deque<ConsensusValue> propose_queue_;
 
   Sha256Digest ckpt_history_;
   /// Our own history digest at each interval boundary we delivered.
@@ -322,6 +402,111 @@ class InternalConsensus {
   uint64_t ckpt_signable_slot_ = 0;
   Sha256Digest ckpt_signable_for_;
   Sha256Digest ckpt_signable_;
+};
+
+/// The per-slot fields the shared core reads and writes. Each engine's
+/// slot record extends it with its votes and phase flags, and defines
+/// `bool Deliverable() const` (decided, not yet delivered).
+struct SlotRecord {
+  ViewNo view = 0;  // Paxos: the ballot the value was accepted at
+  ConsensusValue value;
+  Sha256Digest digest;
+  bool delivered = false;
+  bool timer_armed = false;
+};
+
+/// The slot table both engines keep, over each engine's slot record:
+/// in-order delivery, garbage collection and the ordered walk that
+/// VIEW-CHANGE and PROMISE messages are built from.
+template <typename Slot>
+class SlotEngine : public InternalConsensus {
+ public:
+  bool HasSlotState(uint64_t slot) const final {
+    return slots_.count(slot) > 0;
+  }
+
+  void OnHostCrash() override {
+    InternalConsensus::OnHostCrash();
+    for (auto& [slot, st] : slots_) st.timer_armed = false;
+  }
+
+ protected:
+  SlotEngine(EngineContext ctx, int f, SimTime base_timeout_us,
+             const PipelineCounters& counters)
+      : InternalConsensus(std::move(ctx), f, base_timeout_us, counters) {
+    slots_.reserve(1 << 12);
+  }
+
+  /// Takes the next slot number for `v` on the primary: records the value
+  /// under the current view and counts the slot open.
+  std::pair<uint64_t, Slot*> OpenSlot(const ConsensusValue& v) {
+    uint64_t slot = next_slot_++;
+    Slot& st = slots_[slot];
+    st.view = view_;
+    st.value = v;
+    st.digest = v.Digest();
+    my_open_slots_.Insert(slot);
+    return {slot, &st};
+  }
+
+  /// Delivers every consecutive deliverable slot past the frontier, then
+  /// lets the engine watch for a gap.
+  void DeliverReady() {
+    while (true) {
+      auto it = slots_.find(last_delivered_ + 1);
+      if (it == slots_.end() || !it->second.Deliverable()) break;
+      it->second.delivered = true;
+      ++last_delivered_;
+      FrontierAdvanced();
+      uint64_t slot = it->first;
+      Sha256Digest vd = it->second.digest;
+      // Copy the value out before delivering: the host callback can
+      // re-enter the engine (propose, install a checkpoint), and an
+      // insert-triggered rehash of the flat slot map would invalidate a
+      // reference into it mid-call.
+      ConsensusValue v = it->second.value;
+      ctx_.deliver(slot, v);
+      NoteDelivered(last_delivered_, vd);
+    }
+    MaybeArmGapTimer();
+  }
+
+  void GarbageCollectBelow(uint64_t slot) override {
+    for (auto it = slots_.begin(); it != slots_.end();) {
+      it = it->first <= slot ? slots_.erase(it) : std::next(it);
+    }
+    my_open_slots_.EraseUpTo(slot);
+  }
+
+  void ResumeAfterInstall() final {
+    // Slots above the installed checkpoint may already be decided locally
+    // (they arrived while the transfer ran): flush them now.
+    DeliverReady();
+    ResumeAfterDelivery();
+    DrainProposeQueue();
+  }
+  /// Engine hook: runs between the flush and the queue drain of
+  /// ResumeAfterInstall.
+  virtual void ResumeAfterDelivery() {}
+
+  /// Slots whose record passes `keep(slot, st)`, in ascending slot order:
+  /// the table is a hash map, and messages built from it must list slots
+  /// in a fixed order (message contents feed the replay trace).
+  template <typename Keep>
+  std::vector<std::pair<uint64_t, const Slot*>> SlotsAscending(
+      Keep keep) const {
+    std::vector<std::pair<uint64_t, const Slot*>> out;
+    for (const auto& [slot, st] : slots_) {
+      if (keep(slot, st)) out.emplace_back(slot, &st);
+    }
+    std::sort(out.begin(), out.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    return out;
+  }
+
+  // A hash map: every message touches its slot a few times, and runs
+  // accumulate tens of thousands of slots.
+  std::unordered_map<uint64_t, Slot> slots_;
 };
 
 }  // namespace qanaat

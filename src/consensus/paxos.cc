@@ -5,33 +5,17 @@
 namespace qanaat {
 
 PaxosEngine::PaxosEngine(EngineContext ctx, int f, SimTime base_timeout_us)
-    : InternalConsensus(std::move(ctx)),
-      f_(f),
-      base_timeout_(base_timeout_us) {
-  slots_.reserve(1 << 12);
+    : SlotEngine(std::move(ctx), f, base_timeout_us,
+                 {"paxos.propose_on_follower", "paxos.proposal_queued",
+                  "paxos.queue_dropped_on_takeover"}) {
   // Ballot 0 belongs to index 0 with an empty history: it leads from the
   // start without a phase-1.
-  leading_ = (ctx_.cluster[0] == ctx_.self);
+  leading_ = IsPrimary();
 }
 
-void PaxosEngine::Propose(const ConsensusValue& v) {
-  if (!IsPrimary()) {
-    ctx_.env->metrics.Inc("paxos.propose_on_follower");
-    return;
-  }
-  // Queue while phase-1 is still gathering promises, and past the
-  // pipelining cap; queued proposals start as slots learn.
-  if (!leading_ || AtPipelineCap()) {
-    propose_queue_.push_back(v);
-    ctx_.env->metrics.Inc("paxos.proposal_queued");
-    return;
-  }
-  StartSlot(v);
-}
-
-void PaxosEngine::BroadcastAccept(uint64_t slot, const SlotState& st) {
+void PaxosEngine::BroadcastAccept(uint64_t slot, const PaxosSlot& st) {
   auto acc = std::make_shared<PaxosAcceptMsg>();
-  acc->ballot = ballot_;
+  acc->ballot = view_;
   acc->slot = slot;
   acc->value = st.value;
   acc->value_digest = st.digest;
@@ -39,14 +23,10 @@ void PaxosEngine::BroadcastAccept(uint64_t slot, const SlotState& st) {
 }
 
 void PaxosEngine::StartSlot(const ConsensusValue& v) {
-  uint64_t slot = next_slot_++;
-  SlotState& st = slots_[slot];
-  st.ballot = ballot_;
-  st.value = v;
-  st.digest = v.Digest();
+  auto [slot, open] = OpenSlot(v);
+  PaxosSlot& st = *open;
   st.have_value = true;
   st.accepted.Insert(ctx_.self);
-  my_open_slots_.Insert(slot);
 
   BroadcastAccept(slot, st);
   ArmSlotTimer(slot, st);
@@ -58,20 +38,10 @@ void PaxosEngine::StartSlot(const ConsensusValue& v) {
   }
 }
 
-void PaxosEngine::MarkLearned(uint64_t slot, SlotState& st) {
+void PaxosEngine::MarkLearned(uint64_t slot, PaxosSlot& st) {
   st.learned = true;
-  max_learned_ = std::max(max_learned_, slot);
-  my_open_slots_.Erase(slot);
+  NoteDecided(slot);
   DrainProposeQueue();
-}
-
-void PaxosEngine::DrainProposeQueue() {
-  while (!propose_queue_.empty() && IsPrimary() && leading_ &&
-         !AtPipelineCap()) {
-    ConsensusValue v = std::move(propose_queue_.front());
-    propose_queue_.pop_front();
-    StartSlot(v);
-  }
 }
 
 void PaxosEngine::OnMessage(NodeId from, const MessageRef& msg) {
@@ -99,16 +69,9 @@ void PaxosEngine::OnMessage(NodeId from, const MessageRef& msg) {
   }
 }
 
-void PaxosEngine::DropProposeQueue() {
-  if (propose_queue_.empty()) return;
-  ctx_.env->metrics.Inc("paxos.queue_dropped_on_takeover",
-                        propose_queue_.size());
-  propose_queue_.clear();
-}
-
 void PaxosEngine::ObserveBallot(uint64_t b) {
-  if (b <= ballot_) return;
-  ballot_ = b;
+  if (b <= view_) return;
+  view_ = b;
   // Leadership moved past us: queued proposals can only be driven by
   // the new leader (clients retransmit there). Re-proposing them on a
   // later takeover would duplicate already-committed transactions.
@@ -119,7 +82,7 @@ void PaxosEngine::ObserveBallot(uint64_t b) {
 }
 
 void PaxosEngine::HandleAccept(NodeId from, const PaxosAcceptMsg& m) {
-  if (m.ballot < promised_ || m.ballot < ballot_) return;  // stale leader
+  if (m.ballot < promised_ || m.ballot < view_) return;  // stale leader
   promised_ = std::max(promised_, m.ballot);
   ObserveBallot(m.ballot);
   if (from != PrimaryNode()) return;
@@ -137,7 +100,7 @@ void PaxosEngine::HandleAccept(NodeId from, const PaxosAcceptMsg& m) {
     return;
   }
   if (it == slots_.end()) it = slots_.try_emplace(m.slot).first;
-  SlotState& st = it->second;
+  PaxosSlot& st = it->second;
   if (st.delivered) {
     // Already applied here, but the (new) leader may be re-driving the
     // slot to finish its own catch-up: ack the decided value so it can
@@ -158,7 +121,7 @@ void PaxosEngine::HandleAccept(NodeId from, const PaxosAcceptMsg& m) {
     ctx_.env->metrics.Inc("paxos.conflicting_accept_ignored");
     return;
   }
-  st.ballot = m.ballot;
+  st.view = m.ballot;
   st.value = m.value;
   st.digest = m.value_digest;
   st.have_value = true;
@@ -180,8 +143,8 @@ void PaxosEngine::HandleAccept(NodeId from, const PaxosAcceptMsg& m) {
 }
 
 void PaxosEngine::HandleAccepted(NodeId from, const PaxosAcceptedMsg& m) {
-  if (m.ballot != ballot_ || !IsPrimary() || !leading_) return;
-  SlotState& st = slots_[m.slot];
+  if (m.ballot != view_ || !IsPrimary() || !leading_) return;
+  PaxosSlot& st = slots_[m.slot];
   if (!st.have_value || st.digest != m.value_digest) return;
   st.accepted.Insert(from);
   if (st.learned || st.accepted.size() < Quorum()) return;
@@ -195,10 +158,10 @@ void PaxosEngine::HandleAccepted(NodeId from, const PaxosAcceptedMsg& m) {
 }
 
 void PaxosEngine::HandleLearn(NodeId from, const PaxosLearnMsg& m) {
-  if (from != ctx_.cluster[m.ballot % ClusterSize()]) return;
+  if (from != PrimaryOf(m.ballot)) return;
   ObserveBallot(m.ballot);
   if (m.slot <= last_delivered_) return;  // delivered (possibly GC'd)
-  SlotState& st = slots_[m.slot];
+  PaxosSlot& st = slots_[m.slot];
   if (!st.have_value || st.digest != m.value_digest) {
     // Value not seen yet (the LEARN overtook its ACCEPT). Buffer the
     // decision: HandleAccept consumes it when the value arrives. Dropping
@@ -212,53 +175,20 @@ void PaxosEngine::HandleLearn(NodeId from, const PaxosLearnMsg& m) {
   DeliverReady();
 }
 
-void PaxosEngine::DeliverReady() {
-  while (true) {
-    auto it = slots_.find(last_delivered_ + 1);
-    if (it == slots_.end() || !it->second.learned || it->second.delivered ||
-        !it->second.have_value) {
-      break;
-    }
-    it->second.delivered = true;
-    ++last_delivered_;
-    uint64_t slot = it->first;
-    Sha256Digest vd = it->second.digest;
-    // Copy the value out before delivering: the host callback can
-    // re-enter the engine (propose, install a checkpoint), and an
-    // insert-triggered rehash of the flat slot map would invalidate a
-    // reference into it mid-call.
-    ConsensusValue v = it->second.value;
-    ctx_.deliver(slot, v);
-    NoteDelivered(last_delivered_, vd);
-  }
-  MaybeArmGapTimer();
-}
-
 void PaxosEngine::GarbageCollectBelow(uint64_t slot) {
-  for (auto it = slots_.begin(); it != slots_.end();) {
-    it = it->first <= slot ? slots_.erase(it) : std::next(it);
-  }
-  my_open_slots_.EraseUpTo(slot);
+  SlotEngine::GarbageCollectBelow(slot);
   for (auto it = gathered_.begin(); it != gathered_.end();) {
     it = it->first <= slot ? gathered_.erase(it) : std::next(it);
   }
 }
 
-void PaxosEngine::AdvanceFrontierTo(uint64_t slot) {
-  last_delivered_ = slot;
-  max_learned_ = std::max(max_learned_, slot);
-  next_slot_ = std::max(next_slot_, slot + 1);
-}
-
-void PaxosEngine::ResumeAfterInstall() {
-  DeliverReady();
+void PaxosEngine::ResumeAfterDelivery() {
   // A takeover parked behind the transfer can finish now: the certified
   // frontier is installed, so phase-1 no longer spans GC'd slots.
   if (awaiting_transfer_ <= last_delivered_ && !leading_ && IsPrimary() &&
       promises_.size() >= Quorum()) {
     FinishTakeover();
   }
-  DrainProposeQueue();
 }
 
 void PaxosEngine::MaybeArmGapTimer() {
@@ -267,14 +197,14 @@ void PaxosEngine::MaybeArmGapTimer() {
   // partitioned, or unlucky — and no slot timer exists for a slot we
   // never heard of. Take over after a timeout: phase-1 promises carry
   // every accepted value above our frontier, closing the gap.
-  if (gap_timer_armed_ || max_learned_ <= last_delivered_ + 1) return;
+  if (gap_timer_armed_ || max_decided_ <= last_delivered_ + 1) return;
   auto it = slots_.find(last_delivered_ + 1);
   if (it != slots_.end() && it->second.learned) return;  // will deliver
   gap_timer_armed_ = true;
   ctx_.start_timer(base_timeout_, kTagGapTimeout, last_delivered_);
 }
 
-void PaxosEngine::ArmSlotTimer(uint64_t slot, SlotState& st) {
+void PaxosEngine::ArmSlotTimer(uint64_t slot, PaxosSlot& st) {
   if (st.timer_armed || st.learned) return;
   st.timer_armed = true;
   ctx_.start_timer(base_timeout_, kTagSlotTimeout, slot);
@@ -286,19 +216,12 @@ void PaxosEngine::SuspectPrimary() {
   TakeOver();
 }
 
-void PaxosEngine::OnHostCrash() {
-  // Armed-timer flags must not outlive the timers (the crash epoch kills
-  // every pending one), or gap detection stays disabled after recovery.
-  gap_timer_armed_ = false;
-  for (auto& [slot, st] : slots_) st.timer_armed = false;
-}
-
 void PaxosEngine::OnHostRecover() {
   MaybeArmGapTimer();
-  if (IsPrimary() && !leading_ && ballot_ > 0) {
+  if (IsPrimary() && !leading_ && view_ > 0) {
     // Mid-takeover crash: the phase-1 retry timer died with the old
     // life; restart the solicitation or the ballot stalls forever.
-    ctx_.start_timer(base_timeout_, kTagTakeoverRetry, ballot_);
+    ctx_.start_timer(base_timeout_, kTagTakeoverRetry, view_);
   }
 }
 
@@ -306,13 +229,13 @@ void PaxosEngine::OnTimer(uint64_t tag, uint64_t payload) {
   if (tag == kTagTakeoverRetry) {
     // Phase-1 stalled (promises lost or a quorum unreachable): re-solicit
     // while the ballot is still ours and unfinished.
-    if (leading_ || ballot_ != payload || !IsPrimary()) return;
+    if (leading_ || view_ != payload || !IsPrimary()) return;
     ctx_.env->metrics.Inc("paxos.takeover_retry");
     auto prep = std::make_shared<PaxosPrepareMsg>();
-    prep->ballot = ballot_;
+    prep->ballot = view_;
     prep->last_delivered = last_delivered_;
     ctx_.broadcast(prep);
-    ctx_.start_timer(base_timeout_, kTagTakeoverRetry, ballot_);
+    ctx_.start_timer(base_timeout_, kTagTakeoverRetry, view_);
     return;
   }
   if (tag == kTagGapTimeout) {
@@ -328,7 +251,7 @@ void PaxosEngine::OnTimer(uint64_t tag, uint64_t payload) {
   if (tag != kTagSlotTimeout) return;
   auto it = slots_.find(payload);
   if (it == slots_.end()) return;
-  SlotState& st = it->second;
+  PaxosSlot& st = it->second;
   st.timer_armed = false;
   if (st.learned) return;
   TakeOver();
@@ -340,13 +263,13 @@ void PaxosEngine::TakeOver() {
   // here could duplicate transactions an interim leader already
   // committed.
   DropProposeQueue();
-  uint64_t nb = ballot_ + 1;
-  while (ctx_.cluster[nb % ClusterSize()] != ctx_.self) ++nb;
-  ballot_ = nb;
+  uint64_t nb = view_ + 1;
+  while (PrimaryOf(nb) != ctx_.self) ++nb;
+  view_ = nb;
   promised_ = std::max(promised_, nb);
   leading_ = false;
   ctx_.env->metrics.Inc("paxos.leader_takeover");
-  if (ctx_.on_view_change) ctx_.on_view_change(ballot_, ctx_.self);
+  if (ctx_.on_view_change) ctx_.on_view_change(view_, ctx_.self);
 
   // Phase-1: gather what a quorum has accepted before driving anything.
   promises_.clear();
@@ -354,17 +277,17 @@ void PaxosEngine::TakeOver() {
   promises_.Insert(ctx_.self);
   for (const auto& [slot, st] : slots_) {
     if (st.have_value && slot > last_delivered_) {
-      MergeGathered(slot, st.ballot, st.value, st.digest);
+      MergeGathered(slot, st.view, st.value, st.digest);
     }
   }
   auto prep = std::make_shared<PaxosPrepareMsg>();
-  prep->ballot = ballot_;
+  prep->ballot = view_;
   prep->last_delivered = last_delivered_;
   ctx_.broadcast(prep);
   if (promises_.size() >= Quorum()) {
     FinishTakeover();  // f = 0 degenerate case
   } else {
-    ctx_.start_timer(base_timeout_, kTagTakeoverRetry, ballot_);
+    ctx_.start_timer(base_timeout_, kTagTakeoverRetry, view_);
   }
 }
 
@@ -387,25 +310,15 @@ void PaxosEngine::HandlePrepare(NodeId from, const PaxosPrepareMsg& m) {
   ObserveBallot(m.ballot);
   auto pr = std::make_shared<PaxosPromiseMsg>();
   pr->ballot = m.ballot;
-  // Gather accepted slots in ascending slot order: slots_ is a hash map,
-  // but the emitted promise must keep the deterministic order the old
-  // ordered map produced (message contents feed the replay trace).
-  std::vector<const std::pair<const uint64_t, SlotState>*> accepted_slots;
-  for (const auto& entry : slots_) {
-    if (!entry.second.have_value || entry.first <= m.last_delivered) {
-      continue;
-    }
-    accepted_slots.push_back(&entry);
-  }
-  std::sort(accepted_slots.begin(), accepted_slots.end(),
-            [](const auto* a, const auto* b) { return a->first < b->first; });
-  for (const auto* entry : accepted_slots) {
-    const SlotState& st = entry->second;
+  auto accepted = SlotsAscending([&](uint64_t slot, const PaxosSlot& st) {
+    return st.have_value && slot > m.last_delivered;
+  });
+  for (const auto& [slot, st] : accepted) {
     PaxosAcceptedSlot a;
-    a.slot = entry->first;
-    a.ballot = st.ballot;
-    a.value = st.value;
-    a.digest = st.digest;
+    a.slot = slot;
+    a.ballot = st->view;
+    a.value = st->value;
+    a.digest = st->digest;
     pr->accepted.push_back(std::move(a));
   }
   // Report our stable checkpoint: a usurper below it cannot learn the
@@ -415,7 +328,7 @@ void PaxosEngine::HandlePrepare(NodeId from, const PaxosPrepareMsg& m) {
 }
 
 void PaxosEngine::HandlePromise(NodeId from, const PaxosPromiseMsg& m) {
-  if (m.ballot != ballot_ || leading_ || !IsPrimary()) return;
+  if (m.ballot != view_ || leading_ || !IsPrimary()) return;
   for (const auto& a : m.accepted) {
     if (a.slot > last_delivered_) {
       MergeGathered(a.slot, a.ballot, a.value, a.digest);
@@ -449,7 +362,7 @@ void PaxosEngine::FinishTakeover() {
 
   my_open_slots_.clear();
   for (uint64_t slot = last_delivered_ + 1; slot < next_slot_; ++slot) {
-    SlotState& st = slots_[slot];
+    PaxosSlot& st = slots_[slot];
     if (st.delivered) continue;
     auto g = gathered_.find(slot);
     if (g != gathered_.end()) {
@@ -468,14 +381,14 @@ void PaxosEngine::FinishTakeover() {
       st.have_value = true;
       ctx_.env->metrics.Inc("paxos.noop_filled");
     }
-    st.ballot = ballot_;
+    st.view = view_;
     if (st.learned) {
       // Already decided: refresh stragglers (a follower that missed the
       // original ACCEPT/LEARN — e.g. one recovering from a crash — fills
       // its gap from this).
       BroadcastAccept(slot, st);
       auto learn = std::make_shared<PaxosLearnMsg>();
-      learn->ballot = ballot_;
+      learn->ballot = view_;
       learn->slot = slot;
       learn->value_digest = st.digest;
       ctx_.broadcast(learn);

@@ -1,13 +1,26 @@
 #ifndef QANAAT_CONSENSUS_PAXOS_H_
 #define QANAAT_CONSENSUS_PAXOS_H_
 
-#include <deque>
 #include <unordered_map>
 
 #include "consensus/engine.h"
 #include "consensus/messages.h"
 
 namespace qanaat {
+
+/// A Multi-Paxos slot: the shared record (its view is the ballot the
+/// value was accepted at) plus the leader's acks and the learn state.
+struct PaxosSlot : SlotRecord {
+  bool have_value = false;
+  SortedVec<NodeId> accepted;
+  // A LEARN that overtook its ACCEPT (reordered delivery): remembered
+  // here and consumed when the value arrives, instead of being lost.
+  bool learn_pending = false;
+  Sha256Digest learn_digest;
+  bool learned = false;
+
+  bool Deliverable() const { return learned && !delivered && have_value; }
+};
 
 /// Multi-Paxos over a cluster of n = 2f+1 crash-only nodes, used as
 /// Qanaat's internal consensus for crash clusters (paper §4.1: "a crash
@@ -26,69 +39,26 @@ namespace qanaat {
 /// harness reproduces deterministically. Messages are MAC-authenticated
 /// (no signature verification cost).
 ///
-/// Pipelining: the leader keeps up to `ctx.pipeline_depth` slots in
-/// flight (accepted but not yet learned); excess proposals queue inside
-/// the engine and start as earlier slots learn. Delivery stays in slot
-/// order. 0 = unbounded.
-class PaxosEngine : public InternalConsensus {
+/// The ballot is the base's view: ballot b is led by cluster[b % n].
+/// Pipelining (shared with PBFT, see InternalConsensus): the leader keeps
+/// up to `ctx.pipeline_depth` slots in flight (accepted but not yet
+/// learned). Proposals queue while phase 1 gathers promises, and the
+/// queue drops when a higher ballot moves leadership away.
+class PaxosEngine final : public SlotEngine<PaxosSlot> {
  public:
   PaxosEngine(EngineContext ctx, int f, SimTime base_timeout_us);
 
-  void Propose(const ConsensusValue& v) override;
   void OnMessage(NodeId from, const MessageRef& msg) override;
   void OnTimer(uint64_t tag, uint64_t payload) override;
   void SuspectPrimary() override;
-  void OnHostCrash() override;
   void OnHostRecover() override;
 
-  bool IsPrimary() const override {
-    return ctx_.cluster[ballot_ % ClusterSize()] == ctx_.self;
-  }
-  NodeId PrimaryNode() const override {
-    return ctx_.cluster[ballot_ % ClusterSize()];
-  }
-  ViewNo view() const override { return ballot_; }
   size_t Quorum() const override { return static_cast<size_t>(f_) + 1; }
   /// Crash nodes don't sign; cross-enterprise messages from crash
   /// clusters sign at the sending node instead. Returns an empty proof.
   std::vector<Signature> CommitProof(uint64_t) const override { return {}; }
 
-  uint64_t last_delivered() const { return last_delivered_; }
-  uint64_t LastDelivered() const override { return last_delivered_; }
-  size_t InFlight() const override { return my_open_slots_.size(); }
-  size_t QueuedProposals() const override { return propose_queue_.size(); }
-  /// Phase-1 complete for the current ballot (we may drive slots).
-  bool leading() const { return leading_; }
-
-  bool HasSlotState(uint64_t slot) const override {
-    return slots_.find(slot) != slots_.end();
-  }
-  size_t retained_slots() const { return slots_.size(); }
-
- protected:
-  /// CFT clusters authenticate with MACs; checkpoint votes are free to
-  /// verify like every other Paxos message.
-  bool CheapCheckpointAuth() const override { return true; }
-  void GarbageCollectBelow(uint64_t slot) override;
-  void AdvanceFrontierTo(uint64_t slot) override;
-  void ResumeAfterInstall() override;
-
  private:
-  struct SlotState {
-    uint64_t ballot = 0;
-    ConsensusValue value;
-    Sha256Digest digest;
-    bool have_value = false;
-    SortedVec<NodeId> accepted;
-    // A LEARN that overtook its ACCEPT (reordered delivery): remembered
-    // here and consumed when the value arrives, instead of being lost.
-    bool learn_pending = false;
-    Sha256Digest learn_digest;
-    bool learned = false;
-    bool delivered = false;
-    bool timer_armed = false;
-  };
-
   static constexpr uint64_t kTagSlotTimeout = kEngineTimerBase + 11;
   /// Re-broadcast PREPARE while phase-1 has not gathered a quorum.
   static constexpr uint64_t kTagTakeoverRetry = kEngineTimerBase + 12;
@@ -97,23 +67,26 @@ class PaxosEngine : public InternalConsensus {
   /// phase-1 promises carry every accepted value above our frontier.
   static constexpr uint64_t kTagGapTimeout = kEngineTimerBase + 13;
 
+  /// CFT clusters authenticate with MACs; checkpoint votes are free to
+  /// verify like every other Paxos message.
+  bool CheapCheckpointAuth() const override { return true; }
+  bool CanStartSlot() const override { return leading_; }
+  void StartSlot(const ConsensusValue& v) override;
+  void MaybeArmGapTimer() override;
+  void GarbageCollectBelow(uint64_t slot) override;
+  /// A takeover parked behind state transfer finishes once the certified
+  /// frontier is installed.
+  void ResumeAfterDelivery() override;
+
   void HandleAccept(NodeId from, const PaxosAcceptMsg& m);
   void HandleAccepted(NodeId from, const PaxosAcceptedMsg& m);
   void HandleLearn(NodeId from, const PaxosLearnMsg& m);
   void HandlePrepare(NodeId from, const PaxosPrepareMsg& m);
   void HandlePromise(NodeId from, const PaxosPromiseMsg& m);
-  void DeliverReady();
-  // Handlers thread the SlotState& they already hold (one hash lookup
+  // Handlers thread the PaxosSlot& they already hold (one hash lookup
   // per message) instead of re-looking the slot up in every helper.
-  void ArmSlotTimer(uint64_t slot, SlotState& st);
-  void MaybeArmGapTimer();
-  bool AtPipelineCap() const {
-    return ctx_.pipeline_depth > 0 &&
-           my_open_slots_.size() >= ctx_.pipeline_depth;
-  }
-  void StartSlot(const ConsensusValue& v);
-  void MarkLearned(uint64_t slot, SlotState& st);
-  void DrainProposeQueue();
+  void ArmSlotTimer(uint64_t slot, PaxosSlot& st);
+  void MarkLearned(uint64_t slot, PaxosSlot& st);
   /// Ballot takeover phase-1: claim a ballot we own and solicit promises.
   void TakeOver();
   /// Phase-1 quorum reached: adopt gathered values, fill holes with
@@ -121,43 +94,26 @@ class PaxosEngine : public InternalConsensus {
   void FinishTakeover();
   void MergeGathered(uint64_t slot, uint64_t ballot, const ConsensusValue& v,
                      const Sha256Digest& digest);
-  void BroadcastAccept(uint64_t slot, const SlotState& st);
+  void BroadcastAccept(uint64_t slot, const PaxosSlot& st);
   /// Adopts a higher observed ballot; drops leadership and the propose
   /// queue when that moves leadership away from this node.
   void ObserveBallot(uint64_t b);
-  void DropProposeQueue();
 
-  int f_;
-  SimTime base_timeout_;
-  uint64_t ballot_ = 0;
   /// Highest ballot promised: never accept or promise below it.
   uint64_t promised_ = 0;
-  /// Phase-1 complete for ballot_ with us as leader. The initial leader
-  /// (index 0, ballot 0) starts leading: there is no history to gather.
+  /// Phase-1 complete for the current ballot with us as leader. The
+  /// initial leader (index 0, ballot 0) starts leading: there is no
+  /// history to gather.
   bool leading_ = false;
-  uint64_t next_slot_ = 1;
-  uint64_t last_delivered_ = 0;
-  uint64_t max_learned_ = 0;
-  bool gap_timer_armed_ = false;
   /// A promise revealed a stable checkpoint beyond our frontier: the
   /// takeover must wait for host state transfer — finishing phase-1 now
   /// would no-op-fill slots the quorum has garbage-collected, and those
   /// fills can never gather acks from delivered replicas.
   uint64_t awaiting_transfer_ = 0;
-  // Slot states live in a flat hash map, mirroring PBFT's treatment:
-  // every message touches its slot a few times and long runs accumulate
-  // tens of thousands of slots, where the ordered map paid a pointer-
-  // chasing tree walk per touch. The rare paths that need slots in order
-  // (promise assembly, takeover re-drive) gather and sort, so emitted
-  // message contents keep the exact order the ordered map produced.
-  std::unordered_map<uint64_t, SlotState> slots_;
-  // Phase-1 state for ballot_ (valid while !leading_ and we own ballot_).
+  // Phase-1 state for the current ballot (valid while !leading_ and we
+  // own it).
   SortedVec<NodeId> promises_;
   std::unordered_map<uint64_t, PaxosAcceptedSlot> gathered_;
-  // Pipelining: slots we drove that are not learned yet, and proposals
-  // queued behind the pipeline-depth cap.
-  SortedVec<uint64_t> my_open_slots_;
-  std::deque<ConsensusValue> propose_queue_;
 };
 
 }  // namespace qanaat

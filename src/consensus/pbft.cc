@@ -5,11 +5,9 @@
 namespace qanaat {
 
 PbftEngine::PbftEngine(EngineContext ctx, int f, SimTime base_timeout_us)
-    : InternalConsensus(std::move(ctx)),
-      f_(f),
-      base_timeout_(base_timeout_us) {
-  slots_.reserve(1 << 12);
-}
+    : SlotEngine(std::move(ctx), f, base_timeout_us,
+                 {"pbft.propose_on_backup", "pbft.proposal_queued",
+                  "pbft.queue_dropped_on_view_change"}) {}
 
 Sha256Digest PbftEngine::SignableDigest(
     ViewNo v, uint64_t slot, const Sha256Digest& value_digest) const {
@@ -29,10 +27,25 @@ const Sha256Digest& NewViewSalt() {
   static const Sha256Digest d = Sha256::Hash("new-view");
   return d;
 }
+
+// Values whose transactions backups re-verify before preparing (PBFT
+// request authentication): every block but a commit decision, whose
+// transactions were verified when the block itself was ordered.
+bool CarriesClientRequests(const ConsensusValue& v) {
+  return v.block != nullptr && v.kind != ConsensusValue::Kind::kXCommit;
+}
+
+bool ClientsSigned(const KeyStore& keystore, const ConsensusValue& v) {
+  if (!CarriesClientRequests(v)) return true;
+  for (const Transaction& tx : v.block->txs) {
+    if (!keystore.Verify(tx.client_sig, tx.Digest())) return false;
+  }
+  return true;
+}
 }  // namespace
 
 bool PbftEngine::VerifyVote(const Signature& sig, ViewNo view, uint64_t slot,
-                            const Sha256Digest& digest, SlotState* st,
+                            const Sha256Digest& digest, PbftSlot* st,
                             Sha256Digest* fresh) {
   const Sha256Digest* covered;
   if (st != nullptr) {
@@ -44,7 +57,7 @@ bool PbftEngine::VerifyVote(const Signature& sig, ViewNo view, uint64_t slot,
   return ctx_.env->keystore.Verify(sig, *covered);
 }
 
-void PbftEngine::SendPrePrepare(uint64_t slot, SlotState& st) {
+void PbftEngine::SendPrePrepare(uint64_t slot, PbftSlot& st) {
   if (!equivocate_) {
     auto pp = std::make_shared<PrePrepareMsg>();
     pp->view = view_;
@@ -54,9 +67,8 @@ void PbftEngine::SendPrePrepare(uint64_t slot, SlotState& st) {
     pp->sig = ctx_.env->keystore.Sign(
         ctx_.self, st.signable.Get(view_, slot, st.digest));
     // Backups re-verify the client signature of every transaction in the
-    // batch before preparing (PBFT request authentication).
-    if (st.value.block != nullptr &&
-        st.value.kind != ConsensusValue::Kind::kXCommit) {
+    // batch before preparing (HandlePrePrepare).
+    if (CarriesClientRequests(st.value)) {
       pp->sig_verify_ops = static_cast<uint16_t>(
           std::min<size_t>(1 + st.value.block->tx_count(), 65535));
     }
@@ -82,30 +94,10 @@ void PbftEngine::SendPrePrepare(uint64_t slot, SlotState& st) {
   }
 }
 
-void PbftEngine::Propose(const ConsensusValue& v) {
-  if (!IsPrimary()) {
-    ctx_.env->metrics.Inc("pbft.propose_on_backup");
-    return;
-  }
-  // Pipelining: cap concurrently open slots; excess proposals queue and
-  // start as earlier slots commit. A proposal arriving mid-view-change
-  // also queues (a pre-prepare in a dying view would be wasted).
-  if (AtPipelineCap() || in_view_change_) {
-    propose_queue_.push_back(v);
-    ctx_.env->metrics.Inc("pbft.proposal_queued");
-    return;
-  }
-  StartSlot(v);
-}
-
 void PbftEngine::StartSlot(const ConsensusValue& v) {
-  uint64_t slot = next_slot_++;
-  SlotState& st = slots_[slot];
-  st.view = view_;
-  st.value = v;
-  st.digest = v.Digest();
+  auto [slot, open] = OpenSlot(v);
+  PbftSlot& st = *open;
   st.have_preprepare = true;
-  my_open_slots_.Insert(slot);
   SendPrePrepare(slot, st);
   // The primary's own PREPARE is implicit in the PRE-PREPARE; the slot
   // memo filled by SendPrePrepare makes this signable a hit.
@@ -114,16 +106,7 @@ void PbftEngine::StartSlot(const ConsensusValue& v) {
   ArmSlotTimer(slot, st);
 }
 
-void PbftEngine::DrainProposeQueue() {
-  while (!propose_queue_.empty() && IsPrimary() && !in_view_change_ &&
-         !AtPipelineCap()) {
-    ConsensusValue v = std::move(propose_queue_.front());
-    propose_queue_.pop_front();
-    StartSlot(v);
-  }
-}
-
-void PbftEngine::ArmSlotTimer(uint64_t slot, SlotState& st) {
+void PbftEngine::ArmSlotTimer(uint64_t slot, PbftSlot& st) {
   if (st.timer_armed || st.committed) return;
   st.timer_armed = true;
   // Exponential backoff on consecutive view changes (§4.3.4).
@@ -140,7 +123,7 @@ void PbftEngine::OnHostCrash() {
   // Armed-timer flags must not outlive the timers themselves (the crash
   // epoch kills every pending one) — a stale true here would disable the
   // gap-fill / view-fetch machinery for the whole recovered life.
-  gap_timer_armed_ = false;
+  SlotEngine::OnHostCrash();
   view_fetch_armed_ = false;
   fill_stalls_ = 0;
   // A half-done view change dies with the process: its escalation
@@ -148,11 +131,10 @@ void PbftEngine::OnHostCrash() {
   // handling forever. The recovered replica rejoins the current view and
   // re-suspects if the primary is really gone.
   in_view_change_ = false;
-  for (auto& [slot, st] : slots_) st.timer_armed = false;
 }
 
 void PbftEngine::OnHostRecover() {
-  MaybeRequestFill();
+  MaybeArmGapTimer();
   MaybeFetchView();
 }
 
@@ -161,30 +143,26 @@ void PbftEngine::OnTimer(uint64_t tag, uint64_t payload) {
     gap_timer_armed_ = false;
     if (last_delivered_ > payload) {
       fill_stalls_ = 0;
-      MaybeRequestFill();  // progressed on its own; recheck later
+      MaybeArmGapTimer();  // progressed on its own; recheck later
       return;
     }
-    if (max_committed_ <= last_delivered_) return;
+    if (max_decided_ <= last_delivered_) return;
     if (++fill_stalls_ > 3 && ctx_.request_state_transfer) {
       // Per-slot fills are going nowhere — the missing slots may be
       // below every live peer's GC floor. Escalate to state transfer.
       fill_stalls_ = 0;
       ctx_.env->metrics.Inc("pbft.fill_escalated");
       ctx_.request_state_transfer(stable_checkpoint());
-      MaybeRequestFill();
+      MaybeArmGapTimer();
       return;
     }
     ctx_.env->metrics.Inc("pbft.fill_requested");
     auto req = std::make_shared<FillRequestMsg>();
     req->from_slot = last_delivered_ + 1;
-    req->to_slot = std::min(max_committed_, last_delivered_ + 16);
-    NodeId peer = ctx_.self;
-    for (int i = 0; i < static_cast<int>(ClusterSize()) && peer == ctx_.self;
-         ++i) {
-      peer = ctx_.cluster[(ctx_.self_index + 1 + fill_rr_++) % ClusterSize()];
-    }
+    req->to_slot = std::min(max_decided_, last_delivered_ + 16);
+    NodeId peer = NextPeer(&fill_rr_);
     if (peer != ctx_.self) ctx_.send(peer, req);
-    MaybeRequestFill();  // re-arm until the gap closes
+    MaybeArmGapTimer();  // re-arm until the gap closes
     return;
   }
   if (tag == kTagViewFetch) {
@@ -193,12 +171,7 @@ void PbftEngine::OnTimer(uint64_t tag, uint64_t payload) {
     ctx_.env->metrics.Inc("pbft.view_fetch");
     auto req = std::make_shared<FillRequestMsg>();
     req->want_view = view_ + 1;
-    NodeId peer = ctx_.self;
-    for (int i = 0; i < static_cast<int>(ClusterSize()) && peer == ctx_.self;
-         ++i) {
-      peer = ctx_.cluster[(ctx_.self_index + 1 + view_fetch_rr_++) %
-                          ClusterSize()];
-    }
+    NodeId peer = NextPeer(&view_fetch_rr_);
     if (peer != ctx_.self) ctx_.send(peer, req);
     MaybeFetchView();  // re-arm until the view catches up
     return;
@@ -240,23 +213,15 @@ void PbftEngine::StartViewChange(ViewNo target, bool lone_suspicion) {
   auto vc = std::make_shared<ViewChangeMsg>();
   vc->new_view = target;
   vc->last_delivered = last_delivered_;
-  // Gather prepared slots in ascending slot order: slots_ is a hash map,
-  // but the emitted proof list must keep the deterministic order the old
-  // ordered map produced (message contents feed the replay trace).
-  std::vector<const std::pair<const uint64_t, SlotState>*> prepared_slots;
-  for (const auto& entry : slots_) {
-    if (entry.second.prepared && !entry.second.delivered) {
-      prepared_slots.push_back(&entry);
-    }
-  }
-  std::sort(prepared_slots.begin(), prepared_slots.end(),
-            [](const auto* a, const auto* b) { return a->first < b->first; });
-  for (const auto* entry : prepared_slots) {
+  auto prepared = SlotsAscending([](uint64_t, const PbftSlot& st) {
+    return st.prepared && !st.delivered;
+  });
+  for (const auto& [slot, st] : prepared) {
     PreparedProof p;
-    p.slot = entry->first;
-    p.view = entry->second.view;
-    p.value = entry->second.value;
-    p.value_digest = entry->second.digest;
+    p.slot = slot;
+    p.view = st->view;
+    p.value = st->value;
+    p.value_digest = st->digest;
     vc->prepared.push_back(std::move(p));
   }
   vc->sig = ctx_.env->keystore.Sign(
@@ -348,9 +313,17 @@ void PbftEngine::HandlePrePrepare(NodeId from, const PrePrepareMsg& m) {
     StartViewChange(view_ + 1, /*lone_suspicion=*/true);
     return;
   }
+  if (!ClientsSigned(ctx_.env->keystore, m.value)) {
+    // The primary ordered a transaction its client never signed. Its
+    // commit would execute the request and raise the client's settle
+    // mark on the client's forged word. Same remedy as a bad digest.
+    ctx_.env->metrics.Inc("pbft.bad_preprepare_client_sig");
+    StartViewChange(view_ + 1, /*lone_suspicion=*/true);
+    return;
+  }
   bool created = it == slots_.end();
   if (created) it = slots_.try_emplace(m.slot).first;
-  SlotState& st = it->second;
+  PbftSlot& st = it->second;
   if (created) st.signable.Seed(m.view, m.slot, m.value_digest, fresh);
   if (st.delivered) return;  // already decided and applied here
   if (st.have_preprepare && st.digest != m.value_digest) {
@@ -391,7 +364,7 @@ void PbftEngine::HandlePrepare(NodeId from, const PrepareMsg& m) {
   }
   bool created = it == slots_.end();
   if (created) it = slots_.try_emplace(m.slot).first;
-  SlotState& st = it->second;
+  PbftSlot& st = it->second;
   if (created) st.signable.Seed(m.view, m.slot, m.value_digest, fresh);
   // Only count prepares matching the pre-prepared digest (once known).
   if (st.have_preprepare && st.digest != m.value_digest) return;
@@ -406,7 +379,7 @@ void PbftEngine::HandlePrepare(NodeId from, const PrepareMsg& m) {
   MaybePrepared(m.slot, st);
 }
 
-void PbftEngine::MaybePrepared(uint64_t slot, SlotState& st) {
+void PbftEngine::MaybePrepared(uint64_t slot, PbftSlot& st) {
   if (st.prepared || !st.have_preprepare) return;
   // PBFT: pre-prepare + 2f matching prepares (self's prepare included in
   // the map; primary's pre-prepare counts as its prepare).
@@ -435,7 +408,7 @@ void PbftEngine::HandleCommit(NodeId from, const CommitMsg& m) {
   }
   bool created = it == slots_.end();
   if (created) it = slots_.try_emplace(m.slot).first;
-  SlotState& st = it->second;
+  PbftSlot& st = it->second;
   if (created) st.signable.Seed(m.view, m.slot, m.value_digest, fresh);
   if (st.have_preprepare && st.digest != m.value_digest) return;
   st.commits.Put(from, m.sig);
@@ -443,65 +416,20 @@ void PbftEngine::HandleCommit(NodeId from, const CommitMsg& m) {
   MaybeCommitted(m.slot, st);
 }
 
-void PbftEngine::MaybeCommitted(uint64_t slot, SlotState& st) {
+void PbftEngine::MaybeCommitted(uint64_t slot, PbftSlot& st) {
   if (st.committed || !st.prepared) return;
   if (st.commits.size() < Quorum()) return;
   st.committed = true;
-  max_committed_ = std::max(max_committed_, slot);
-  my_open_slots_.Erase(slot);
+  NoteDecided(slot);
   DeliverReady();
   DrainProposeQueue();
 }
 
-void PbftEngine::DeliverReady() {
-  while (true) {
-    auto it = slots_.find(last_delivered_ + 1);
-    if (it == slots_.end() || !it->second.committed ||
-        it->second.delivered) {
-      break;
-    }
-    it->second.delivered = true;
-    ++last_delivered_;
-    fill_stalls_ = 0;
-    uint64_t slot = it->first;
-    Sha256Digest vd = it->second.digest;
-    // Copy the value out before delivering: the host callback can
-    // re-enter the engine (propose, install a checkpoint), and an
-    // insert-triggered rehash of the flat slot map would invalidate a
-    // reference into it mid-call.
-    ConsensusValue v = it->second.value;
-    ctx_.deliver(slot, v);
-    NoteDelivered(last_delivered_, vd);
-  }
-  MaybeRequestFill();
-}
-
-void PbftEngine::GarbageCollectBelow(uint64_t slot) {
-  for (auto it = slots_.begin(); it != slots_.end();) {
-    it = it->first <= slot ? slots_.erase(it) : std::next(it);
-  }
-  my_open_slots_.EraseUpTo(slot);
-}
-
-void PbftEngine::AdvanceFrontierTo(uint64_t slot) {
-  last_delivered_ = slot;
-  max_committed_ = std::max(max_committed_, slot);
-  next_slot_ = std::max(next_slot_, slot + 1);
-  fill_stalls_ = 0;
-}
-
-void PbftEngine::ResumeAfterInstall() {
-  // Slots above the installed checkpoint may already be committed
-  // locally (they arrived while the transfer ran) — flush them now.
-  DeliverReady();
-  DrainProposeQueue();
-}
-
-void PbftEngine::MaybeRequestFill() {
+void PbftEngine::MaybeArmGapTimer() {
   // Stalled iff some slot committed locally beyond an undelivered
   // frontier — the frontier slot's messages are gone for good (nothing
   // in PBFT retransmits them), so fetch the decisions from a peer.
-  if (gap_timer_armed_ || max_committed_ <= last_delivered_) return;
+  if (gap_timer_armed_ || max_decided_ <= last_delivered_) return;
   gap_timer_armed_ = true;
   ctx_.start_timer(base_timeout_ / 2, kTagGapFill, last_delivered_);
 }
@@ -559,7 +487,7 @@ void PbftEngine::HandleFillRequest(NodeId from, const FillRequestMsg& m) {
     uint64_t slot = m.from_slot + i;
     auto it = slots_.find(slot);
     if (it == slots_.end() || !it->second.committed) continue;
-    const SlotState& st = it->second;
+    const PbftSlot& st = it->second;
     auto fr = std::make_shared<FillReplyMsg>();
     fr->slot = slot;
     fr->view = st.view;
@@ -581,7 +509,7 @@ void PbftEngine::HandleFillReply(NodeId from, const FillReplyMsg& m) {
     ctx_.env->metrics.Inc("pbft.bad_fill_block");
     return;
   }
-  SlotState& st = slots_[m.slot];
+  PbftSlot& st = slots_[m.slot];
   if (st.committed || st.delivered) return;
   // Self-certifying: the commit-quorum signatures prove the decision, so
   // a single faulty peer cannot inject a fake one.
@@ -607,8 +535,7 @@ void PbftEngine::HandleFillReply(NodeId from, const FillReplyMsg& m) {
   st.prepared = true;
   st.committed = true;
   for (const auto& sig : m.commit_proof) st.commits.Put(sig.signer, sig);
-  max_committed_ = std::max(max_committed_, m.slot);
-  my_open_slots_.Erase(m.slot);
+  NoteDecided(m.slot);
   DeliverReady();
   DrainProposeQueue();
 }
@@ -639,8 +566,7 @@ void PbftEngine::HandleViewChange(NodeId from, const ViewChangeMsg& m) {
   }
 
   // New primary: with 2f+1 view-change messages, install the view.
-  NodeId new_primary = ctx_.cluster[m.new_view % ClusterSize()];
-  if (new_primary != ctx_.self) return;
+  if (PrimaryOf(m.new_view) != ctx_.self) return;
   if (votes.size() < Quorum()) return;
   // Exactly one NEW-VIEW per target: a vote arriving after the quorum
   // must not rebuild the message with a larger reproposal set — replicas
@@ -676,7 +602,7 @@ void PbftEngine::HandleNewView(NodeId from, const NewViewMsg& m) {
   // primary, but any peer may deliver it — the view-fetch path re-serves
   // a retained NEW-VIEW from whichever replica holds it, which matters
   // exactly when the primary that built it is unreachable.
-  NodeId expected_primary = ctx_.cluster[m.new_view % ClusterSize()];
+  NodeId expected_primary = PrimaryOf(m.new_view);
   if (m.sig.signer != expected_primary) return;
   if (!ctx_.env->keystore.Verify(
           m.sig, SignableDigest(m.new_view, 0, NewViewSalt()))) {
@@ -725,7 +651,7 @@ void PbftEngine::HandleNewView(NodeId from, const NewViewMsg& m) {
     for (const auto& p : m.reproposals) {
       if (p.slot <= last_delivered_) continue;
       reproposed.insert(p.slot);
-      SlotState& st = slots_[p.slot];
+      PbftSlot& st = slots_[p.slot];
       st.view = view_;
       st.value = p.value;
       st.digest = p.value_digest;
@@ -740,7 +666,7 @@ void PbftEngine::HandleNewView(NodeId from, const NewViewMsg& m) {
     // nowhere) with no-ops so later slots can deliver.
     for (uint64_t slot = last_delivered_ + 1; slot < next_slot_; ++slot) {
       if (reproposed.count(slot)) continue;
-      SlotState& st = slots_[slot];
+      PbftSlot& st = slots_[slot];
       if (st.delivered || st.committed) continue;
       if (slot <= quorum_delivered) continue;  // decided elsewhere: fill
       st.view = view_;
@@ -758,7 +684,7 @@ void PbftEngine::HandleNewView(NodeId from, const NewViewMsg& m) {
     // view via the normal path (the new primary broadcast them).
     for (const auto& p : m.reproposals) {
       if (p.slot <= last_delivered_) continue;
-      SlotState& st = slots_[p.slot];
+      PbftSlot& st = slots_[p.slot];
       st.view = view_;
       st.value = p.value;
       st.digest = p.value_digest;
@@ -778,14 +704,8 @@ void PbftEngine::HandleNewView(NodeId from, const NewViewMsg& m) {
   // is primary again now, the intervening views may have committed them
   // via client retransmission, so re-proposing would duplicate them.
   // Drop unconditionally — clients retransmit whatever really was lost.
-  if (!propose_queue_.empty()) {
-    ctx_.env->metrics.Inc("pbft.queue_dropped_on_view_change",
-                          propose_queue_.size());
-    propose_queue_.clear();
-  }
-  if (ctx_.on_view_change) {
-    ctx_.on_view_change(view_, ctx_.cluster[view_ % ClusterSize()]);
-  }
+  DropProposeQueue();
+  if (ctx_.on_view_change) ctx_.on_view_change(view_, PrimaryNode());
   // Replay messages that raced ahead of this NEW-VIEW.
   std::vector<std::pair<NodeId, MessageRef>> replay;
   replay.swap(future_msgs_);

@@ -1,16 +1,30 @@
 #ifndef QANAAT_CONSENSUS_PBFT_H_
 #define QANAAT_CONSENSUS_PBFT_H_
 
-#include <deque>
 #include <map>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "consensus/engine.h"
 #include "consensus/messages.h"
 
 namespace qanaat {
+
+/// A PBFT slot: the shared record plus the three-phase votes.
+struct PbftSlot : SlotRecord {
+  bool have_preprepare = false;
+  VoteSet prepares;  // matching digest only
+  VoteSet commits;
+  bool prepared = false;
+  bool committed = false;
+  // Memoized ConsensusSignable for this slot, keyed (view, digest): one
+  // derivation serves the pre-prepare signature, the self-prepare, every
+  // vote verification and the commit signature; a view change or an
+  // equivocating digest misses and recomputes.
+  SignableCache signable;
+
+  bool Deliverable() const { return committed && !delivered; }
+};
 
 /// Practical Byzantine Fault Tolerance (Castro & Liskov, OSDI'99) over a
 /// cluster of n = 3f+1 ordering nodes, used as Qanaat's internal consensus
@@ -25,74 +39,29 @@ namespace qanaat {
 /// the new primary collects 2f+1, broadcasts NEW-VIEW re-proposing every
 /// prepared slot, and timeouts double on consecutive failures (§4.3.4).
 ///
-/// Pipelining: the primary runs up to `ctx.pipeline_depth` slots
-/// concurrently (each in its own PRE-PREPARE/PREPARE/COMMIT exchange);
-/// proposals beyond the cap queue inside the engine and start as earlier
-/// slots commit. Slots still *deliver* strictly in order, so pipelined
-/// rounds overlap network latency without reordering execution. Queued
-/// proposals are dropped if leadership moves (clients recover them by
-/// retransmitting to the new primary).
-class PbftEngine : public InternalConsensus {
+/// Pipelining (shared with Paxos, see InternalConsensus): the primary
+/// runs up to `ctx.pipeline_depth` slots concurrently, each in its own
+/// PRE-PREPARE/PREPARE/COMMIT exchange. Proposals queue while a view
+/// change is under way, and every NEW-VIEW drops the queue.
+class PbftEngine final : public SlotEngine<PbftSlot> {
  public:
   PbftEngine(EngineContext ctx, int f, SimTime base_timeout_us);
 
-  void Propose(const ConsensusValue& v) override;
   void OnMessage(NodeId from, const MessageRef& msg) override;
   void OnTimer(uint64_t tag, uint64_t payload) override;
   void SuspectPrimary() override;
   void OnHostCrash() override;
   void OnHostRecover() override;
 
-  bool IsPrimary() const override {
-    return ctx_.cluster[view_ % ClusterSize()] == ctx_.self;
-  }
-  NodeId PrimaryNode() const override {
-    return ctx_.cluster[view_ % ClusterSize()];
-  }
-  ViewNo view() const override { return view_; }
   size_t Quorum() const override { return 2 * static_cast<size_t>(f_) + 1; }
   std::vector<Signature> CommitProof(uint64_t slot) const override;
-
-  uint64_t last_delivered() const { return last_delivered_; }
-  uint64_t LastDelivered() const override { return last_delivered_; }
-  uint64_t view_changes() const { return view_change_count_; }
-  size_t InFlight() const override { return my_open_slots_.size(); }
-  size_t QueuedProposals() const override { return propose_queue_.size(); }
 
   /// Byzantine-primary fault injection: when set, PRE-PREPAREs are
   /// equivocated (different digests to different replicas), which correct
   /// replicas must resolve via view change.
   void SetEquivocate(bool e) override { equivocate_ = e; }
 
-  bool HasSlotState(uint64_t slot) const override {
-    return slots_.count(slot) > 0;
-  }
-  size_t retained_slots() const { return slots_.size(); }
-
- protected:
-  void GarbageCollectBelow(uint64_t slot) override;
-  void AdvanceFrontierTo(uint64_t slot) override;
-  void ResumeAfterInstall() override;
-
  private:
-  struct SlotState {
-    ViewNo view = 0;
-    ConsensusValue value;
-    Sha256Digest digest;
-    bool have_preprepare = false;
-    VoteSet prepares;  // matching digest only
-    VoteSet commits;
-    bool prepared = false;
-    bool committed = false;
-    bool delivered = false;
-    bool timer_armed = false;
-    // Memoized ConsensusSignable for this slot, keyed (view, digest):
-    // one derivation serves the pre-prepare signature, the self-prepare,
-    // every vote verification and the commit signature; a view change or
-    // an equivocating digest misses and recomputes.
-    SignableCache signable;
-  };
-
   static constexpr uint64_t kTagSlotTimeout = kEngineTimerBase + 1;
   /// Escalation: if a view change toward `payload` has not installed by
   /// the time this fires, vote for the next view — without it, lost
@@ -107,6 +76,16 @@ class PbftEngine : public InternalConsensus {
   /// it). Ask a peer to re-serve the latest NEW-VIEW it processed.
   static constexpr uint64_t kTagViewFetch = kEngineTimerBase + 4;
 
+  bool CanStartSlot() const override { return !in_view_change_; }
+  void StartSlot(const ConsensusValue& v) override;
+  void FrontierAdvanced() override { fill_stalls_ = 0; }
+  /// Arms the gap timer when a committed slot sits beyond a stuck
+  /// delivery frontier (the missing slot's messages were lost — e.g.
+  /// while this node was crashed or partitioned). PBFT retransmits
+  /// nothing by itself, so without the fill protocol this node would
+  /// stall forever and permanently shrink the live quorum.
+  void MaybeArmGapTimer() override;
+
   void HandlePrePrepare(NodeId from, const PrePrepareMsg& m);
   void HandlePrepare(NodeId from, const PrepareMsg& m);
   void HandleCommit(NodeId from, const CommitMsg& m);
@@ -114,45 +93,26 @@ class PbftEngine : public InternalConsensus {
   void HandleNewView(NodeId from, const NewViewMsg& m);
   void HandleFillRequest(NodeId from, const FillRequestMsg& m);
   void HandleFillReply(NodeId from, const FillReplyMsg& m);
-  /// Arms the gap timer when a committed slot sits beyond a stuck
-  /// delivery frontier (the missing slot's messages were lost — e.g.
-  /// while this node was crashed or partitioned). PBFT retransmits
-  /// nothing by itself, so without the fill protocol this node would
-  /// stall forever and permanently shrink the live quorum.
-  void MaybeRequestFill();
 
   /// Verifies `sig` over ConsensusSignable(view, slot, digest) without
   /// creating slot state: uses the slot's memo when the slot exists,
   /// otherwise derives once into *fresh (the caller seeds the memo after
   /// it creates the slot, so the following sign is a hit).
   bool VerifyVote(const Signature& sig, ViewNo view, uint64_t slot,
-                  const Sha256Digest& digest, SlotState* st,
+                  const Sha256Digest& digest, PbftSlot* st,
                   Sha256Digest* fresh);
 
-  void MaybePrepared(uint64_t slot, SlotState& st);
-  void MaybeCommitted(uint64_t slot, SlotState& st);
-  void DeliverReady();
-  bool AtPipelineCap() const {
-    return ctx_.pipeline_depth > 0 &&
-           my_open_slots_.size() >= ctx_.pipeline_depth;
-  }
-  void StartSlot(const ConsensusValue& v);
-  void DrainProposeQueue();
-  void ArmSlotTimer(uint64_t slot, SlotState& st);
+  void MaybePrepared(uint64_t slot, PbftSlot& st);
+  void MaybeCommitted(uint64_t slot, PbftSlot& st);
+  void ArmSlotTimer(uint64_t slot, PbftSlot& st);
   void StartViewChange(ViewNo target, bool lone_suspicion);
-  void SendPrePrepare(uint64_t slot, SlotState& st);
+  void SendPrePrepare(uint64_t slot, PbftSlot& st);
+  void MaybeFetchView();
 
   Sha256Digest SignableDigest(ViewNo v, uint64_t slot,
                               const Sha256Digest& value_digest) const;
 
-  int f_;
-  SimTime base_timeout_;
-  ViewNo view_ = 0;
-  uint64_t next_slot_ = 1;       // primary's next proposal slot
-  uint64_t last_delivered_ = 0;
-  uint64_t max_committed_ = 0;   // highest locally committed slot
-  bool gap_timer_armed_ = false;
-  int fill_rr_ = 0;              // round-robin peer cursor for fills
+  int fill_rr_ = 0;  // round-robin peer cursor for fills
   /// Consecutive gap-fill rounds without frontier progress. Fills that
   /// target slots a peer already garbage-collected can never be served
   /// per slot; after a few dry rounds the engine asks the host for full
@@ -161,16 +121,6 @@ class PbftEngine : public InternalConsensus {
   uint64_t view_change_count_ = 0;
   bool in_view_change_ = false;
   bool equivocate_ = false;
-  // Slot states live in a flat hash map — per-message handlers touch a
-  // slot several times, and runs accumulate tens of thousands of slots.
-  // The rare paths that need slots in order (view change) gather and
-  // sort the keys so emitted message contents keep the exact order the
-  // ordered map produced.
-  std::unordered_map<uint64_t, SlotState> slots_;
-  // Pipelining: slots we proposed that have not committed yet, and
-  // proposals queued behind the pipeline-depth cap.
-  SortedVec<uint64_t> my_open_slots_;
-  std::deque<ConsensusValue> propose_queue_;
   // View-change bookkeeping: new_view -> sender -> message
   std::map<ViewNo, std::map<NodeId, std::shared_ptr<const ViewChangeMsg>>>
       view_changes_rcvd_;
@@ -193,8 +143,6 @@ class PbftEngine : public InternalConsensus {
   std::shared_ptr<const NewViewMsg> last_new_view_msg_;
   bool view_fetch_armed_ = false;
   int view_fetch_rr_ = 0;
-
-  void MaybeFetchView();
 };
 
 }  // namespace qanaat

@@ -281,6 +281,74 @@ ChaosProfile ResolveAdversary(const ChaosOptions& opts) {
   return p;
 }
 
+/// What one protocol stack hands the shared chaos driver.
+struct ChaosStackHooks {
+  /// The periodic safety audit.
+  std::function<Status()> audit;
+  /// The final audit at run_until. Sets *converged when it also checked
+  /// that the replicas converged.
+  std::function<Status(const FaultPlan& plan, bool* converged)> final_audit;
+  /// Transactions settled at clients so far.
+  std::function<uint64_t()> settled;
+};
+
+/// The schedule every stack shares: install `plan`, audit every
+/// audit_period, clock the first settle after heal_at, run to run_until,
+/// audit once more and fill the report.
+ChaosReport DriveChaos(const ChaosOptions& opts, Env& env, Network& net,
+                       FaultPlan plan, const ChaosStackHooks& hooks) {
+  ChaosReport rep;
+  rep.plan_summary = plan.Summary();
+
+  FaultInjector injector(&env, &net);
+  injector.Install(std::move(plan));
+
+  Status first = Status::Ok();
+  std::function<void()> audit = [&]() {
+    ++rep.audits;
+    if (first.ok()) first = hooks.audit();
+    if (env.sim.now() + opts.audit_period < opts.run_until) {
+      env.sim.Schedule(opts.audit_period, audit);
+    }
+  };
+  env.sim.Schedule(opts.audit_period, audit);
+  // Liveness-resume clock: poll from heal until the first post-heal
+  // settle (10ms granularity). The poll only reads counters, so it never
+  // perturbs the network trace.
+  std::function<void()> resume_poll = [&]() {
+    if (hooks.settled() > rep.commits_at_heal) {
+      rep.liveness_resume_us = env.sim.now() - opts.heal_at;
+      return;
+    }
+    if (env.sim.now() + 10 * kMillisecond < opts.run_until) {
+      env.sim.Schedule(10 * kMillisecond, resume_poll);
+    }
+  };
+  env.sim.ScheduleAt(opts.heal_at + 1, [&]() {
+    rep.commits_at_heal = hooks.settled();
+    resume_poll();
+  });
+
+  env.sim.Run(opts.run_until);
+
+  if (first.ok()) {
+    ++rep.audits;
+    first = hooks.final_audit(injector.plan(), &rep.convergence_checked);
+  }
+  rep.safety = first;
+  rep.trace_hash = net.trace_hash();
+  rep.faults_applied = injector.applied();
+  rep.commits_total = hooks.settled();
+  rep.liveness_resumed = rep.commits_total > rep.commits_at_heal;
+  rep.net_duplicated = net.duplicated();
+  rep.net_reordered = net.reordered();
+  rep.net_dropped = env.metrics.Get("net.dropped");
+  rep.net_silenced = net.silenced();
+  rep.intake_parked = env.metrics.Get("order.intake_gated");
+  rep.client_retransmits = env.metrics.Get("client.retransmit");
+  return rep;
+}
+
 ChaosReport RunQanaatChaos(const ChaosOptions& opts) {
   QanaatSystem::Options so;
   so.params.num_enterprises = opts.enterprises;
@@ -338,67 +406,25 @@ ChaosReport RunQanaatChaos(const ChaosOptions& opts) {
   FaultPlan plan =
       MakeRandomPlan(opts.seed, groups, opts.heal_at, profile, targets);
 
-  ChaosReport rep;
-  rep.plan_summary = plan.Summary();
-
-  FaultInjector injector(&sys.env(), &sys.net());
-  injector.Install(std::move(plan));
-
-  Status first = Status::Ok();
-  std::function<void()> audit = [&]() {
-    ++rep.audits;
-    if (first.ok()) {
-      first = SafetyAuditor::AuditQanaat(sys, /*full=*/false, nullptr);
-    }
-    if (sys.env().sim.now() + opts.audit_period < opts.run_until) {
-      sys.env().sim.Schedule(opts.audit_period, audit);
-    }
+  ChaosStackHooks hooks;
+  hooks.audit = [&]() {
+    return SafetyAuditor::AuditQanaat(sys, /*full=*/false, nullptr);
   };
-  sys.env().sim.Schedule(opts.audit_period, audit);
-  // Liveness-resume clock: poll from heal until the first post-heal
-  // settle (10ms granularity). The poll only reads counters, so it never
-  // perturbs the network trace.
-  std::function<void()> resume_poll = [&]() {
-    if (sys.TotalAccepted() > rep.commits_at_heal) {
-      rep.liveness_resume_us = sys.env().sim.now() - opts.heal_at;
-      return;
-    }
-    if (sys.env().sim.now() + 10 * kMillisecond < opts.run_until) {
-      sys.env().sim.Schedule(10 * kMillisecond, resume_poll);
-    }
+  hooks.final_audit = [&](const FaultPlan& installed, bool* converged) {
+    // Post-heal convergence covers EVERY live replica — crash victims
+    // that recovered, partition endpoints, all of them (the
+    // recovered-replica exclusion predates state transfer). Untargeted
+    // loss still only asserts prefix agreement: a message lost after the
+    // last checkpoint boundary leaves no signal to catch up from.
+    bool converge = !installed.HasUntargetedLoss();
+    static const std::set<NodeId> kNoExclusions;
+    Status s = SafetyAuditor::AuditQanaat(
+        sys, /*full=*/true, converge ? &kNoExclusions : nullptr);
+    *converged = converge && s.ok();
+    return s;
   };
-  sys.env().sim.ScheduleAt(opts.heal_at + 1, [&]() {
-    rep.commits_at_heal = sys.TotalAccepted();
-    resume_poll();
-  });
-
-  sys.env().sim.Run(opts.run_until);
-
-  // Post-heal convergence covers EVERY live replica — crash victims that
-  // recovered, partition endpoints, all of them (the recovered-replica
-  // exclusion predates state transfer). Untargeted loss still only
-  // asserts prefix agreement: a message lost after the last checkpoint
-  // boundary leaves no signal to catch up from.
-  bool converge = !injector.plan().HasUntargetedLoss();
-  static const std::set<NodeId> kNoExclusions;
-  if (first.ok()) {
-    ++rep.audits;
-    first = SafetyAuditor::AuditQanaat(sys, /*full=*/true,
-                                       converge ? &kNoExclusions : nullptr);
-  }
-  rep.convergence_checked = converge && first.ok();
-  rep.safety = first;
-  rep.trace_hash = sys.net().trace_hash();
-  rep.faults_applied = injector.applied();
-  rep.commits_total = sys.TotalAccepted();
-  rep.liveness_resumed = rep.commits_total > rep.commits_at_heal;
-  rep.net_duplicated = sys.net().duplicated();
-  rep.net_reordered = sys.net().reordered();
-  rep.net_dropped = sys.env().metrics.Get("net.dropped");
-  rep.net_silenced = sys.net().silenced();
-  rep.intake_parked = sys.env().metrics.Get("order.intake_gated");
-  rep.client_retransmits = sys.env().metrics.Get("client.retransmit");
-  return rep;
+  hooks.settled = [&]() { return sys.TotalAccepted(); };
+  return DriveChaos(opts, sys.env(), sys.net(), std::move(plan), hooks);
 }
 
 ChaosReport RunFabricChaos(const ChaosOptions& opts) {
@@ -411,12 +437,10 @@ ChaosReport RunFabricChaos(const ChaosOptions& opts) {
   WorkloadParams wl;
   wl.cross_kind = opts.cross_kind;
   wl.cross_fraction = opts.cross_fraction;
-  std::vector<FabricClient*> clients;
   double per_client = opts.offered_tps / opts.client_machines;
   for (int i = 0; i < opts.client_machines; ++i) {
-    FabricClient* c = sys.AddClient(wl, per_client);
-    c->Start(0, opts.issue_until, 0, opts.run_until);
-    clients.push_back(c);
+    sys.AddClient(wl, per_client)
+        ->Start(0, opts.issue_until, 0, opts.run_until);
   }
 
   // Victims: Raft followers only (a majority with the leader survives
@@ -441,64 +465,24 @@ ChaosReport RunFabricChaos(const ChaosOptions& opts) {
   FaultPlan plan =
       MakeRandomPlan(opts.seed, {g}, opts.heal_at, profile, targets);
 
-  ChaosReport rep;
-  rep.plan_summary = plan.Summary();
-
-  FaultInjector injector(&sys.env(), &sys.net());
-  injector.Install(std::move(plan));
-
-  Status first = Status::Ok();
-  std::function<void()> audit = [&]() {
-    ++rep.audits;
-    if (first.ok()) {
-      first = SafetyAuditor::AuditFabric(sys);
-    }
-    if (sys.env().sim.now() + opts.audit_period < opts.run_until) {
-      sys.env().sim.Schedule(opts.audit_period, audit);
-    }
-  };
-  sys.env().sim.Schedule(opts.audit_period, audit);
-  std::function<void()> resume_poll = [&]() {
-    if (sys.TotalCommitted() > rep.commits_at_heal) {
-      rep.liveness_resume_us = sys.env().sim.now() - opts.heal_at;
-      return;
-    }
-    if (sys.env().sim.now() + 10 * kMillisecond < opts.run_until) {
-      sys.env().sim.Schedule(10 * kMillisecond, resume_poll);
-    }
-  };
-  sys.env().sim.ScheduleAt(opts.heal_at + 1, [&]() {
-    rep.commits_at_heal = sys.TotalCommitted();
-    resume_poll();
-  });
-
-  sys.env().sim.Run(opts.run_until);
-
-  if (first.ok()) {
-    ++rep.audits;
-    first = SafetyAuditor::AuditFabric(sys);
-  }
-  if (first.ok()) {
+  ChaosStackHooks hooks;
+  hooks.audit = [&]() { return SafetyAuditor::AuditFabric(sys); };
+  hooks.final_audit = [&](const FaultPlan&, bool* converged) {
+    Status s = SafetyAuditor::AuditFabric(sys);
+    if (!s.ok()) return s;
     // Block delivery is loss-free by construction, so at quiesce every
     // peer must have applied the exact same block sequence.
     uint64_t head = sys.peers().front()->next_block_to_apply();
     for (const auto& p : sys.peers()) {
       if (p->next_block_to_apply() != head) {
-        first = Status::Internal("fabric peers did not converge");
-        break;
+        return Status::Internal("fabric peers did not converge");
       }
     }
-    rep.convergence_checked = first.ok();
-  }
-  rep.safety = first;
-  rep.trace_hash = sys.net().trace_hash();
-  rep.faults_applied = injector.applied();
-  rep.commits_total = sys.TotalCommitted();
-  rep.liveness_resumed = rep.commits_total > rep.commits_at_heal;
-  rep.net_duplicated = sys.net().duplicated();
-  rep.net_reordered = sys.net().reordered();
-  rep.net_dropped = sys.env().metrics.Get("net.dropped");
-  return rep;
+    *converged = true;
+    return s;
+  };
+  hooks.settled = [&]() { return sys.TotalCommitted(); };
+  return DriveChaos(opts, sys.env(), sys.net(), std::move(plan), hooks);
 }
 
 }  // namespace

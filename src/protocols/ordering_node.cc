@@ -24,7 +24,7 @@ OrderingNode::OrderingNode(Env* env, const Directory* dir,
           },
           [this](const FlowKey& key, std::vector<Transaction> txs,
                  BatchClose why) { OnBatchClosed(key, std::move(txs), why); }) {
-  // No reservations: the dedup windows hold only what is in flight here,
+  // No reservations: the dedup window holds only what is in flight here,
   // and the committed record grows per client.
   EngineContext ctx;
   ctx.env = env;
@@ -89,6 +89,14 @@ void OrderingNode::OnCrash() {
   state_sync_pending_ = false;  // its timer died with the old epoch
   exec_wedge_armed_ = false;
   exec_wedged_ = false;
+  // The cross and retry timers died with the old epoch too. A live
+  // instance is armed again at recovery; a scheduled retry is dropped
+  // with its pin (clients retransmit its requests), or they would stay
+  // pinned as duplicates for the whole run.
+  for (auto& [d, xs] : xstates_) xs.timer_armed = false;
+  cross_timer_digest_.clear();
+  for (const auto& [token, retry] : retry_blocks_) UnpinCross(retry.first);
+  retry_blocks_.clear();
   engine_->OnHostCrash();
 }
 
@@ -103,6 +111,14 @@ void OrderingNode::MaybeWatchExecWedge() {
 void OrderingNode::OnRecover() {
   engine_->OnHostRecover();
   MaybeWatchExecWedge();
+  // Re-arm every live cross instance (§4.3.4 re-drive and commit query),
+  // in digest order: xstates_ is hashed, and the timers feed the trace.
+  std::vector<Sha256Digest> live;
+  for (const auto& [d, xs] : xstates_) {
+    if (!xs.done) live.push_back(d);
+  }
+  std::sort(live.begin(), live.end());
+  for (const Sha256Digest& d : live) ArmCrossTimer(d);
   // A restarted replica missed every commit of its downtime — including
   // cross-cluster commits nothing will ever retransmit (completed
   // instances stop re-driving). Proactively fetch the gap from a peer;
@@ -270,8 +286,8 @@ void OrderingNode::HandleTimer(uint64_t tag, uint64_t payload) {
   if (tag == kTagProgress) {
     auto it = progress_checks_.find(payload);
     if (it == progress_checks_.end()) return;
-    if (ObservedRecently(it->second.id) ||
-        RecentlyIn(seen_requests_, it->second.id)) {
+    if (committed_requests_.Contains(it->second.id) ||
+        RecentEntry(it->second.id) != nullptr) {
       // A proposal carrying the request was observed — primary is live.
       // A pin in pending_cross_ proves nothing here: the stalled instance
       // of a dead primary stays pinned until it finishes.
@@ -397,7 +413,7 @@ void OrderingNode::HandleRequest(NodeId /*from*/, const RequestMsg& m) {
     env()->metrics.Inc("order.rejected_write_rule");
     return;
   }
-  seen_requests_.Put({tx.client, tx.client_ts}, now());
+  recent_requests_.Put({tx.client, tx.client_ts}, now());
   MaybePurgeDedup();
 
   // Requests of one flow (same collection + shard set) can legally share
@@ -419,12 +435,14 @@ void OrderingNode::ObserveProposedBlock(const BlockPtr& block) {
   if (block == nullptr) return;
   for (const Transaction& tx : block->txs) {
     // A view change, promise or fill can carry a value committed here
-    // long ago; the windows hold only what is still in flight.
+    // long ago; the window holds only what is still in flight.
     RequestId id{tx.client, tx.client_ts};
-    if (!committed_requests_.Contains(id)) observed_requests_.Put(id, now());
+    if (!committed_requests_.Contains(id)) {
+      recent_requests_.Put(id, now(), /*observed=*/true);
+    }
   }
-  // Backups never take the intake path, so the observation map must be
-  // purged here too or it grows for the whole run on (n-1)/n nodes.
+  // Backups never take the intake path, so the window must be purged
+  // here too or it grows for the whole run on (n-1)/n nodes.
   MaybePurgeDedup();
 }
 
@@ -469,19 +487,20 @@ SimTime OrderingNode::DedupWindowUs() const {
   return 2 * dir_->params.cross_timeout_us;
 }
 
-bool OrderingNode::RecentlyIn(const RequestTable& m,
-                              const RequestId& id) const {
-  const SimTime* at = m.Find(id);
-  return at != nullptr && now() - *at <= DedupWindowUs();
+const RequestTable::Entry* OrderingNode::RecentEntry(
+    const RequestId& id) const {
+  const RequestTable::Entry* e = recent_requests_.Find(id);
+  return e != nullptr && now() - e->when <= DedupWindowUs() ? e : nullptr;
 }
 
 bool OrderingNode::ObservedRecently(const RequestId& id) const {
-  return committed_requests_.Contains(id) ||
-         RecentlyIn(observed_requests_, id);
+  if (committed_requests_.Contains(id)) return true;
+  const RequestTable::Entry* e = RecentEntry(id);
+  return e != nullptr && e->observed;
 }
 
 bool OrderingNode::IsDuplicateRequest(const RequestId& id) const {
-  // Intake dedup uses the same expiry as observation dedup: past the
+  // Intake and observation records share one expiry: past the
   // window, this node's own proposal is presumed abandoned and a client
   // retransmission may be admitted afresh — otherwise a transaction lost
   // in an abandoned proposal would stay blacklisted here until another
@@ -491,8 +510,7 @@ bool OrderingNode::IsDuplicateRequest(const RequestId& id) const {
   // abandoned while pinned (see FinishCross for the release).
   return committed_requests_.Contains(id) ||
          pending_cross_.find(id) != pending_cross_.end() ||
-         RecentlyIn(seen_requests_, id) ||
-         RecentlyIn(observed_requests_, id);
+         RecentEntry(id) != nullptr;
 }
 
 void OrderingNode::PinCross(const BlockPtr& block) {
@@ -540,8 +558,7 @@ void OrderingNode::RecordCommitted(const Block& block) {
     NoteSettleMark(tx);
     RequestId id{tx.client, tx.client_ts};
     committed_requests_.Insert(id);
-    seen_requests_.Erase(id);
-    observed_requests_.Erase(id);
+    recent_requests_.Erase(id);
   }
 }
 
@@ -549,8 +566,7 @@ void OrderingNode::MaybePurgeDedup() {
   if (now() - last_dedup_purge_ <= DedupWindowUs()) return;
   last_dedup_purge_ = now();
   SimTime horizon = now() - DedupWindowUs();
-  seen_requests_.PurgeBefore(horizon);
-  observed_requests_.PurgeBefore(horizon);
+  recent_requests_.PurgeBefore(horizon);
   for (auto it = answered_early_.begin(); it != answered_early_.end();) {
     it = it->second.arrived < horizon ? answered_early_.erase(it)
                                        : std::next(it);

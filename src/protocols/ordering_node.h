@@ -57,10 +57,8 @@ class OrderingNode : public Actor {
   uint64_t aborted_blocks() const { return aborted_blocks_; }
   /// Client requests held while intake is gated (see IntakeGated).
   size_t parked_requests() const { return parked_.size(); }
-  /// Entries in the two dedup windows (see committed_requests_).
-  size_t windowed_requests() const {
-    return seen_requests_.size() + observed_requests_.size();
-  }
+  /// Entries in the dedup window (see committed_requests_).
+  size_t windowed_requests() const { return recent_requests_.size(); }
   /// Entries in the two per-client records, which the clients' settle
   /// marks bound: committed_requests_ and, behind the firewall, replies_.
   size_t client_record_entries() const {
@@ -473,28 +471,23 @@ class OrderingNode : public Actor {
       return static_cast<size_t>(d.Prefix64());
     }
   };
-  // Requests this node itself admitted to its batcher (primary intake
-  // dedup), with the admission time. An intake entry EXPIRES
-  // (RecentlyIn) with the same window as observation dedup: a
-  // transaction stranded in this node's own abandoned proposal (e.g.
-  // lost on the wire before preparing) can be recovered by client
-  // retransmission to the same primary, instead of only via another node
-  // taking over leadership.
-  RequestTable seen_requests_;
-  // ...and requests observed in someone else's proposal, promise, fill
-  // or a delivered block, with the observation time. Kept separate: a
-  // batch is filtered against observations at close, which drops a
-  // retransmitted transaction that a previous primary already got
-  // ordered — without dropping the batch's own fresh intake. An
-  // observation EXPIRES (RecentlyIn) so a transaction whose proposal was
-  // abandoned (e.g. no-op-filled by a view change before preparing) can
-  // be retried by client retransmission instead of being blacklisted
-  // forever.
-  RequestTable observed_requests_;
-  // The committed record, asked before either window; a request below
-  // its client's settle mark reads as committed. A commit erases its
-  // requests from both windows, so they hold only requests in flight
-  // here, plus abandoned ones until the sweep.
+  // The dedup window: requests this node itself admitted to its batcher
+  // (primary intake) or observed in someone else's proposal, promise,
+  // fill or a delivered block, with the time of the latest record and
+  // whether it was an observation. A batch is filtered against
+  // observations alone at close, which drops a retransmitted
+  // transaction that a previous primary already got ordered without
+  // dropping the batch's own fresh intake. Intake admits a request only
+  // when no recent entry exists, so the latest record answers both
+  // questions. An entry EXPIRES (RecentEntry): a transaction stranded in
+  // an abandoned proposal (lost on the wire before preparing, or
+  // no-op-filled by a view change) can be recovered by client
+  // retransmission instead of being blacklisted forever.
+  RequestTable recent_requests_;
+  // The committed record, asked before the window; a request below its
+  // client's settle mark reads as committed. A commit erases its
+  // requests from the window, so it holds only requests in flight here,
+  // plus abandoned ones until the sweep.
   RequestSet committed_requests_;
   /// Raises tx's client's settle mark (RaiseSettleMark) if the client
   /// signed tx and the mark does not exceed tx's own timestamp. Called
@@ -505,10 +498,11 @@ class OrderingNode : public Actor {
   /// tx's signature and mark: intake, or NoteSettleMark.
   void RaiseSettleMark(const Transaction& tx);
   /// Records a committed (or state-transferred) block's requests here
-  /// and erases them from both windows.
+  /// and erases them from the window.
   void RecordCommitted(const Block& block);
-  /// The one shared expiry predicate both dedup maps use.
-  bool RecentlyIn(const RequestTable& m, const RequestId& id) const;
+  /// The window's entry for `id` if it is recent, else nullptr.
+  const RequestTable::Entry* RecentEntry(const RequestId& id) const;
+  /// Committed, or recently observed in a proposal.
   bool ObservedRecently(const RequestId& id) const;
   /// Committed, recently admitted here, or recently observed in a
   /// proposal — the per-request intake (and watchdog) dedup predicate.

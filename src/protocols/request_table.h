@@ -16,9 +16,10 @@ namespace qanaat {
 struct ReplyCertMsg;
 
 /// Open-addressed flat map from request identity (client, client
-/// timestamp) to a timestamp — the shape of an ordering node's two
-/// expiring per-request dedup windows (intake and observation), which
-/// hold only requests not yet committed at their node. These tables are
+/// timestamp) to the time it was last recorded, and whether that record
+/// was an observation in a proposal rather than this node's own intake:
+/// the shape of an ordering node's expiring per-request dedup window,
+/// which holds only requests not yet committed at its node. The table is
 /// touched once or more per transaction per replica, where
 /// std::unordered_map paid a node allocation per insert and a pointer
 /// chase per lookup; here an entry is 24 contiguous bytes, inserts never
@@ -29,20 +30,20 @@ struct ReplyCertMsg;
 /// tombstones, and kInvalidNode marks an empty slot (no real client
 /// carries that id).
 class RequestTable {
- private:
+ public:
+  using RequestId = std::pair<NodeId, uint64_t>;
+
   struct Entry {
     uint64_t ts = 0;
     SimTime when = 0;
     NodeId client = kInvalidNode;
+    /// The record at `when` was an observation, not intake. It sits in
+    /// the entry's padding.
+    bool observed = false;
   };
 
-  static constexpr size_t kMinCapacity = 64;
-
- public:
-  using RequestId = std::pair<NodeId, uint64_t>;
-
-  /// Inserts or overwrites the timestamp for `id`.
-  void Put(const RequestId& id, SimTime when) {
+  /// Records `id` at `when`, overwriting an earlier record.
+  void Put(const RequestId& id, SimTime when, bool observed = false) {
     if ((size_ + 1) * 2 > slots_.size()) Grow();
     Entry& e = slots_[ProbeFor(id, slots_)];
     if (e.client == kInvalidNode) {
@@ -51,13 +52,14 @@ class RequestTable {
       ++size_;
     }
     e.when = when;
+    e.observed = observed;
   }
 
-  /// Timestamp recorded for `id`, or nullptr when absent.
-  const SimTime* Find(const RequestId& id) const {
+  /// The entry recorded for `id`, or nullptr when absent.
+  const Entry* Find(const RequestId& id) const {
     if (slots_.empty()) return nullptr;
     const Entry& e = slots_[ProbeFor(id, slots_)];
-    return e.client == kInvalidNode ? nullptr : &e.when;
+    return e.client == kInvalidNode ? nullptr : &e;
   }
 
   /// Removes `id` if present (backward-shift deletion): each later entry
@@ -137,9 +139,14 @@ class RequestTable {
     slots_.swap(fresh);
   }
 
+  static constexpr size_t kMinCapacity = 64;
+
   std::vector<Entry> slots_;
   size_t size_ = 0;
 };
+
+static_assert(sizeof(RequestTable::Entry) == 24,
+              "the observed bit must fit in the entry's padding");
 
 /// An ordering node's at-most-once record of committed requests, per
 /// client: the client's settle mark (the highest

@@ -14,13 +14,15 @@ class EngineHost : public Actor {
   EngineHost(Env* env, int index) : Actor(env, "host"), index_(index) {}
 
   void Init(const std::vector<NodeId>& cluster, bool byzantine_engine,
-            int f, SimTime timeout, size_t pipeline_depth = 0) {
+            int f, SimTime timeout, size_t pipeline_depth,
+            size_t checkpoint_interval) {
     EngineContext ctx;
     ctx.env = env();
     ctx.self = id();
     ctx.cluster = cluster;
     ctx.self_index = index_;
     ctx.pipeline_depth = pipeline_depth;
+    ctx.checkpoint_interval = checkpoint_interval;
     ctx.send = [this](NodeId to, MessageRef m) { Send(to, std::move(m)); };
     ctx.broadcast = [this, cluster](MessageRef m) {
       for (NodeId p : cluster) {
@@ -56,25 +58,31 @@ class EngineHost : public Actor {
 
 struct EngineFixture {
   EngineFixture(bool byz, int n, int f, SimTime timeout = 20000,
-                size_t pipeline_depth = 0)
+                size_t pipeline_depth = 0, size_t checkpoint_interval = 0)
       : env(7), net(&env) {
     for (int i = 0; i < n; ++i) {
       hosts.push_back(std::make_unique<EngineHost>(&env, i));
     }
     std::vector<NodeId> ids;
     for (auto& h : hosts) ids.push_back(h->id());
-    for (auto& h : hosts) h->Init(ids, byz, f, timeout, pipeline_depth);
+    for (auto& h : hosts) {
+      h->Init(ids, byz, f, timeout, pipeline_depth, checkpoint_interval);
+    }
   }
 
+  /// A block of `txs` transactions, each signed by its client as
+  /// PBFT backups require.
   ConsensusValue MakeValue(const std::string& tag, int txs = 1) {
     ConsensusValue v;
     v.kind = ConsensusValue::Kind::kBlock;
     auto b = std::make_shared<Block>();
     b->id.alpha = {CollectionId(EnterpriseSet{0}), 0, ++seq};
     for (int i = 0; i < txs; ++i) {
-      b->txs.push_back(Transaction{});
-      b->txs.back().client_ts =
-          std::hash<std::string>{}(tag) + static_cast<uint64_t>(i);
+      Transaction tx;
+      tx.client = kClient;
+      tx.client_ts = std::hash<std::string>{}(tag) + static_cast<uint64_t>(i);
+      tx.client_sig = env.keystore.Sign(tx.client, tx.Digest());
+      b->txs.push_back(std::move(tx));
     }
     b->Seal();
     v.block = b;
@@ -100,6 +108,8 @@ struct EngineFixture {
     }
   }
 
+  static constexpr NodeId kClient = 900;
+
   Env env;
   Network net;
   std::vector<std::unique_ptr<EngineHost>> hosts;
@@ -115,19 +125,6 @@ TEST(PbftTest, DecidesSingleValueOnAllReplicas) {
   f.ExpectAgreement(1);
 }
 
-TEST(PbftTest, DecidesManyValuesInOrder) {
-  EngineFixture f(true, 4, 1);
-  for (int i = 0; i < 20; ++i) {
-    f.hosts[0]->engine->Propose(f.MakeValue("v" + std::to_string(i)));
-  }
-  f.env.sim.RunAll();
-  f.ExpectAgreement(20);
-  // Slots delivered in order 1..20.
-  for (size_t i = 0; i < 20; ++i) {
-    EXPECT_EQ(f.hosts[1]->delivered[i].first, i + 1);
-  }
-}
-
 TEST(PbftTest, ToleratesOneCrashedBackup) {
   EngineFixture f(true, 4, 1);
   f.hosts[3]->Crash();
@@ -136,14 +133,6 @@ TEST(PbftTest, ToleratesOneCrashedBackup) {
   }
   f.env.sim.RunAll();
   f.ExpectAgreement(5);
-}
-
-TEST(PbftTest, ProposeOnBackupIsRejected) {
-  EngineFixture f(true, 4, 1);
-  f.hosts[1]->engine->Propose(f.MakeValue("x"));
-  f.env.sim.RunAll();
-  f.ExpectAgreement(0);
-  EXPECT_EQ(f.env.metrics.Get("pbft.propose_on_backup"), 1u);
 }
 
 TEST(PbftTest, CommitsWithoutPrimaryAfterPrePrepare) {
@@ -255,6 +244,44 @@ TEST(PbftTest, PrePrepareMustCarryItsBlock) {
   }
 }
 
+TEST(PbftTest, PrePrepareMustCarryClientSignedTransactions) {
+  // The primary's signature vouches for the block, not for its clients'
+  // word: a Byzantine primary can order a transaction its client never
+  // signed, alone or among signed ones. Committing it would execute the
+  // request and let it raise the client's settle mark. Backups verify
+  // every transaction's client signature before preparing, start a view
+  // change instead, and the slot is filled with a no-op.
+  for (size_t forged : {0, 2}) {
+    SCOPED_TRACE("forged transaction " + std::to_string(forged));
+    EngineFixture f(true, 4, 1);
+    ConsensusValue evil = f.MakeValue("claimed", /*txs=*/3);
+    auto block = std::make_shared<Block>(*evil.block);
+    block->txs[forged].client_sig =
+        f.env.keystore.Forge(block->txs[forged].client);
+    block->Seal();
+    evil.block = block;
+    evil.block_digest = block->Digest();
+    auto pp = std::make_shared<PrePrepareMsg>();
+    pp->view = 0;
+    pp->slot = 1;
+    pp->value = evil;
+    pp->value_digest = evil.Digest();
+    pp->sig = f.env.keystore.Sign(f.hosts[0]->id(),
+                                  ConsensusSignable(0, 1, pp->value_digest));
+    for (size_t i = 1; i < f.hosts.size(); ++i) {
+      f.net.Send(f.hosts[0]->id(), f.hosts[i]->id(), pp);
+    }
+    f.env.sim.Run(3000000);
+    EXPECT_EQ(f.env.metrics.Get("pbft.bad_preprepare_client_sig"), 3u);
+    EXPECT_GE(f.env.metrics.Get("pbft.view_installed"), 1u);
+    for (const auto& h : f.hosts) {
+      for (const auto& [slot, digest] : h->delivered) {
+        EXPECT_NE(digest, evil.block_digest) << "replica " << h->id();
+      }
+    }
+  }
+}
+
 TEST(PbftTest, FillReplyMustCarryItsBlock) {
   // A fill's commit proof, like a pre-prepare's signature, covers only
   // (kind, block digest): a quorum-signed kBlock value without its block
@@ -322,6 +349,145 @@ TEST(PbftTest, MessagesFromOutsiderIgnored) {
   EXPECT_EQ(f.hosts[1]->delivered.size(), 0u);
 }
 
+// ------------------------------------------- the shared slot core
+
+// Both engines run the base's view, slot table, delivery frontier and
+// proposal pipeline; these cases run against each.
+
+struct PbftCore {
+  static constexpr bool kByzantine = true;
+  static constexpr int kNodes = 4;
+  static constexpr const char* kProposeOnNonPrimary = "pbft.propose_on_backup";
+  static constexpr const char* kQueued = "pbft.proposal_queued";
+  static constexpr const char* kQueueDropped =
+      "pbft.queue_dropped_on_view_change";
+};
+
+struct PaxosCore {
+  static constexpr bool kByzantine = false;
+  static constexpr int kNodes = 3;
+  static constexpr const char* kProposeOnNonPrimary =
+      "paxos.propose_on_follower";
+  static constexpr const char* kQueued = "paxos.proposal_queued";
+  static constexpr const char* kQueueDropped =
+      "paxos.queue_dropped_on_takeover";
+};
+
+template <typename Core>
+class SlotCoreTest : public ::testing::Test {
+ protected:
+  /// A cluster of Core's engine with f = 1.
+  static EngineFixture Cluster(size_t pipeline_depth = 0,
+                               size_t checkpoint_interval = 0) {
+    return EngineFixture(Core::kByzantine, Core::kNodes, 1, 20000,
+                         pipeline_depth, checkpoint_interval);
+  }
+  static void ProposeN(EngineFixture& f, int n) {
+    for (int i = 0; i < n; ++i) {
+      f.hosts[0]->engine->Propose(f.MakeValue("v" + std::to_string(i)));
+    }
+  }
+};
+
+class CoreNames {
+ public:
+  template <typename Core>
+  static std::string GetName(int) {
+    return Core::kByzantine ? "Pbft" : "Paxos";
+  }
+};
+
+using Cores = ::testing::Types<PbftCore, PaxosCore>;
+TYPED_TEST_SUITE(SlotCoreTest, Cores, CoreNames);
+
+TYPED_TEST(SlotCoreTest, ProposeOnNonPrimaryIsRefused) {
+  EngineFixture f = TestFixture::Cluster();
+  f.hosts[1]->engine->Propose(f.MakeValue("x"));
+  EXPECT_EQ(f.hosts[1]->engine->InFlight(), 0u);
+  EXPECT_EQ(f.hosts[1]->engine->QueuedProposals(), 0u);
+  f.env.sim.RunAll();
+  f.ExpectAgreement(0);
+  EXPECT_EQ(f.env.metrics.Get(TypeParam::kProposeOnNonPrimary), 1u);
+}
+
+TYPED_TEST(SlotCoreTest, DecidesManyValuesInOrder) {
+  EngineFixture f = TestFixture::Cluster();
+  TestFixture::ProposeN(f, 30);
+  f.env.sim.RunAll();
+  f.ExpectAgreement(30);
+  for (size_t i = 0; i < 30; ++i) {
+    EXPECT_EQ(f.hosts[1]->delivered[i].first, i + 1);
+  }
+}
+
+TYPED_TEST(SlotCoreTest, PipelineDepthCapsInFlightSlots) {
+  EngineFixture f = TestFixture::Cluster(/*pipeline_depth=*/2);
+  TestFixture::ProposeN(f, 10);
+  // Before any network round trip completes, only 2 slots are open; the
+  // rest wait inside the engine.
+  EXPECT_EQ(f.hosts[0]->engine->InFlight(), 2u);
+  EXPECT_EQ(f.hosts[0]->engine->QueuedProposals(), 8u);
+  EXPECT_EQ(f.env.metrics.Get(TypeParam::kQueued), 8u);
+  f.env.sim.RunAll();
+  // The queue drains as slots decide; everything delivers, in order.
+  f.ExpectAgreement(10);
+  EXPECT_EQ(f.hosts[0]->engine->InFlight(), 0u);
+  EXPECT_EQ(f.hosts[0]->engine->QueuedProposals(), 0u);
+  for (size_t i = 0; i < 10; ++i) {
+    EXPECT_EQ(f.hosts[1]->delivered[i].first, i + 1);
+  }
+}
+
+TYPED_TEST(SlotCoreTest, PipelineDepthOneSerializesRounds) {
+  EngineFixture f = TestFixture::Cluster(/*pipeline_depth=*/1);
+  TestFixture::ProposeN(f, 5);
+  EXPECT_EQ(f.hosts[0]->engine->InFlight(), 1u);
+  EXPECT_EQ(f.hosts[0]->engine->QueuedProposals(), 4u);
+  f.env.sim.RunAll();
+  f.ExpectAgreement(5);
+}
+
+TYPED_TEST(SlotCoreTest, QueueDroppedOnALeadershipChange) {
+  // One slot open and two queued when every other node suspects the
+  // primary: leadership moves (a view change, a ballot takeover), and the
+  // old primary drops its queue instead of proposing it later. Clients
+  // retransmit to the new primary, and an interim leader may already
+  // have committed what was queued.
+  EngineFixture f = TestFixture::Cluster(/*pipeline_depth=*/1);
+  TestFixture::ProposeN(f, 3);
+  ASSERT_EQ(f.hosts[0]->engine->QueuedProposals(), 2u);
+  for (size_t i = 1; i < f.hosts.size(); ++i) {
+    f.hosts[i]->engine->SuspectPrimary();
+  }
+  f.env.sim.Run(3000000);
+  EXPECT_GT(f.hosts[0]->engine->view(), 0u);
+  EXPECT_EQ(f.hosts[0]->engine->QueuedProposals(), 0u);
+  EXPECT_EQ(f.env.metrics.Get(TypeParam::kQueueDropped), 2u);
+  const Sha256Digest dropped = f.MakeValue("v2").block_digest;
+  for (const auto& h : f.hosts) {
+    for (const auto& [slot, digest] : h->delivered) {
+      EXPECT_NE(digest, dropped) << "replica " << h->id();
+    }
+  }
+}
+
+TYPED_TEST(SlotCoreTest, GarbageCollectsBelowAStableCheckpoint) {
+  EngineFixture f = TestFixture::Cluster(/*pipeline_depth=*/0,
+                                         /*checkpoint_interval=*/4);
+  TestFixture::ProposeN(f, 10);
+  f.env.sim.RunAll();
+  f.ExpectAgreement(10);
+  for (const auto& h : f.hosts) {
+    const InternalConsensus& e = *h->engine;
+    EXPECT_EQ(e.stable_checkpoint().slot, 8u) << "replica " << h->id();
+    EXPECT_EQ(e.gc_floor(), 8u);
+    EXPECT_EQ(e.LastDelivered(), 10u);
+    for (uint64_t slot = 1; slot <= 10; ++slot) {
+      EXPECT_EQ(e.HasSlotState(slot), slot > 8) << "slot " << slot;
+    }
+  }
+}
+
 // ----------------------------------------------------------------- Paxos
 
 // ------------------------------------------- signable memoization
@@ -378,15 +544,6 @@ TEST(PaxosTest, DecidesOnAllReplicas) {
   f.hosts[0]->engine->Propose(f.MakeValue("a"));
   f.env.sim.RunAll();
   f.ExpectAgreement(1);
-}
-
-TEST(PaxosTest, DecidesManyInOrder) {
-  EngineFixture f(false, 3, 1);
-  for (int i = 0; i < 30; ++i) {
-    f.hosts[0]->engine->Propose(f.MakeValue("v" + std::to_string(i)));
-  }
-  f.env.sim.RunAll();
-  f.ExpectAgreement(30);
 }
 
 TEST(PaxosTest, ToleratesCrashedFollower) {
@@ -520,34 +677,6 @@ TEST(PbftTest, BatchedBlockDeliversAtomically) {
 
 // ------------------------------------------------------------ pipelining
 
-TEST(PbftTest, PipelineDepthCapsInFlightSlots) {
-  EngineFixture f(true, 4, 1, 20000, /*pipeline_depth=*/2);
-  for (int i = 0; i < 10; ++i) {
-    f.hosts[0]->engine->Propose(f.MakeValue("v" + std::to_string(i)));
-  }
-  // Before any network round trip completes, only 2 slots are open; the
-  // rest wait inside the engine.
-  EXPECT_EQ(f.hosts[0]->engine->InFlight(), 2u);
-  EXPECT_EQ(f.hosts[0]->engine->QueuedProposals(), 8u);
-  f.env.sim.RunAll();
-  // The queue drains as slots commit; everything delivers, in order.
-  f.ExpectAgreement(10);
-  EXPECT_EQ(f.hosts[0]->engine->QueuedProposals(), 0u);
-  for (size_t i = 0; i < 10; ++i) {
-    EXPECT_EQ(f.hosts[1]->delivered[i].first, i + 1);
-  }
-}
-
-TEST(PbftTest, PipelineDepthOneSerializesRounds) {
-  EngineFixture f(true, 4, 1, 20000, /*pipeline_depth=*/1);
-  for (int i = 0; i < 5; ++i) {
-    f.hosts[0]->engine->Propose(f.MakeValue("v" + std::to_string(i)));
-  }
-  EXPECT_EQ(f.hosts[0]->engine->InFlight(), 1u);
-  f.env.sim.RunAll();
-  f.ExpectAgreement(5);
-}
-
 TEST(PbftTest, PipelineSafeUnderPrimaryFailure) {
   // Several slots in flight plus queued proposals when the primary dies:
   // the view change must leave all correct replicas with identical
@@ -591,18 +720,6 @@ TEST(PbftTest, PipelineSafeUnderPrimaryFailure) {
   ASSERT_EQ(f.hosts[1]->delivered.size(), f.hosts[2]->delivered.size());
   ASSERT_EQ(f.hosts[1]->delivered.size(), f.hosts[3]->delivered.size());
   EXPECT_GE(f.hosts[1]->delivered.size(), before + 6);
-}
-
-TEST(PaxosTest, PipelineDepthCapsInFlightSlots) {
-  EngineFixture f(false, 3, 1, 20000, /*pipeline_depth=*/2);
-  for (int i = 0; i < 9; ++i) {
-    f.hosts[0]->engine->Propose(f.MakeValue("v" + std::to_string(i)));
-  }
-  EXPECT_EQ(f.hosts[0]->engine->InFlight(), 2u);
-  EXPECT_EQ(f.hosts[0]->engine->QueuedProposals(), 7u);
-  f.env.sim.RunAll();
-  f.ExpectAgreement(9);
-  EXPECT_EQ(f.hosts[0]->engine->QueuedProposals(), 0u);
 }
 
 TEST(PaxosTest, PipelinedOpenSlotsRedrivenAfterTakeover) {

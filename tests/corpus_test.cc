@@ -409,14 +409,17 @@ struct AdversaryGolden {
 // re-pinned when each transaction began to carry its client's settle mark
 // (8 more wire bytes per transaction; see the ChaosGolden pin-table
 // comment). The other four pins held.
+// pbft/6 equivocation, pbft/7 silence and paxos/1001 conflict re-pinned
+// when a crash stopped stranding the victim's live cross instances (see
+// the ChaosGolden pin-table comment). The other five pins held.
 TEST(CorpusGolden, AdversaryTraceHashesMatchPinned) {
   const AdversaryGolden kGolden[] = {
       {ChaosStack::kQanaatPbft, 5, AdversaryKind::kGrayFailure,
        0x122f6e41e0147113ULL},
       {ChaosStack::kQanaatPbft, 6, AdversaryKind::kEquivocation,
-       0x4942dd0c934e0c7dULL},
+       0x4094ec1f4ba36e9aULL},
       {ChaosStack::kQanaatPbft, 7, AdversaryKind::kSelectiveSilence,
-       0xebacffeaea39ffb4ULL},
+       0xb522e3fc64b5a2d6ULL},
       {ChaosStack::kQanaatPaxos, 5, AdversaryKind::kGrayFailure,
        0xce5b2d8712ea4ed3ULL},
       {ChaosStack::kQanaatPaxos, 7, AdversaryKind::kSelectiveSilence,
@@ -430,7 +433,7 @@ TEST(CorpusGolden, AdversaryTraceHashesMatchPinned) {
       {ChaosStack::kQanaatPbft, kConflictSeedBase + 2,
        AdversaryKind::kCrossConflict, 0x1d2ebf695fc4b63fULL},
       {ChaosStack::kQanaatPaxos, kConflictSeedBase + 1,
-       AdversaryKind::kCrossConflict, 0x3bc23d2e3caee925ULL},
+       AdversaryKind::kCrossConflict, 0xa2b403668177577cULL},
   };
   for (const auto& g : kGolden) {
     CorpusEntry e{g.stack, g.seed, g.adversary};

@@ -703,6 +703,84 @@ TEST(CrossRetireTest, DrainedRunsLeaveNoLiveInstances) {
   }
 }
 
+TEST(CrossRetireTest, InstancesLiveAtACrashRetireAfterRecovery) {
+  // A crash kills the cross timer of every instance live at the victim.
+  // The recovered life must arm them again (§4.3.4 re-drive and commit
+  // query): an instance whose outcome the victim missed otherwise stays
+  // live, pinned and claiming its slots for the rest of the run.
+  // Ordering node 1 of each cluster crashes at the first moment after
+  // 300 ms that it holds a live instance, and recovers 400 ms later.
+  struct Stack {
+    const char* name;
+    FailureModel model;
+    ProtocolFamily family;
+    bool firewall;
+  };
+  const Stack kStacks[] = {
+      {"pbft flattened", FailureModel::kByzantine, ProtocolFamily::kFlattened,
+       false},
+      {"pbft coordinator", FailureModel::kByzantine,
+       ProtocolFamily::kCoordinator, false},
+      {"paxos flattened", FailureModel::kCrash, ProtocolFamily::kFlattened,
+       false},
+      {"pbft coordinator firewall", FailureModel::kByzantine,
+       ProtocolFamily::kCoordinator, true},
+  };
+  for (const Stack& stack : kStacks) {
+    SCOPED_TRACE(stack.name);
+    QanaatSystem::Options so;
+    so.params.num_enterprises = 2;
+    so.params.shards_per_enterprise = 1;
+    so.params.failure_model = stack.model;
+    so.params.family = stack.family;
+    so.params.use_firewall = stack.firewall;
+    so.seed = 1;
+    QanaatSystem sys(std::move(so));
+    WorkloadParams wl;
+    wl.cross_kind = CrossKind::kIntraShardCrossEnterprise;
+    wl.cross_fraction = 0.3;
+    sys.AddClient(wl, 400)->Start(0, 2 * kSecond, 0, 6 * kSecond);
+
+    std::vector<OrderingNode*> victims;
+    for (int c = 0; c < sys.cluster_count(); ++c) {
+      victims.push_back(sys.ordering_node(c, 1));
+    }
+    std::vector<bool> crashed(victims.size(), false);
+    std::function<void()> poll = [&]() {
+      bool waiting = false;
+      for (size_t i = 0; i < victims.size(); ++i) {
+        if (crashed[i]) continue;
+        if (victims[i]->live_cross_instances() == 0) {
+          waiting = true;
+          continue;
+        }
+        crashed[i] = true;
+        OrderingNode* victim = victims[i];
+        victim->Crash();
+        sys.env().sim.Schedule(400 * kMillisecond,
+                               [victim]() { victim->Recover(); });
+      }
+      if (waiting) sys.env().sim.Schedule(kMillisecond, poll);
+    };
+    sys.env().sim.ScheduleAt(300 * kMillisecond, poll);
+    sys.env().sim.Run(6 * kSecond);
+
+    for (size_t i = 0; i < victims.size(); ++i) {
+      ASSERT_TRUE(crashed[i]) << "cluster " << i;
+    }
+    for (int c = 0; c < sys.cluster_count(); ++c) {
+      const auto& ord = sys.directory().Cluster(c).ordering;
+      for (int i = 0; i < static_cast<int>(ord.size()); ++i) {
+        EXPECT_EQ(sys.ordering_node(c, i)->live_cross_instances(), 0u)
+            << "node " << c << "/" << i;
+      }
+    }
+    static const std::set<NodeId> kNone;
+    Status st = SafetyAuditor::AuditQanaat(sys, true, &kNone);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+  }
+}
+
 TEST(CrossRetireTest, DrainedRunsDeferToTheLedger) {
   // Every instance a node committed and executed keeps only what the
   // ledger lacks, and once the sweep has run no slot claim outlives the

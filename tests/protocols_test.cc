@@ -177,11 +177,11 @@ TEST(OrderingTest, IntakeRefusesRequestsBelowTheSettleMark) {
 }
 
 TEST(OrderingTest, OnlyAClientSignedMarkIsHonoured) {
-  // A faulty node can put a made-up transaction in a block, and nothing
-  // checks a proposal's client signatures. Neither a forged proposal
-  // that is only observed nor a forged transaction that commits may
-  // raise the client's mark: a raised mark never comes back down, so
-  // every later request of the client would be refused.
+  // A faulty node can put a made-up transaction in a block. Neither a
+  // forged proposal that is only observed nor a faulty primary's forged
+  // block may raise the client's mark: a raised mark never comes back
+  // down, so every later request of the client would be refused. PBFT
+  // backups refuse to prepare the forged block, so it commits nowhere.
   auto sys = QanaatSystem(BaseOpts(ProtocolFamily::kFlattened,
                                    FailureModel::kByzantine, 2, 1));
   ScriptClient client(&sys.env(), &sys.directory());
@@ -232,18 +232,22 @@ TEST(OrderingTest, OnlyAClientSignedMarkIsHonoured) {
   sys.env().sim.Run(100 * kMillisecond);
   EXPECT_EQ(marks(), none);
 
-  // Committed: a faulty primary orders a block whose one transaction the
-  // client never signed.
+  // Proposed: a faulty primary orders a block whose one transaction the
+  // client never signed. Every backup refuses it and suspects the
+  // primary.
   OrderingNode* primary = sys.ordering_node(0, 0);
   primary->engine()->Propose(ConsensusValue::ForBlock(forged_block(2000, 1)));
   sys.env().sim.Run(400 * kMillisecond);
+  EXPECT_EQ(sys.env().metrics.Get("pbft.bad_preprepare_client_sig"),
+            cc.ordering.size() - 1);
   for (size_t i = 0; i < cc.ordering.size(); ++i) {
-    ASSERT_EQ(sys.ordering_node(0, static_cast<int>(i))->committed_txs(), 1u)
+    EXPECT_EQ(sys.ordering_node(0, static_cast<int>(i))->committed_txs(), 0u)
         << "node " << i;
   }
   EXPECT_EQ(marks(), none);
 
-  // The client's own next request carries its real mark and commits.
+  // The client's own next request carries its real mark and commits
+  // (through the next view's primary).
   sys.net().Send(client.id(), cc.InitialPrimary(),
                  MarkedRequest(sys, client.id(), 1, 1, 7));
   sys.env().sim.Run(800 * kMillisecond);
@@ -413,9 +417,9 @@ TEST(RequestTableTest, EraseInsideWrappedRunKeepsOthersFindable) {
     EXPECT_EQ(t.Find(ids[victim]), nullptr) << victim;
     for (size_t i = 0; i < ids.size(); ++i) {
       if (i == victim) continue;
-      const SimTime* at = t.Find(ids[i]);
+      const RequestTable::Entry* at = t.Find(ids[i]);
       ASSERT_NE(at, nullptr) << "victim " << victim << " lost " << i;
-      EXPECT_EQ(*at, SimTime(i));
+      EXPECT_EQ(at->when, SimTime(i));
     }
   }
 }
@@ -432,12 +436,12 @@ TEST(RequestTableTest, EraseOfAbsentIdOrTwiceChangesNothing) {
   t.Erase({1, 4});
   EXPECT_EQ(t.size(), 9u);
   for (uint64_t ts = 0; ts < 10; ++ts) {
-    const SimTime* at = t.Find({1, ts});
+    const RequestTable::Entry* at = t.Find({1, ts});
     if (ts == 4) {
       EXPECT_EQ(at, nullptr);
     } else {
       ASSERT_NE(at, nullptr) << ts;
-      EXPECT_EQ(*at, SimTime(ts));
+      EXPECT_EQ(at->when, SimTime(ts));
     }
   }
 }
@@ -450,7 +454,7 @@ TEST(RequestTableTest, PutAfterEraseInsertsAgain) {
   t.Put({5, 7}, 200);
   EXPECT_EQ(t.size(), 1u);
   ASSERT_NE(t.Find({5, 7}), nullptr);
-  EXPECT_EQ(*t.Find({5, 7}), 200);
+  EXPECT_EQ(t.Find({5, 7})->when, 200);
 }
 
 TEST(RequestTableTest, MatchesStdMapUnderRandomOperations) {
@@ -473,10 +477,10 @@ TEST(RequestTableTest, MatchesStdMapUnderRandomOperations) {
       ref.erase(id);
     } else if (pick < 998) {
       auto it = ref.find(id);
-      const SimTime* at = t.Find(id);
+      const RequestTable::Entry* at = t.Find(id);
       ASSERT_EQ(at != nullptr, it != ref.end()) << "op " << op;
       if (at != nullptr) {
-        ASSERT_EQ(*at, it->second) << "op " << op;
+        ASSERT_EQ(at->when, it->second) << "op " << op;
       }
     } else {
       SimTime horizon = now - static_cast<SimTime>(rng.Uniform(400));
@@ -490,11 +494,64 @@ TEST(RequestTableTest, MatchesStdMapUnderRandomOperations) {
   for (NodeId c = 0; c < 4; ++c) {
     for (uint64_t ts = 0; ts < 300; ++ts) {
       auto it = ref.find({c, ts});
-      const SimTime* at = t.Find({c, ts});
+      const RequestTable::Entry* at = t.Find({c, ts});
       ASSERT_EQ(at != nullptr, it != ref.end()) << c << "/" << ts;
       if (at != nullptr) {
-        EXPECT_EQ(*at, it->second);
+        EXPECT_EQ(at->when, it->second);
       }
+    }
+  }
+}
+
+TEST(RequestTableTest, ObservedBitAnswersAsTwoWindowsDid) {
+  // The window used to be two tables, intake and observation, with one
+  // expiry, one purge and one erase on commit. One table whose entry
+  // keeps the latest record and whether it was an observation gives the
+  // same answers, because intake admits a request only when neither
+  // record is recent. Replay random intake, observation, commit and
+  // sweeps against the two-table model.
+  constexpr SimTime kWindow = 50;
+  RequestTable t;
+  std::map<RequestTable::RequestId, SimTime> seen, observed;
+  auto recent = [&](const std::map<RequestTable::RequestId, SimTime>& m,
+                    const RequestTable::RequestId& id, SimTime now) {
+    auto it = m.find(id);
+    return it != m.end() && now - it->second <= kWindow;
+  };
+  Rng rng(27);
+  SimTime now = 0;
+  for (int op = 0; op < 100000; ++op) {
+    now += static_cast<SimTime>(rng.Uniform(3));
+    RequestTable::RequestId id{static_cast<NodeId>(rng.Uniform(3)),
+                               rng.Uniform(100)};
+    bool either = recent(seen, id, now) || recent(observed, id, now);
+    uint64_t pick = rng.Uniform(100);
+    if (pick < 40) {
+      if (!either) {  // intake admits only what is not recent
+        t.Put(id, now);
+        seen[id] = now;
+      }
+    } else if (pick < 70) {
+      t.Put(id, now, /*observed=*/true);
+      observed[id] = now;
+    } else if (pick < 85) {
+      t.Erase(id);
+      seen.erase(id);
+      observed.erase(id);
+    } else if (pick < 87) {
+      SimTime horizon = now - kWindow;
+      t.PurgeBefore(horizon);
+      for (auto* m : {&seen, &observed}) {
+        for (auto it = m->begin(); it != m->end();) {
+          it = it->second < horizon ? m->erase(it) : std::next(it);
+        }
+      }
+    } else {
+      const RequestTable::Entry* e = t.Find(id);
+      bool in_window = e != nullptr && now - e->when <= kWindow;
+      ASSERT_EQ(in_window, either) << "op " << op;
+      ASSERT_EQ(in_window && e->observed, recent(observed, id, now))
+          << "op " << op;
     }
   }
 }

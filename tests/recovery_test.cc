@@ -89,8 +89,11 @@ struct CkptFixture {
     v.kind = ConsensusValue::Kind::kBlock;
     auto b = std::make_shared<Block>();
     b->id.alpha = {CollectionId(EnterpriseSet{0}), 0, ++seq};
-    b->txs.push_back(Transaction{});
-    b->txs.back().client_ts = tag;
+    Transaction tx;
+    tx.client = 900;
+    tx.client_ts = tag;
+    tx.client_sig = env.keystore.Sign(tx.client, tx.Digest());
+    b->txs.push_back(std::move(tx));
     b->Seal();
     v.block = b;
     v.block_digest = b->Digest();

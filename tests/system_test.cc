@@ -180,7 +180,7 @@ TEST(SystemInvariants, ReplicasConvergeOnSharedCollections) {
 
 // -------------------------------------------------------- dedup windows
 
-/// Entries left in each ordering node's dedup windows, by node name.
+/// Entries left in each ordering node's dedup window, by node name.
 std::map<std::string, size_t> NonEmptyWindows(QanaatSystem& sys) {
   std::map<std::string, size_t> left;
   for (int c = 0; c < sys.cluster_count(); ++c) {
@@ -193,7 +193,7 @@ std::map<std::string, size_t> NonEmptyWindows(QanaatSystem& sys) {
 }
 
 TEST(SystemDedup, DrainedRunLeavesEveryWindowEmpty) {
-  // A commit erases its requests from both dedup windows, so once a
+  // A commit erases its requests from the dedup window, so once a
   // fault-free run drains, no window holds anything: nothing was
   // abandoned, and no sweep has run since the last intake.
   for (bool pbft : {true, false}) {
@@ -211,7 +211,7 @@ TEST(SystemDedup, DrainedRunLeavesEveryWindowEmpty) {
 TEST(SystemDedup, StateTransferEmptiesTheRecoveredNodesWindows) {
   // A backup per cluster crashes with proposals it observed still
   // uncommitted, misses their commits, and installs them by state
-  // transfer on recovery; each install erases them from its windows.
+  // transfer on recovery; each install erases them from its window.
   // A recovered backup's view change can carry values its peers
   // committed long ago, which they must not record again.
   QanaatSystem::Options opts;
